@@ -254,7 +254,8 @@ def _cmd_wradius(cfg: RunConfig, out) -> int:
         out.write(f"  bracket: {_fmt(res.bracket)}\n")
         out.write(f"  certified: [{_fmt(res.lo)}, {_fmt(res.hi)}]\n")
         out.write(f"  iterations: {res.iterations}\n")
-        out.write("  method: bisection on the membership test\n")
+        out.write("  method: companion eigenproblem per angle, "
+                  "certified by the membership test\n")
     return EXIT_PASS
 
 

@@ -871,7 +871,7 @@ def _suite_cs_calculus(rng, trials: int) -> SuiteResult:
         elif mode < 0.8:
             s, gauge = 2.0, numerical_radius(g)
         else:
-            # generic s goes through the bisection gauge; its hi endpoint is
+            # generic s goes through the ws_radius gauge; its hi endpoint is
             # a certified membership scaling even at loose tolerance
             s = float(np.exp(rng.uniform(math.log(0.3), math.log(4.0))))
             gauge = ws_radius(g, s, tol=1e-3).hi

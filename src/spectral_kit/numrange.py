@@ -3,8 +3,13 @@
 The numerical range W(A) is handled exclusively through its support function
 p(theta) = lambda_max(re(e^{-i theta} A)); convexity of W(A) is a theorem and
 is not re-verified.  Class membership for the Sz.-Nagy--Foias families C_s is
-a grid decision over the unit-disk parameter zeta = r e^{i theta}, and the
-operator radius w_s comes from bisection with that membership oracle.
+a grid decision over the unit-disk parameter zeta = r e^{i theta}.  The
+operator radius w_s is computed directly as the maximum over angles of the
+largest positive real eigenvalue of a 2n x 2n companion matrix, then
+bracketed: ``lo`` carries a violation witness of the membership test (or is
+the a-priori bound max(rho(A), ||A||/s)), and ``hi`` passed the grid
+membership test.  Bisection with that test runs only as a fallback when
+either check fails, and ``iterations`` counts its steps.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import as_matrix, spectral_radius
+from .matrixcore import as_matrix
 
 __all__ = [
     "SupportProfile",
@@ -30,6 +35,9 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# 4x angular zooms after the 90-angle start: 2pi/90 / 4^8 ~ 1e-6 rad
+_PEAK_ZOOMS = 8
+_PEAK_CANDIDATES = 4
 
 
 class BisectionError(RuntimeError):
@@ -196,10 +204,13 @@ class CsMembership:
 
 
 class _CsKernel:
-    """Shared margin evaluator for C_s membership of A/t.
+    """Shared evaluator for C_s membership of A/t.
 
-    Precomputes A*A and the angle stack e^{i theta} A + e^{-i theta} A* once,
-    so each bisection step costs one stacked lambda_max sweep.
+    With B = A*A, M(theta) = e^{i theta} A + e^{-i theta} A*, ca = (2-s)/s and
+    cb = (s-1)/s, the test matrix at zeta = r e^{i theta} is
+    H = ca u^2 B + cb u M(theta) - I with u = r/t.  ``margins*`` evaluate
+    lambda_max(H) on (theta, r) lattices; ``peak`` finds the scaling t at
+    which the test first fails from the companion eigenproblem per angle.
     """
 
     def __init__(self, a: np.ndarray, s: float, grid=(90, 50)):
@@ -208,50 +219,33 @@ class _CsKernel:
         n_theta, n_r = grid
         if n_theta < 90 or n_r < 50:
             raise ValueError("membership grid must be at least 90 x 50")
+        s = float(s)
         self.a = a
-        self.s = float(s)
+        self.ca = (2.0 - s) / s
+        self.cb = (s - 1.0) / s
         self.n = a.shape[0]
         self.thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
         self.rs = np.linspace(0.0, 1.0, n_r)
         self.aha = a.conj().T @ a
-        ph = np.exp(1j * self.thetas)[:, None, None]
-        self.mstack = ph * a[None] + np.conj(ph) * a.conj().T[None]
+
+    def _mstack(self, thetas) -> np.ndarray:
+        ph = np.exp(1j * np.asarray(thetas, dtype=float))[:, None, None]
+        return ph * self.a[None] + np.conj(ph) * self.a.conj().T[None]
 
     def margins(self, t: float) -> np.ndarray:
         # lambda_max(H(r, theta)) for A/t over the whole grid, shape (n_theta, n_r)
-        s = self.s
-        ca = (2.0 - s) / s
-        cb = (s - 1.0) / s
-        r = self.rs / t
-        h = (ca * (r ** 2)[None, :, None, None] * self.aha[None, None]
-             + cb * r[None, :, None, None] * self.mstack[:, None])
-        idx = np.arange(self.n)
-        h[..., idx, idx] -= 1.0
-        return hermitian_eigmax(h.reshape(-1, self.n, self.n)).reshape(
-            len(self.thetas), len(self.rs))
-
-    def margin_at(self, t: float, theta: float, r: float) -> float:
-        s = self.s
-        u = r / t
-        h = ((2.0 - s) / s * u ** 2 * self.aha
-             + (s - 1.0) / s * u * (np.exp(1j * theta) * self.a
-                                    + np.exp(-1j * theta) * self.a.conj().T)
-             - np.eye(self.n))
-        return float(hermitian_eigmax(h[None])[0])
+        return self.margins_at(t, self.thetas, self.rs)
 
     def margins_at(self, t: float, thetas, rs) -> np.ndarray:
         # lambda_max(H(r, theta)) for A/t on an arbitrary (theta, r) lattice
-        s = self.s
         u = np.asarray(rs, dtype=float) / t
-        ph = np.exp(1j * np.asarray(thetas, dtype=float))[:, None, None]
-        mst = ph * self.a[None] + np.conj(ph) * self.a.conj().T[None]
-        h = ((2.0 - s) / s * (u ** 2)[None, :, None, None]
-             * self.aha[None, None]
-             + (s - 1.0) / s * u[None, :, None, None] * mst[:, None])
+        mst = self._mstack(thetas)
+        h = (self.ca * (u ** 2)[None, :, None, None] * self.aha[None, None]
+             + self.cb * u[None, :, None, None] * mst[:, None])
         idx = np.arange(self.n)
         h[..., idx, idx] -= 1.0
         return hermitian_eigmax(h.reshape(-1, self.n, self.n)).reshape(
-            len(ph), len(u))
+            len(mst), len(u))
 
     def max_margin(self, t: float, refine: bool = False) -> float:
         grid = self.margins(t)
@@ -278,6 +272,60 @@ class _CsKernel:
             d_theta /= 4.0
             d_r /= 4.0
         return val
+
+    def crossing(self, thetas) -> np.ndarray:
+        # mu*(theta): lambda_max(H) first reaches 0 at u = 1/mu*, the largest
+        # positive real eigenvalue of the companion [[0, I], [ca B, cb M]]
+        # of mu^2 I - cb mu M - ca B; 0 where there is none.  Near-double
+        # roots (the edge of a real-root window) carry rounding-level
+        # imaginary parts, so "real" is decided with a loose tolerance;
+        # a spurious root can only raise the estimate, which the witness
+        # check in ws_radius then rejects
+        n = self.n
+        mst = self._mstack(thetas)
+        comp = np.zeros((len(mst), 2 * n, 2 * n), dtype=complex)
+        comp[:, :n, n:] = np.eye(n)
+        comp[:, n:, :n] = self.ca * self.aha
+        comp[:, n:, n:] = self.cb * mst
+        ev = np.linalg.eigvals(comp)
+        scale = np.abs(ev).max(axis=1, keepdims=True)
+        real = (np.abs(ev.imag) <= 1e-6 * scale) & (ev.real > 0)
+        return np.where(real, ev.real, 0.0).max(axis=1)
+
+    def peak(self, extra_thetas) -> tuple[float, float]:
+        """Estimate max_theta mu*(theta) = w_s(A) and its angle.
+
+        Starts from the grid angles plus ``extra_thetas`` (for large s the
+        real-root window is a sliver of the circle around -arg lambda_k(A)
+        that the grid misses).  mu* can have several near-equal peaks, so
+        every local maximum of the start samples within step^2 (relative)
+        of the best one is refined, at most ``_PEAK_CANDIDATES`` of them.
+        The margin is 8x the s = 2 bound: there mu* is the support function
+        p of the convex set W(A), and p'' >= -p keeps a peak within
+        p step^2 / 8 of its nearest sample.  Each candidate gets nested
+        9-point zooms, shrinking 4x per round.
+        """
+        thetas = np.sort(np.concatenate([
+            self.thetas, np.mod(np.asarray(extra_thetas, dtype=float), 2.0 * np.pi)]))
+        mu = self.crossing(thetas)
+        d_theta = 2.0 * np.pi / len(self.thetas)
+        best = float(mu.max())
+        local = ((mu >= np.roll(mu, 1)) & (mu > np.roll(mu, -1))
+                 & (mu >= best * (1.0 - d_theta ** 2)))
+        local[int(np.argmax(mu))] = True
+        order = np.flatnonzero(local)[np.argsort(-mu[local])][:_PEAK_CANDIDATES]
+        centres, values = thetas[order], mu[order]
+        offsets = np.linspace(-1.0, 1.0, 9)
+        for _ in range(_PEAK_ZOOMS):
+            ths = centres[:, None] + d_theta * offsets[None, :]
+            sub = self.crossing(ths.ravel()).reshape(ths.shape)
+            rows, j = np.arange(len(centres)), np.argmax(sub, axis=1)
+            better = sub[rows, j] > values
+            centres = np.where(better, ths[rows, j], centres)
+            values = np.maximum(values, sub[rows, j])
+            d_theta /= 4.0
+        k = int(np.argmax(values))
+        return float(centres[k]), float(values[k])
 
 
 def cs_membership(a, s: float, grid=(90, 50), tol: float = 1e-8) -> CsMembership:
@@ -306,10 +354,16 @@ def cs_membership(a, s: float, grid=(90, 50), tol: float = 1e-8) -> CsMembership
 
 @dataclass(frozen=True)
 class OperatorRadiusResult:
-    """Bisection output for w_s(A).
+    """Bracketed value of w_s(A).
 
-    radius is the bracket midpoint; hi is a certified C_s-membership scaling,
-    so A/hi passed the grid test and scaling by hi is safe downstream.
+    radius is the bracket midpoint.  lo is witness-certified: either the
+    a-priori bound max(rho(A), ||A||/s) (shrunk by 1e-9) or a scaling at
+    which some tested (theta, r) point's lambda_max exceeds the membership
+    tolerance, so lo < w_s(A).  hi passed the grid membership test (the
+    90 x 50 sweep with lattice zooms, plus the companion estimate's angle),
+    so scaling by hi is safe downstream.  iterations counts the bisection
+    steps of the fallback that runs only when the companion estimate fails
+    either check; it is 0 when the estimate is certified directly.
     """
 
     s: float
@@ -322,15 +376,25 @@ class OperatorRadiusResult:
 
 def ws_radius(a, s: float, tol: float = 1e-6, grid=(90, 50),
               membership_tol: float = 1e-8) -> OperatorRadiusResult:
-    """Operator radius w_s(A) = inf{ r > 0 : A/r in C_s } by bisection.
+    """Operator radius w_s(A) = inf{ r > 0 : A/r in C_s }.
 
-    The membership oracle is the cs_membership grid decision applied to A/t,
-    sharpened by golden refinement of the grid argmax; monotonicity in t
-    (scaling by |lambda| <= 1 preserves C_s) is what makes the bisection
-    valid, and inconsistent oracle answers at the bracket endpoints raise
-    :class:`BisectionError`.  The bracket starts at the certified lower
-    bound max(rho(A), ||A||/s) <= w_s(A); a smaller start would push the
-    scaled Hermitian test matrices into float-cancellation territory.
+    w_s(A) = max_theta mu*(theta), where u = 1/mu* is the first u at which
+    lambda_max(ca u^2 A*A + cb u M(theta) - I) reaches 0 (see
+    :class:`_CsKernel`).  The estimate mu-hat comes from one companion
+    eigenproblem per angle, and is certified in two checks:
+
+    * lo = mu-hat - 0.45 tol if the membership test fails there at the
+      estimate's angle (a violation witness), else the a-priori lower bound
+      max(rho(A), ||A||/s) (1 - 1e-9) <= w_s(A); a smaller floor would push
+      the scaled Hermitian test matrices into float-cancellation territory;
+    * hi = mu-hat + 0.45 tol (kept within [lo, 2 ||A|| max(1, 1/s)]) must
+      pass the grid membership test, extended by the estimate's angle.
+
+    If hi fails, the bracket widens to the a-priori upper bound, and while
+    it is wider than ``tol`` it is bisected with the same membership test;
+    monotonicity in t (scaling by |lambda| <= 1 preserves C_s) is what makes
+    the bisection valid.  An upper bound the test rejects raises
+    :class:`BisectionError`.
     """
     m = as_matrix(a)
     norm2 = float(np.linalg.norm(m, 2))
@@ -339,19 +403,34 @@ def ws_radius(a, s: float, tol: float = 1e-6, grid=(90, 50),
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     kernel = _CsKernel(m, s, grid)
-    rho = spectral_radius(m)
-    lo = max(rho, norm2 / s) * (1.0 - 1e-9)
-    hi = 2.0 * norm2 * max(1.0, 1.0 / s)
-    if kernel.max_margin(hi, refine=True) > membership_tol:
-        raise BisectionError(
-            f"membership oracle rejects the upper bracket t={hi:.6g} for s={s}")
-    if kernel.max_margin(lo, refine=True) <= membership_tol:
-        return OperatorRadiusResult(s=float(s), radius=lo, bracket=0.0,
-                                    lo=lo, hi=lo, iterations=0)
+    eigs = np.linalg.eigvals(m)
+    floor = max(float(np.abs(eigs).max()), norm2 / s) * (1.0 - 1e-9)
+    ceiling = 2.0 * norm2 * max(1.0, 1.0 / s)
+    theta, mu = kernel.peak(-np.angle(eigs))
+
+    def witness(t):
+        # lambda_max along the estimate's angle, where a narrow real-root
+        # window (large s) can hide between grid angles
+        return float(kernel.margins_at(t, [theta], kernel.rs).max())
+
+    def margin(t):
+        return max(kernel.max_margin(t, refine=True), witness(t))
+
+    lo = mu - 0.45 * tol
+    if lo <= floor or witness(lo) <= membership_tol:
+        lo = floor
+    # lo >= floor, and for s > 2 the r-grid accepts tiny t, so hi must not
+    # follow an estimate that fell below the floor
+    hi = max(lo, min(ceiling, mu + 0.45 * tol))
+    if margin(hi) > membership_tol:
+        hi = ceiling
+        if margin(hi) > membership_tol:
+            raise BisectionError(
+                f"membership oracle rejects the upper bracket t={hi:.6g} for s={s}")
     iters = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if kernel.max_margin(mid, refine=True) <= membership_tol:
+        if margin(mid) <= membership_tol:
             hi = mid
         else:
             lo = mid

@@ -224,3 +224,58 @@ def test_ws_radius_normal_matrix_returns_spectral_radius_bracket():
 def test_ws_radius_rejects_zero_matrix():
     with pytest.raises(ValueError):
         ws_radius(np.zeros((2, 2)), 1.0)
+
+
+def _margins_r1(a, s, t, thetas):
+    # lambda_max(H(theta, r = 1)) for A/t, straight from eigvalsh
+    u = 1.0 / t
+    ph = np.exp(1j * thetas)[:, None, None]
+    h = ((2.0 - s) / s * u ** 2 * (a.conj().T @ a)
+         + (s - 1.0) / s * u * (ph * a + np.conj(ph) * a.conj().T)
+         - np.eye(a.shape[0]))
+    return np.linalg.eigvalsh(h)[:, -1]
+
+
+def _dense_max_margin(a, s, t, n_theta=20000):
+    # 20k-angle scan, then a 2001-point scan across the best cell, so narrow
+    # large-s violation windows are resolved
+    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    vals = _margins_r1(a, s, t, thetas)
+    step = 2.0 * np.pi / n_theta
+    fine = thetas[int(np.argmax(vals))] + np.linspace(-step, step, 2001)
+    return max(float(vals.max()), float(_margins_r1(a, s, t, fine).max()))
+
+
+def test_ws_radius_large_s_hi_has_no_dense_violation():
+    # the 90-angle grid misses the sliver of angles where A/t fails C_1024
+    # just above rho(A); hi must still be a member on a dense scan
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    res = ws_radius(a, 1024.0, tol=5e-4)
+    assert _dense_max_margin(a, 1024.0, res.hi) <= 1e-8
+
+
+def test_ws_radius_lo_carries_violation_witness():
+    rng = np.random.default_rng(13)
+    raised = 0
+    for s, tol in ((0.5, 1e-6), (3.0, 1e-6), (1024.0, 5e-4)):
+        for n in (2, 5, 8):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            res = ws_radius(a, s, tol=tol)
+            floor = max(spectral_radius(a), op_norm(a, 2) / s) * (1.0 - 1e-9)
+            if res.lo > floor:
+                raised += 1
+                assert _dense_max_margin(a, s, res.lo) > 1e-8
+            assert _dense_max_margin(a, s, res.hi) <= 1e-8
+    assert raised > 0
+
+
+def test_ws_radius_finds_the_higher_of_two_peaks():
+    # W(A) is the hull of two disks whose support peaks differ by 3e-4; the
+    # higher one lies between grid angles, the lower one on a grid angle
+    c2 = 0.5003 * np.exp(1j * (math.pi + math.pi / 90))
+    a = np.zeros((4, 4), dtype=complex)
+    a[:2, :2] = [[0.5, 1.0], [0.0, 0.5]]
+    a[2:, 2:] = [[c2, 1.0], [0.0, c2]]
+    res = ws_radius(a, 2.0, tol=1e-6)
+    assert res.radius == pytest.approx(numerical_radius(a), abs=2e-6)
