@@ -19,9 +19,6 @@ EXIT_USAGE = 2
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
-_FORMATS = {"nr": "csv", "gmres": "csv", "wradius": "text", "gallery": "text",
-            "suites": "text"}
-
 
 def _fmt(x) -> str:
     # all floating output carries 15 significant digits
@@ -48,8 +45,7 @@ class RunConfig:
     """One validated dispatch request.
 
     Numeric options are range-checked during construction so handlers can
-    assume well-formed inputs; ``out_format`` records whether the command
-    emits CSV for external plotters or structured text.
+    assume well-formed inputs.
     """
 
     subcommand: str
@@ -57,7 +53,6 @@ class RunConfig:
     shape: Optional[str] = None
     numbers: dict = field(default_factory=dict)
     options: dict = field(default_factory=dict)
-    out_format: str = "structured"
     seed: Optional[int] = None
 
 
@@ -120,8 +115,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
     return RunConfig(subcommand=cmd, paths=paths,
                      shape=getattr(args, "shape", None), numbers=numbers,
-                     options=options,
-                     out_format=_FORMATS.get(cmd, "structured"), seed=seed)
+                     options=options, seed=seed)
 
 
 # ---------------------------------------------------------------------------

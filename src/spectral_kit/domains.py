@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import integrate, special
 
 from .matrixcore import as_matrix, format_complex, parse_complex
+from .numrange import _golden_max
 
 _BOUNDARY_TOL = 1e-12
 
@@ -443,57 +444,30 @@ def _radial_function(x: Shape):
     raise ValueError(f"no radial profile for kind {x.kind!r}")
 
 
-def _golden_extremum(fun: Callable[[float], float], lo: float, hi: float,
-                     maximize: bool) -> float:
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    sign = 1.0 if maximize else -1.0
-    a, b = lo, hi
-    c = b - g * (b - a)
-    d = a + g * (b - a)
-    fc, fd = sign * fun(c), sign * fun(d)
-    while b - a > 1e-12:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = sign * fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = sign * fun(d)
-    return fun(0.5 * (a + b))
-
-
 def tv_log_radius(x: Shape, n_grid: int = 4096) -> float:
     """Total variation of log r(theta) about the centroid.
 
-    Grid scan locates the monotone pieces; each local extremum is then
-    sharpened by golden-section search so the value is accurate to ~1e-10
-    even for boundaries with corners.
+    Grid scan locates the monotone pieces; the local extrema are then
+    sharpened together by a lockstep golden-section search so the value is
+    accurate to ~1e-10 even for boundaries with corners.
     """
     omega, rad = _radial_function(x)
     thetas = 2.0 * np.pi * np.arange(n_grid) / n_grid
     vals = np.log(np.asarray(rad(thetas), dtype=float))
     if np.ptp(vals) < 1e-14:
         return 0.0
-    diffs = np.diff(np.append(vals, vals[0]))
-    step = 2.0 * np.pi / n_grid
-
-    def scalar_log_rad(t):
-        return float(np.log(rad(np.asarray([t]))[0]))
-
-    extrema = []
-    for k in range(n_grid):
-        prev = diffs[k - 1]
-        nxt = diffs[k]
-        if prev > 0 >= nxt or prev >= 0 > nxt:
-            extrema.append(_golden_extremum(scalar_log_rad,
-                                            thetas[k] - step, thetas[k] + step, True))
-        elif prev < 0 <= nxt or prev <= 0 < nxt:
-            extrema.append(_golden_extremum(scalar_log_rad,
-                                            thetas[k] - step, thetas[k] + step, False))
-    if not extrema:
+    nxt = np.diff(np.append(vals, vals[0]))
+    prev = np.roll(nxt, 1)
+    is_max = ((prev > 0) & (nxt <= 0)) | ((prev >= 0) & (nxt < 0))
+    is_min = ((prev < 0) & (nxt >= 0)) | ((prev <= 0) & (nxt > 0))
+    ks = np.flatnonzero(is_max | is_min)
+    if not ks.size:
         return 0.0
-    e = np.asarray(extrema)
+    sign = np.where(is_max[ks], 1.0, -1.0)  # minima are maxima of -log r
+    step = 2.0 * np.pi / n_grid
+    _, best = _golden_max(lambda t: sign * np.log(rad(t)),
+                          thetas[ks] - step, thetas[ks] + step)
+    e = sign * best
     return float(np.abs(np.diff(np.append(e, e[0]))).sum())
 
 

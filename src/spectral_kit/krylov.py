@@ -18,7 +18,7 @@ from .domains import (Disk, Ellipse, Interval, Shape, _K_UNIVERSAL,
 from .faber import FaberModel, _support_inside, faber_coeffs, faber_polynomials
 from .matrixcore import RationalFunction, as_matrix, eval_rational, \
     matfun_reference, op_norm
-from .numrange import _golden_max, dist_origin, numerical_radius, \
+from .numrange import _angular_extremes, _golden_max, numerical_radius, \
     support_profile
 from .spectraltest import sup_on_boundary
 
@@ -152,31 +152,30 @@ def fit_ellipse(a, n_grid: int = 256) -> Shape:
 
     Boundary samples of W(A) are enclosed by an axis-aligned bounding
     ellipse after a rotation search over 180 angles and a golden-section
-    aspect-ratio optimization; the result is then inflated so the support
-    function dominates that of W(A) on a fine grid (containment guarantee).
+    aspect-ratio optimization (run in lockstep across the angles); the
+    result is then inflated so the support function dominates that of W(A)
+    on a 512-angle grid (containment guarantee).  Both profiles come from
+    one ``eigh`` sweep when n_grid divides 512.
     """
     mat = as_matrix(a)
-    prof = support_profile(mat, n_grid)
-    pts = prof.points
+    fine = support_profile(mat, 512)
+    pts = support_profile(mat, n_grid).points
 
-    best = None
-    for t in np.linspace(0.0, np.pi, 180, endpoint=False):
-        q = pts * np.exp(-1j * t)
-        cx = (q.real.max() + q.real.min()) / 2.0
-        cy = (q.imag.max() + q.imag.min()) / 2.0
-        dx = q.real - cx
-        dy = q.imag - cy
+    ts = np.linspace(0.0, np.pi, 180, endpoint=False)
+    q = pts[None, :] * np.exp(-1j * ts)[:, None]
+    cxs = (q.real.max(axis=1) + q.real.min(axis=1)) / 2.0
+    cys = (q.imag.max(axis=1) + q.imag.min(axis=1)) / 2.0
+    dx2 = (q.real - cxs[:, None]) ** 2
+    dy = q.imag - cys[:, None]
 
-        def area(log_r):
-            r = np.exp(log_r)
-            return float(r * np.max(dx ** 2 + (dy / r) ** 2))
+    def neg_area(log_r):
+        r = np.exp(log_r)
+        return -(r * np.max(dx2 + (dy / r[:, None]) ** 2, axis=1))
 
-        log_r, neg_area = _golden_max(lambda u: -area(u), -40.0, 4.0,
-                                      tol=1e-10)
-        if best is None or -neg_area < best[0]:
-            best = (-neg_area, t, cx, cy, float(np.exp(log_r)))
-
-    _, t, cx, cy, r = best
+    log_r, neg = _golden_max(neg_area, np.full(len(ts), -40.0),
+                             np.full(len(ts), 4.0), tol=1e-10)
+    k = int(np.argmax(neg))  # the first angle of least area
+    t, cx, cy, r = ts[k], cxs[k], cys[k], float(np.exp(log_r[k]))
     q = pts * np.exp(-1j * t)
     ax = float(np.sqrt(np.max((q.real - cx) ** 2 + ((q.imag - cy) / r) ** 2)))
     ay = r * ax
@@ -198,7 +197,6 @@ def fit_ellipse(a, n_grid: int = 256) -> Shape:
 
     # containment guarantee: scale axes so h_E >= p_A everywhere
     emap = exterior_map(shape)
-    fine = support_profile(mat, 512)
     radial = fine.values - np.real(np.exp(-1j * fine.thetas) * emap.c0)
     amaj = abs(emap.c1) + abs(emap.cm1)
     bmin = abs(emap.c1) - abs(emap.cm1)
@@ -565,7 +563,8 @@ def lens_asymptotic_factor(a) -> float:
     herm = (mat + mat.conj().T) / 2.0
     if np.linalg.eigvalsh(herm).min() <= 0:
         raise ValueError("lens factor requires A + A* positive definite")
-    cos_beta = dist_origin(mat) / numerical_radius(mat)
+    w, neg_dist = _angular_extremes(mat, [1.0, -1.0], 256)
+    cos_beta = max(0.0, neg_dist) / w
     beta = float(np.arccos(np.clip(cos_beta, -1.0, 1.0)))
     return 2.0 * np.sin(beta / (4.0 - 2.0 * beta / np.pi))
 

@@ -2,19 +2,27 @@
 
 The numerical range W(A) is handled exclusively through its support function
 p(theta) = lambda_max(re(e^{-i theta} A)); convexity of W(A) is a theorem and
-is not re-verified.  Class membership for the Sz.-Nagy--Foias families C_s is
-a grid decision over the unit-disk parameter zeta = r e^{i theta}.  The
-operator radius w_s is computed directly as the maximum over angles of the
-largest positive real eigenvalue of a 2n x 2n companion matrix, then
-bracketed: ``lo`` carries a violation witness of the membership test (or is
-the a-priori bound max(rho(A), ||A||/s)), and ``hi`` passed the grid
-membership test.  Bisection with that test runs only as a fallback when
-either check fails, and ``iterations`` counts its steps.
+is not re-verified.  ``support_profile`` memoizes the samples of the last 8
+matrices, keyed by matrix content (an in-place edit makes a new key), so the
+callers that sample W(A) of one matrix share one ``eigh`` sweep; a coarser
+grid whose angles are every k-th angle of a memoized one is served as those
+rows.  Memoized arrays are read-only.
+
+Class membership for the Sz.-Nagy--Foias families C_s is a grid decision over
+the unit-disk parameter zeta = r e^{i theta}, sharpened by lattice zooms
+around the grid's leading local maxima.  The operator radius w_s is computed
+directly as the maximum over angles of the largest positive real eigenvalue
+of a 2n x 2n companion matrix, then bracketed: ``lo`` carries a violation
+witness of the membership test (or is the a-priori bound max(rho(A),
+||A||/s)), and ``hi`` passed the grid membership test.  Bisection with that
+test runs only as a fallback when either check fails, and ``iterations``
+counts its steps.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +46,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # 4x angular zooms after the 90-angle start: 2pi/90 / 4^8 ~ 1e-6 rad
 _PEAK_ZOOMS = 8
 _PEAK_CANDIDATES = 4
+# support profiles of the most recently sampled matrices: key -> {n_grid: profile}
+_PROFILE_MEMO: OrderedDict = OrderedDict()
+_PROFILE_MEMO_SIZE = 8
 
 
 class BisectionError(RuntimeError):
@@ -130,50 +141,104 @@ def support_profile(a, n_grid: int = 256) -> SupportProfile:
     Returns
     -------
     SupportProfile with values p(theta_k) and unit eigenvector witnesses.
+
+    Profiles of the last 8 matrices are memoized by matrix content, so an
+    in-place edit of ``a`` between calls is sampled afresh.  A request whose
+    angles are every k-th angle of a memoized grid is served as those rows
+    of it.  Either way the arrays are read-only and equal, bit for bit, to a
+    fresh computation.
     """
     m = as_matrix(a)
     if n_grid < 8:
         raise ValueError("support grid must have at least 8 angles")
     thetas = 2.0 * np.pi * np.arange(n_grid) / n_grid
+    key = (m.shape, m.tobytes())
+    grids = _PROFILE_MEMO.setdefault(key, {})
+    _PROFILE_MEMO.move_to_end(key)
+    for size, prof in grids.items():
+        k = size // n_grid
+        if size % n_grid == 0 and np.array_equal(prof.thetas[::k], thetas):
+            return prof if k == 1 else SupportProfile(
+                thetas=prof.thetas[::k], values=prof.values[::k],
+                witnesses=prof.witnesses[::k], points=prof.points[::k])
     h = _herm_parts(m, thetas)
     vals, vecs = np.linalg.eigh(h)
     witnesses = vecs[:, :, -1]
     pts = np.einsum("ki,ij,kj->k", np.conj(witnesses), m, witnesses)
-    return SupportProfile(thetas=thetas, values=vals[:, -1],
-                          witnesses=witnesses, points=pts)
+    # copies, so the memo does not keep the whole eigenvector stack alive
+    prof = SupportProfile(thetas=thetas, values=vals[:, -1].copy(),
+                          witnesses=witnesses.copy(), points=pts)
+    for arr in (prof.thetas, prof.values, prof.witnesses, prof.points):
+        arr.setflags(write=False)
+    grids[n_grid] = prof
+    if len(_PROFILE_MEMO) > _PROFILE_MEMO_SIZE:
+        _PROFILE_MEMO.popitem(last=False)
+    return prof
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
-    # golden-section search for the maximum of a unimodal-on-bracket function
-    a, b = lo, hi
+def _golden_max(fun, lo, hi, tol: float = 1e-12):
+    """Golden-section search for the maximum of fun on [lo, hi].
+
+    With scalar brackets, fun maps a float to a float.  With array brackets
+    the searches run in lockstep: fun maps an array of points shaped like
+    the brackets to their values, and each bracket keeps its own stopping
+    test, so every entry follows exactly the arithmetic of a scalar search
+    (converged entries are still evaluated, inside their final brackets, but
+    their brackets no longer move).
+    Returns (x, fun(x)) at the bracket midpoints.
+    """
+    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+        a, b = lo, hi
+        c = b - _GOLDEN * (b - a)
+        d = a + _GOLDEN * (b - a)
+        fc, fd = fun(c), fun(d)
+        while b - a > tol:
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - _GOLDEN * (b - a)
+                fc = fun(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _GOLDEN * (b - a)
+                fd = fun(d)
+        x = (a + b) / 2.0
+        return x, fun(x)
+    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
+    live = b - a > tol
+    while live.any():
+        left = fc >= fd  # the maximum stays in [a, d], else in [c, b]
+        b = np.where(live & left, d, b)
+        a = np.where(live & ~left, c, a)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fx = fun(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        live = b - a > tol
     x = (a + b) / 2.0
     return x, fun(x)
 
 
-def _refined_angular_max(a: np.ndarray, transform, n_grid: int) -> float:
-    # maximize transform(p(theta)) over theta: grid argmax + golden refinement
+def _angular_extremes(a: np.ndarray, signs, n_grid: int) -> list:
+    # max over theta of sign * p(theta) for each sign: one lambda_max stack
+    # on the grid, then a golden refinement around each sign's grid argmax
+    # (scalar: for one bracket the array form costs more than it saves)
     thetas = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    vals = transform(hermitian_eigmax(_herm_parts(a, thetas)))
-    k = int(np.argmax(vals))
+    p = hermitian_eigmax(_herm_parts(a, thetas))
     step = 2.0 * np.pi / n_grid
+    out = []
+    for sign in signs:
+        vals = sign * p
+        k = int(np.argmax(vals))
 
-    def f(t):
-        return float(transform(hermitian_eigmax(_herm_parts(a, np.asarray([t])))[0]))
+        def f(t):
+            return sign * float(hermitian_eigmax(_herm_parts(a, np.asarray([t])))[0])
 
-    _, best = _golden_max(f, thetas[k] - step, thetas[k] + step)
-    return max(float(vals[k]), best)
+        _, best = _golden_max(f, thetas[k] - step, thetas[k] + step)
+        out.append(max(float(vals[k]), best))
+    return out
 
 
 def numerical_radius(a, n_grid: int = 256) -> float:
@@ -181,26 +246,33 @@ def numerical_radius(a, n_grid: int = 256) -> float:
     m = as_matrix(a)
     if not m.any():
         return 0.0
-    return _refined_angular_max(m, lambda v: v, n_grid)
+    return _angular_extremes(m, [1.0], n_grid)[0]
 
 
 def dist_origin(a, n_grid: int = 256) -> float:
     """Distance from 0 to W(A): max(0, max_theta(-p(theta)))."""
     m = as_matrix(a)
-    val = _refined_angular_max(m, lambda v: -v, n_grid)
-    return max(0.0, val)
+    return max(0.0, _angular_extremes(m, [-1.0], n_grid)[0])
 
 
 @dataclass(frozen=True)
 class CsMembership:
-    """Grid decision for A in C_s, with the worst grid point as witness."""
+    """Decision for A in C_s, with the worst point found as witness."""
 
     member: bool
-    margin: float  # max over the grid of lambda_max(H(r, theta)); <= tol means member
+    margin: float  # max of lambda_max(H(r, theta)) over the zoomed grid; <= tol means member
     theta: float
     r: float
     vector: np.ndarray
     tol: float
+
+
+def _peak_indices(vals: np.ndarray, floor: float = -np.inf) -> np.ndarray:
+    # periodic local maxima of vals not below floor, best first, at most
+    # _PEAK_CANDIDATES of them; the global argmax is always one
+    local = (vals >= np.roll(vals, 1)) & (vals > np.roll(vals, -1)) & (vals >= floor)
+    local[int(np.argmax(vals))] = True
+    return np.flatnonzero(local)[np.argsort(-vals[local])][:_PEAK_CANDIDATES]
 
 
 class _CsKernel:
@@ -229,49 +301,52 @@ class _CsKernel:
         self.aha = a.conj().T @ a
 
     def _mstack(self, thetas) -> np.ndarray:
-        ph = np.exp(1j * np.asarray(thetas, dtype=float))[:, None, None]
-        return ph * self.a[None] + np.conj(ph) * self.a.conj().T[None]
+        ph = np.exp(1j * np.asarray(thetas, dtype=float))[..., None, None]
+        return ph * self.a + np.conj(ph) * self.a.conj().T
 
     def margins(self, t: float) -> np.ndarray:
         # lambda_max(H(r, theta)) for A/t over the whole grid, shape (n_theta, n_r)
         return self.margins_at(t, self.thetas, self.rs)
 
     def margins_at(self, t: float, thetas, rs) -> np.ndarray:
-        # lambda_max(H(r, theta)) for A/t on an arbitrary (theta, r) lattice
-        u = np.asarray(rs, dtype=float) / t
-        mst = self._mstack(thetas)
-        h = (self.ca * (u ** 2)[None, :, None, None] * self.aha[None, None]
-             + self.cb * u[None, :, None, None] * mst[:, None])
+        # lambda_max(H(r, theta)) for A/t on (theta, r) lattices: thetas of
+        # shape (..., T) and rs of shape (..., R) give shape (..., T, R)
+        u = (np.asarray(rs, dtype=float) / t)[..., None, :, None, None]
+        mst = self._mstack(thetas)[..., :, None, :, :]
+        h = self.ca * u ** 2 * self.aha + self.cb * u * mst
         idx = np.arange(self.n)
         h[..., idx, idx] -= 1.0
-        return hermitian_eigmax(h.reshape(-1, self.n, self.n)).reshape(
-            len(mst), len(u))
+        return hermitian_eigmax(h)
 
-    def max_margin(self, t: float, refine: bool = False) -> float:
+    def max_margin(self, t: float) -> tuple[float, float, float]:
+        """Sharpened sup of lambda_max(H) for A/t, with its (theta, r).
+
+        The grid supremum is refined by nested 9x9 lattice zooms around up
+        to ``_PEAK_CANDIDATES`` theta-local maxima of the grid's row maxima,
+        best first, so a peak between grid angles is not hidden by a near
+        equal one on the grid (for s <= 2 the r-supremum sits exactly at
+        r = 1, for s > 2 it may be interior).  The candidates zoom in
+        lockstep; four 4x shrinks resolve ~256x below the grid spacing, and
+        re-evaluating the centre keeps the rounds monotone.
+        """
         grid = self.margins(t)
-        best = float(grid.max())
-        if not refine:
-            return best
-        # sharpen the grid supremum: nested 9x9 lattice zooms around the grid
-        # argmax (for s <= 2 the r-supremum sits exactly at r = 1, for s > 2
-        # it may be interior); four 4x shrinks resolve ~256x below the grid
-        # spacing, and re-evaluating the center keeps the rounds monotone
-        k_theta, k_r = np.unravel_index(int(np.argmax(grid)), grid.shape)
-        theta = float(self.thetas[k_theta])
-        r = float(self.rs[k_r])
+        ks = _peak_indices(grid.max(axis=1))
+        js = np.argmax(grid[ks], axis=1)
+        rows = np.arange(len(ks))
+        values, thetas, rs = grid[ks, js], self.thetas[ks], self.rs[js]
         d_theta = 2.0 * np.pi / len(self.thetas)
         d_r = 1.0 / (len(self.rs) - 1)
-        val = best
         for _ in range(4):
-            ths = theta + np.linspace(-d_theta, d_theta, 9)
-            rrs = np.clip(r + np.linspace(-d_r, d_r, 9), 0.0, 1.0)
-            sub = self.margins_at(t, ths, rrs)
-            i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
-            theta, r = float(ths[i]), float(rrs[j])
-            val = max(val, float(sub[i, j]))
+            ths = thetas[:, None] + np.linspace(-d_theta, d_theta, 9)
+            rrs = np.clip(rs[:, None] + np.linspace(-d_r, d_r, 9), 0.0, 1.0)
+            sub = self.margins_at(t, ths, rrs).reshape(len(ks), -1)
+            i, j = np.divmod(np.argmax(sub, axis=1), 9)
+            thetas, rs = ths[rows, i], rrs[rows, j]
+            values = np.maximum(values, sub[rows, 9 * i + j])
             d_theta /= 4.0
             d_r /= 4.0
-        return val
+        k = int(np.argmax(values))
+        return float(values[k]), float(thetas[k]), float(rs[k])
 
     def crossing(self, thetas) -> np.ndarray:
         # mu*(theta): lambda_max(H) first reaches 0 at u = 1/mu*, the largest
@@ -309,11 +384,7 @@ class _CsKernel:
             self.thetas, np.mod(np.asarray(extra_thetas, dtype=float), 2.0 * np.pi)]))
         mu = self.crossing(thetas)
         d_theta = 2.0 * np.pi / len(self.thetas)
-        best = float(mu.max())
-        local = ((mu >= np.roll(mu, 1)) & (mu > np.roll(mu, -1))
-                 & (mu >= best * (1.0 - d_theta ** 2)))
-        local[int(np.argmax(mu))] = True
-        order = np.flatnonzero(local)[np.argsort(-mu[local])][:_PEAK_CANDIDATES]
+        order = _peak_indices(mu, floor=float(mu.max()) * (1.0 - d_theta ** 2))
         centres, values = thetas[order], mu[order]
         offsets = np.linspace(-1.0, 1.0, 9)
         for _ in range(_PEAK_ZOOMS):
@@ -332,17 +403,15 @@ def cs_membership(a, s: float, grid=(90, 50), tol: float = 1e-8) -> CsMembership
     """Decide A in C_s on a (theta, r) grid over the unit disk.
 
     H(r, theta) = ((2-s)/s) r^2 A*A + ((s-1)/s) r (e^{i theta} A + e^{-i theta} A*) - I;
-    membership holds iff the grid maximum of lambda_max(H) stays <= tol.
+    membership holds iff the maximum of lambda_max(H), over the grid sharpened
+    by lattice zooms around its leading peaks (see ``_CsKernel.max_margin``),
+    stays <= tol.
     The r-grid covers [0, 1] even for s < 2 (where the supremum sits at r = 1)
     so that one code path also serves s > 2, where (2-s)/s < 0.
     """
     m = as_matrix(a)
     kernel = _CsKernel(m, s, grid)
-    margins = kernel.margins(1.0)
-    k_theta, k_r = np.unravel_index(int(np.argmax(margins)), margins.shape)
-    margin = float(margins[k_theta, k_r])
-    theta = float(kernel.thetas[k_theta])
-    r = float(kernel.rs[k_r])
+    margin, theta, r = kernel.max_margin(1.0)
     s = float(s)
     h = ((2.0 - s) / s * r ** 2 * kernel.aha
          + (s - 1.0) / s * r * (np.exp(1j * theta) * m + np.exp(-1j * theta) * m.conj().T)
@@ -414,7 +483,7 @@ def ws_radius(a, s: float, tol: float = 1e-6, grid=(90, 50),
         return float(kernel.margins_at(t, [theta], kernel.rs).max())
 
     def margin(t):
-        return max(kernel.max_margin(t, refine=True), witness(t))
+        return max(kernel.max_margin(t)[0], witness(t))
 
     lo = mu - 0.45 * tol
     if lo <= floor or witness(lo) <= membership_tol:

@@ -255,6 +255,9 @@ def test_thread_cap_env_is_validated(workdir, monkeypatch, capsys):
     from spectral_kit.cli import _THREAD_VARS
     prior = {var: os.environ.get(var) for var in _THREAD_VARS}
     try:
+        # the cap only fills variables the caller left unset
+        for var in _THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
         monkeypatch.setenv("SPECTRALKIT_THREADS", "zero")
         assert main(["gallery", "list"]) == EXIT_USAGE
         assert "SPECTRALKIT_THREADS" in capsys.readouterr().err

@@ -158,6 +158,93 @@ def test_fit_ellipse_not_wasteful():
     assert e.a <= 1.02 and e.b <= 1.02
 
 
+def _fit_ellipse_reference(a, n_grid=256):
+    # the scalar fit: fresh eigh profiles and one golden-section search per
+    # rotation angle, the arithmetic fit_ellipse runs in lockstep
+    def profile(count):
+        thetas = 2.0 * np.pi * np.arange(count) / count
+        ph = np.exp(-1j * thetas)[:, None, None]
+        h = (ph * a[None] + np.conj(ph * a[None]).swapaxes(1, 2)) / 2.0
+        vals, vecs = np.linalg.eigh(h)
+        w = vecs[:, :, -1]
+        return thetas, vals[:, -1], np.einsum("ki,ij,kj->k", np.conj(w), a, w)
+
+    def golden_max(fun, lo, hi, tol):
+        g = (np.sqrt(5.0) - 1.0) / 2.0
+        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+        fc, fd = fun(c), fun(d)
+        while hi - lo > tol:
+            if fc >= fd:
+                hi, d, fd = d, c, fc
+                c = hi - g * (hi - lo)
+                fc = fun(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + g * (hi - lo)
+                fd = fun(d)
+        x = (lo + hi) / 2.0
+        return x, fun(x)
+
+    pts = profile(n_grid)[2]
+    best = None
+    for t in np.linspace(0.0, np.pi, 180, endpoint=False):
+        q = pts * np.exp(-1j * t)
+        cx = (q.real.max() + q.real.min()) / 2.0
+        cy = (q.imag.max() + q.imag.min()) / 2.0
+        dx, dy = q.real - cx, q.imag - cy
+
+        def area(log_r):
+            r = np.exp(log_r)
+            return float(r * np.max(dx ** 2 + (dy / r) ** 2))
+
+        log_r, neg_area = golden_max(lambda u: -area(u), -40.0, 4.0, 1e-10)
+        if best is None or -neg_area < best[0]:
+            best = (-neg_area, t, cx, cy, float(np.exp(log_r)))
+    _, t, cx, cy, r = best
+    q = pts * np.exp(-1j * t)
+    ax = float(np.sqrt(np.max((q.real - cx) ** 2 + ((q.imag - cy) / r) ** 2)))
+    ay = r * ax
+    center = complex(np.exp(1j * t) * (cx + 1j * cy))
+    if ay > ax:
+        ax, ay = ay, ax
+        t += np.pi / 2.0
+    t = float(np.mod(t, np.pi))
+    if ax <= 1e-12 * (1.0 + abs(center)):
+        ax = ay = 1e-9 * (1.0 + abs(center))
+        shape = Disk(center, ax)
+    elif ay <= 1e-10 * ax:
+        shape = Interval(center - ax * np.exp(1j * t), center + ax * np.exp(1j * t))
+    else:
+        shape = Ellipse(center, ax, ay, rotation=t)
+    emap = exterior_map(shape)
+    thetas, values, _ = profile(512)
+    radial = values - np.real(np.exp(-1j * thetas) * emap.c0)
+    amaj = abs(emap.c1) + abs(emap.cm1)
+    bmin = abs(emap.c1) - abs(emap.cm1)
+    tt = thetas - 0.5 * (np.angle(emap.c1) + np.angle(emap.cm1))
+    s = np.sqrt((amaj * np.cos(tt)) ** 2 + (bmin * np.sin(tt)) ** 2)
+    lam = max(float(np.max(radial / np.maximum(s, 1e-300))) * (1.0 + 1e-9),
+              1.0 + 1e-12)
+    if isinstance(shape, Disk):
+        return Disk(center, lam * ax)
+    if isinstance(shape, Interval):
+        u = np.exp(1j * t)
+        return Interval(center - lam * ax * u, center + lam * ax * u)
+    return Ellipse(center, lam * ax, lam * ay, rotation=t)
+
+
+def test_fit_ellipse_matches_scalar_reference_exactly():
+    rng = np.random.default_rng(21)
+    mats = [_random(n, rng) for n in (1, 2, 3, 8, 24)]
+    h = _random(5, rng)
+    mats.append(h + h.conj().T)  # Hermitian: W(A) is a segment
+    for a in mats:
+        want = _fit_ellipse_reference(a)
+        got = fit_ellipse(a)
+        assert type(got) is type(want)
+        assert got == want
+
+
 # ---------------------------------------------------------------------------
 # rational_krylov
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spectral_kit import numrange
 from spectral_kit.matrixcore import op_norm, spectral_radius
 from spectral_kit.numrange import (
     BisectionError,
@@ -126,6 +127,51 @@ def test_dist_origin_cases():
     assert dist_origin(np.eye(3)) == pytest.approx(1.0, abs=1e-10)
     assert dist_origin(crouzeix_2x2()) == pytest.approx(0.0, abs=1e-10)
     assert dist_origin(np.diag([1.0, 3.0])) == pytest.approx(1.0, abs=1e-8)
+
+
+_PROFILE_FIELDS = ("thetas", "values", "witnesses", "points")
+
+
+def _fresh_profile(a, n_grid):
+    numrange._PROFILE_MEMO.clear()
+    return support_profile(a, n_grid)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 24])
+def test_support_profile_memo_serves_coarse_grid_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    fresh = _fresh_profile(a, 256)
+    fine = _fresh_profile(a, 512)
+    served = support_profile(a, 256)
+    assert np.shares_memory(served.values, fine.values)  # rows of the 512 grid
+    for name in _PROFILE_FIELDS:
+        assert np.array_equal(getattr(served, name), getattr(fresh, name))
+
+
+def test_support_profile_memo_sees_in_place_edits():
+    rng = np.random.default_rng(45)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    before = support_profile(a, 64)
+    a[0, 1] += 0.5
+    after = support_profile(a, 64)
+    fresh = _fresh_profile(a, 64)
+    assert not np.array_equal(after.values, before.values)
+    for name in _PROFILE_FIELDS:
+        assert np.array_equal(getattr(after, name), getattr(fresh, name))
+
+
+def test_support_profile_arrays_are_read_only_and_memo_bounded():
+    rng = np.random.default_rng(46)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for prof in (support_profile(a, 512), support_profile(a, 128)):
+        for name in _PROFILE_FIELDS:
+            assert not getattr(prof, name).flags.writeable
+    with pytest.raises(ValueError):
+        prof.values[0] = 0.0
+    for _ in range(20):
+        support_profile(rng.standard_normal((3, 3)), 64)
+    assert len(numrange._PROFILE_MEMO) <= numrange._PROFILE_MEMO_SIZE
 
 
 def test_support_value_single_angle():
@@ -270,12 +316,28 @@ def test_ws_radius_lo_carries_violation_witness():
     assert raised > 0
 
 
-def test_ws_radius_finds_the_higher_of_two_peaks():
+def _two_disks():
     # W(A) is the hull of two disks whose support peaks differ by 3e-4; the
     # higher one lies between grid angles, the lower one on a grid angle
     c2 = 0.5003 * np.exp(1j * (math.pi + math.pi / 90))
     a = np.zeros((4, 4), dtype=complex)
     a[:2, :2] = [[0.5, 1.0], [0.0, 0.5]]
     a[2:, 2:] = [[c2, 1.0], [0.0, c2]]
+    return a
+
+
+def test_ws_radius_finds_the_higher_of_two_peaks():
+    a = _two_disks()
     res = ws_radius(a, 2.0, tol=1e-6)
     assert res.radius == pytest.approx(numerical_radius(a), abs=2e-6)
+
+
+def test_cs_certificate_refines_every_peak():
+    # w(A) = 1.0003, so A/1.0000001 is not in C_2; the violation sits at the
+    # higher peak, between grid angles, while the grid argmax is the lower one
+    a = _two_disks()
+    t = 1.0000001
+    assert numrange._CsKernel(a, 2.0).max_margin(t)[0] > 1e-8
+    res = cs_membership(a / t, 2.0)
+    assert not res.member
+    assert res.margin > 1e-8
