@@ -75,7 +75,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
     if cmd == "nr":
         numbers["n_grid"] = int(args.n_grid)
-        _require(numbers["n_grid"] >= 4, "need at least 4 boundary angles")
+        _require(numbers["n_grid"] >= 8, "need at least 8 boundary angles")
     elif cmd == "wradius":
         numbers["s"] = float(args.s)
         numbers["tol"] = float(args.tol)

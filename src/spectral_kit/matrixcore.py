@@ -277,13 +277,23 @@ def eval_rational(f: RationalFunction, a) -> np.ndarray:
     Raises ``ValueError`` naming the offending pole if any pole of f is
     within 1e-10 * max(1, ||A||) of an eigenvalue of A.
     """
-    m = as_matrix(a)
+    return _eval_rational_guarded(f, as_matrix(a), None)
+
+
+def _pole_guard(m: np.ndarray):
+    # eval_rational's guard data for a validated matrix: (spectrum, radius)
+    return np.linalg.eigvals(m), 1e-10 * max(1.0, float(np.linalg.norm(m, 2)))
+
+
+def _eval_rational_guarded(f: RationalFunction, m: np.ndarray, guard) -> np.ndarray:
+    # eval_rational on a validated matrix; guard is _pole_guard(m), or None
+    # to compute it only if f has poles (callers evaluating many functions
+    # at one matrix pass it once computed)
     poles = f.poles()
     if poles.size:
-        eigs = np.linalg.eigvals(m)
-        guard = 1e-10 * max(1.0, float(np.linalg.norm(m, 2)))
+        eigs, radius = guard if guard is not None else _pole_guard(m)
         dist = np.abs(poles[:, None] - eigs[None, :])
-        bad = np.nonzero(dist.min(axis=1) <= guard)[0]
+        bad = np.nonzero(dist.min(axis=1) <= radius)[0]
         if bad.size:
             raise ValueError(
                 f"pole {poles[bad[0]]} of the rational function lies on the spectrum"

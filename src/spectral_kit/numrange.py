@@ -70,9 +70,6 @@ class SupportProfile:
     witnesses: np.ndarray
     points: np.ndarray
 
-    def boundary_points(self) -> np.ndarray:
-        return self.points
-
 
 def _herm_parts(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     # stack of re(e^{-i theta} A) = (e^{-i theta} A + e^{i theta} A*) / 2

@@ -25,6 +25,8 @@ from .domains import (
 )
 from .matrixcore import (
     RationalFunction,
+    _eval_rational_guarded,
+    _pole_guard,
     as_matrix,
     eigenvalues,
     eval_rational,
@@ -204,6 +206,65 @@ def _boundary_components(x: Shape, half_plane_range: float = 100.0):
     return None
 
 
+class _BoundarySampler:
+    """One shape's boundary grid, built once for many sup |f| queries.
+
+    Holds each component's parameter grid and its mapped points, or the
+    4n- and n-point boundary samples of a shape with no parameterization.
+    grid(f) samples |f| and returns (grid maximum, per-component peaks);
+    refine(f, grid) finishes with sup_on_boundary's golden refinement
+    around each peak, so the refined sup is never below the grid maximum.
+    """
+
+    def __init__(self, x: Shape, n: int = 4096):
+        comps = _boundary_components(x)
+        self.comps = None
+        if comps is None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncatedBoundary)
+                self.fine = boundary_sample(x, 4 * n)
+                self.coarse = boundary_sample(x, n)
+            return
+        self.comps = []
+        for lo, hi, mp, periodic in comps:
+            m = max(64, n // len(comps))
+            ts = np.linspace(lo, hi, m, endpoint=not periodic)
+            self.comps.append((lo, hi, mp, periodic, ts, mp(ts)))
+
+    def grid(self, f):
+        if self.comps is None:
+            fine = np.max(np.abs(f(self.fine)))
+            coarse = np.max(np.abs(f(self.coarse)))
+            return float(max(fine, coarse)), (fine, coarse)
+        grid_best = 0.0
+        peaks = []
+        for *_, pts in self.comps:
+            vals = np.abs(f(pts))
+            k = int(np.argmax(vals))
+            grid_best = max(grid_best, float(vals[k]))
+            peaks.append((k, float(vals[k])))
+        return grid_best, peaks
+
+    def refine(self, f, grid):
+        grid_best, peaks = grid
+        if self.comps is None:
+            fine, coarse = peaks
+            return grid_best, abs(fine - coarse) / max(grid_best, 1e-300)
+        best = 0.0
+        for (lo, hi, mp, periodic, ts, _), (k, peak) in zip(self.comps, peaks):
+            step = (hi - lo) / len(ts)
+            blo, bhi = ts[k] - step, ts[k] + step
+            if not periodic:
+                blo, bhi = max(lo, blo), min(hi, bhi)
+            _, refined = _golden_max(lambda t: float(np.abs(f(mp(t)))), blo, bhi,
+                                     tol=1e-12)
+            best = max(best, peak, refined)
+        return best, abs(best - grid_best) / max(best, 1e-300)
+
+    def sup(self, f):
+        return self.refine(f, self.grid(f))
+
+
 def sup_on_boundary(f, x: Shape, n: int = 4096):
     """sup |f| over the boundary of a shape: dense grid + golden refinement.
 
@@ -211,30 +272,7 @@ def sup_on_boundary(f, x: Shape, n: int = 4096):
     parameterization (intersections) fall back to pure dense sampling at 4n
     points; the accuracy estimate then compares against the n-point grid.
     """
-    comps = _boundary_components(x)
-    if comps is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncatedBoundary)
-            fine = np.max(np.abs(f(boundary_sample(x, 4 * n))))
-            coarse = np.max(np.abs(f(boundary_sample(x, n))))
-        best = float(max(fine, coarse))
-        return best, abs(fine - coarse) / max(best, 1e-300)
-    best = 0.0
-    grid_best = 0.0
-    for lo, hi, mp, periodic in comps:
-        m = max(64, n // len(comps))
-        ts = np.linspace(lo, hi, m, endpoint=not periodic)
-        vals = np.abs(f(mp(ts)))
-        k = int(np.argmax(vals))
-        grid_best = max(grid_best, float(vals[k]))
-        step = (hi - lo) / m
-        blo, bhi = ts[k] - step, ts[k] + step
-        if not periodic:
-            blo, bhi = max(lo, blo), min(hi, bhi)
-        _, refined = _golden_max(lambda t: float(np.abs(f(mp(t)))), blo, bhi,
-                                 tol=1e-12)
-        best = max(best, float(vals[k]), refined)
-    return best, abs(best - grid_best) / max(best, 1e-300)
+    return _BoundarySampler(x, n).sup(f)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +342,12 @@ def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate
     degree <= 6 through that Moebius map and random rationals with poles
     kept a margin away from X.  Refuses when the spectrum touches X's
     boundary.
+
+    The boundary grid is sampled once per call.  A candidate whose ratio
+    against its grid maximum already fails to beat the running lower bound
+    skips the golden refinement of its sup: the refined sup is never below
+    the grid maximum, so the result is the same as refining every
+    candidate.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -317,6 +361,8 @@ def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate
     center = complex(np.mean(pts))
     scale = float(np.max(np.abs(pts - center))) or 1.0
 
+    sampler = _BoundarySampler(x)
+    guard = _pole_guard(m)
     lower = 0.0
     best_f: Optional[RationalFunction] = None
     best_acc = 0.0
@@ -329,13 +375,19 @@ def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate
         if poles.size and min(signed_margin(x, p) for p in poles) <= 1e-9:
             return
         try:
-            fa = eval_rational(f, m)
+            fa = _eval_rational_guarded(f, m, guard)
         except ValueError:
             return
-        sup, acc = sup_on_boundary(f, x)
+        nrm = op_norm(fa)
+        grid = sampler.grid(f)
+        # the refined sup is at least the grid maximum, so a candidate whose
+        # grid ratio cannot beat lower cannot win after refinement either
+        if grid[0] > 1e-300 and nrm / grid[0] <= lower:
+            return
+        sup, acc = sampler.refine(f, grid)
         if not sup > 1e-300:
             return
-        ratio = op_norm(fa) / sup
+        ratio = nrm / sup
         if ratio > lower:
             lower, best_f, best_acc = float(ratio), f, float(acc)
 

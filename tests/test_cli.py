@@ -221,6 +221,15 @@ def test_usage_errors_exit_two(workdir):
                  "--s", "-1"])[0] == EXIT_USAGE
 
 
+def test_nr_grid_floor_matches_support_profile(workdir, capsys):
+    code, _ = _run(["nr", "--matrix", str(workdir / "a.mtx"), "--n-grid", "7"])
+    assert code == EXIT_USAGE
+    assert "need at least 8 boundary angles" in capsys.readouterr().err
+    code, text = _run(["nr", "--matrix", str(workdir / "a.mtx"), "--n-grid", "8"])
+    assert code == EXIT_PASS
+    assert len(text.strip().splitlines()) == 9
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert main(["nosuch"]) == EXIT_USAGE
     capsys.readouterr()

@@ -44,7 +44,7 @@ def test_support_profile_hermitian_segment():
     prof = support_profile(np.diag([1.0, -1.0]), 64)
     # segment [-1, 1]: support is |cos theta|, boundary points real
     assert np.allclose(prof.values, np.abs(np.cos(prof.thetas)), atol=1e-12)
-    pts = prof.boundary_points()
+    pts = prof.points
     assert np.allclose(pts.imag, 0.0, atol=1e-10)
     assert np.all(np.abs(pts.real) <= 1.0 + 1e-10)
 
@@ -52,7 +52,7 @@ def test_support_profile_hermitian_segment():
 def test_support_profile_disk_case():
     prof = support_profile(crouzeix_2x2(), 128)
     assert np.allclose(prof.values, 1.0, atol=1e-12)
-    assert np.allclose(np.abs(prof.boundary_points()), 1.0, atol=1e-9)
+    assert np.allclose(np.abs(prof.points), 1.0, atol=1e-9)
 
 
 def test_support_profile_ellipse_case():
@@ -85,7 +85,7 @@ def test_support_profile_convexity_invariant():
         n = int(rng.integers(2, 8))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         prof = support_profile(a, 64)
-        pts = prof.boundary_points()
+        pts = prof.points
         proj = np.real(np.exp(-1j * prof.thetas)[:, None] * pts[None, :])
         slack = prof.values[:, None] - proj
         assert slack.min() >= -1e-8 * max(1.0, np.linalg.norm(a, 2))

@@ -1,10 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from spectral_kit.domains import Annulus, Disk, ellipse
+from spectral_kit import spectraltest
+from spectral_kit.domains import (Annulus, Disk, HalfPlane, Intersection, Polygon,
+                                  TruncatedBoundary, boundary_sample, ellipse,
+                                  kbound, signed_margin)
+from spectral_kit.krylov import fit_ellipse
 from spectral_kit.matrixcore import RationalFunction, eval_rational, op_norm
 from spectral_kit.numrange import numerical_radius, support_value
 from spectral_kit.spectraltest import (
+    _blaschke_through,
+    _interior_mobius,
+    _random_rational,
     annulus_extremal_pair,
     classify_structure,
     disk_spectral,
@@ -208,6 +217,112 @@ def test_kratio_random_crouzeix_disk_property():
         if est.upper is not None:
             assert est.lower <= est.upper + 1e-8
     assert checked >= 150
+
+
+def _kratio_reference(a, x, budget, seed):
+    # kratio_estimate's candidate stream with no pruning: every candidate
+    # goes through eval_rational and the public sup_on_boundary, in order
+    m = np.asarray(a, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncatedBoundary)
+        pts = boundary_sample(x, 256)
+    center = complex(np.mean(pts))
+    scale = float(np.max(np.abs(pts - center))) or 1.0
+    best = {"lower": 0.0, "f": None, "acc": 0.0}
+
+    def consider(f):
+        if f is None:
+            return
+        poles = f.poles()
+        if poles.size and min(signed_margin(x, p) for p in poles) <= 1e-9:
+            return
+        try:
+            fa = eval_rational(f, m)
+        except ValueError:
+            return
+        sup, acc = sup_on_boundary(f, x)
+        if not sup > 1e-300:
+            return
+        ratio = op_norm(fa) / sup
+        if ratio > best["lower"]:
+            best.update(lower=float(ratio), f=f, acc=float(acc))
+
+    consider(RationalFunction.from_poly([1.0]))
+    consider(RationalFunction.from_poly([0.0, 1.0]))
+    if isinstance(x, Annulus):
+        for f in annulus_extremal_pair(x.big_r):
+            consider(f)
+    mobius = _interior_mobius(x)
+    if mobius is not None:
+        consider(_blaschke_through(mobius, [0.0]))
+    rng = np.random.default_rng(seed)
+    for k in range(budget):
+        if mobius is not None and k % 2 == 0:
+            deg = int(rng.integers(1, 7))
+            zeros = 0.95 * np.sqrt(rng.random(deg)) * np.exp(
+                2j * np.pi * rng.random(deg))
+            consider(_blaschke_through(mobius, zeros))
+        else:
+            consider(_random_rational(rng, center, scale, x))
+    try:
+        upper = kbound(x, context=m).value
+    except ValueError:
+        upper = None
+    return best["lower"], upper, best["acc"], best["f"]
+
+
+def _shapes_around(a):
+    # one shape of each boundary kind with the spectrum of a inside
+    n = len(a)
+    ev = np.linalg.eigvals(a)
+    c = complex(np.trace(a)) / n
+    r = 1.1 * float(np.max(np.abs(ev - c))) + 0.2
+    big_r = 1.2 * max(float(np.max(np.abs(ev))), 1.0 / float(np.min(np.abs(ev))))
+    return [
+        Disk(c, 1.05 * numerical_radius(a - c * np.eye(n)) + 0.1),
+        fit_ellipse(a),
+        Annulus(big_r),
+        HalfPlane(0.0, float(np.max(ev.real)) + 0.5),
+        Polygon(tuple(c + 1.5 * r * np.exp(2j * np.pi * k / 5) for k in range(5))),
+        Intersection((Disk(c, r), Disk(c + 0.2 * r, 1.3 * r))),
+    ]
+
+
+def test_kratio_estimate_matches_unpruned_reference_exactly():
+    # budget 100 at one size only: the reference re-samples the boundary for
+    # every candidate, which costs about 2.5 s per call on an intersection
+    rng = np.random.default_rng(2013)
+    for n in (1, 2, 3, 8):
+        a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+        for x in _shapes_around(a):
+            for budget in (1, 20, 100) if n == 3 else (1, 20):
+                seed = int(rng.integers(1 << 31))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    est = kratio_estimate(a, x, budget=budget, seed=seed)
+                    ref = _kratio_reference(a, x, budget, seed)
+                assert (est.lower, est.upper, est.sup_accuracy,
+                        est.best_function) == ref, (n, x, budget)
+
+
+def test_kratio_estimate_refines_only_candidates_that_can_win(monkeypatch):
+    calls = []
+    golden = spectraltest._golden_max
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return golden(*args, **kwargs)
+
+    monkeypatch.setattr(spectraltest, "_golden_max", counting)
+    rng = np.random.default_rng(31)
+    a = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))) / np.sqrt(5)
+    kratio_estimate(a, fit_ellipse(a), budget=100, seed=7)
+    assert 1 <= len(calls) <= 10  # of 102 candidates
+    calls.clear()
+    f1, _ = annulus_extremal_pair(2.0)
+    sup_on_boundary(f1, Annulus(2.0))
+    assert len(calls) == 2
+    sup_on_boundary(f1, ellipse(0, 2.0, 1.0))
+    assert len(calls) == 3
 
 
 # -------------------------------------------------------------------- vn_fuzz
