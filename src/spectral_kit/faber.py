@@ -126,9 +126,19 @@ def faber_polynomials(emap: ExteriorMap, order: int) -> list:
     return polys
 
 
-def _laurent_check(emap: ExteriorMap, polys: list) -> None:
-    # F_m(psi(w)) = w^m + (negative powers): nonnegative-power part must be e_m
+def _laurent_residuals(emap: ExteriorMap, polys: list) -> list:
+    # F_m(psi(w)) = w^m + (negative powers): per degree m, the nonnegative-
+    # power part minus e_m, with its roundoff scale.  The powers psi^k and
+    # their magnitude arrays are the same for every degree, so each is
+    # convolved once
     c1, c0, cm1 = emap.c1, emap.c0, emap.cm1
+    psi = np.array([cm1, c0, c1])  # powers -1..1
+    powers = [np.array([1.0 + 0j])]  # psi^k, powers -k..k
+    power_mags = [np.array([1.0])]
+    for _ in range(1, len(polys)):
+        powers.append(np.convolve(powers[-1], psi))
+        power_mags.append(np.convolve(power_mags[-1], np.abs(psi)))
+    out = []
     for m, coeffs in enumerate(polys):
         # Laurent array indexed by powers -m..m: start from psi^0 = 1
         acc = np.zeros(2 * m + 1, dtype=complex)
@@ -137,17 +147,17 @@ def _laurent_check(emap: ExteriorMap, polys: list) -> None:
         # O(1), so the roundoff scale is the cancelled mass, not the result
         mag = np.zeros(2 * m + 1)
         mag[m] = abs(coeffs[0])
-        power = np.array([1.0 + 0j])  # psi^0, powers 0..0
-        power_mag = np.array([1.0])
-        psi = np.array([cm1, c0, c1])  # powers -1..1
         for k in range(1, m + 1):
-            power = np.convolve(power, psi)  # powers -k..k
-            power_mag = np.convolve(power_mag, np.abs(psi))
-            acc[m - k: m + k + 1] += coeffs[k] * power
-            mag[m - k: m + k + 1] += abs(coeffs[k]) * power_mag
-        scale = max(1.0, float(mag.max()))
+            acc[m - k: m + k + 1] += coeffs[k] * powers[k]
+            mag[m - k: m + k + 1] += abs(coeffs[k]) * power_mags[k]
         resid = acc[m:].copy()  # powers 0..m
         resid[m] -= 1.0
+        out.append((resid, max(1.0, float(mag.max()))))
+    return out
+
+
+def _laurent_check(emap: ExteriorMap, polys: list) -> None:
+    for m, (resid, scale) in enumerate(_laurent_residuals(emap, polys)):
         if np.abs(resid).max() > 1e-9 * scale:
             raise RuntimeError(
                 f"Faber recurrence failed the Laurent identity at degree {m}")

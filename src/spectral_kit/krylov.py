@@ -155,7 +155,7 @@ def fit_ellipse(a, n_grid: int = 256) -> Shape:
     aspect-ratio optimization (run in lockstep across the angles); the
     result is then inflated so the support function dominates that of W(A)
     on a 512-angle grid (containment guarantee).  Both profiles come from
-    one ``eigh`` sweep when n_grid divides 512.
+    one top-eigenpair sweep of W(A) when n_grid divides 512.
     """
     mat = as_matrix(a)
     fine = support_profile(mat, 512)
@@ -558,12 +558,16 @@ def lens_asymptotic_factor(a) -> float:
 
     The GMRES asymptotic convergence factor 1/|phi(0)| of the lens
     {re z >= dist(0, W(A)), |z| <= w(A)}; requires A + A* positive definite.
+    Both extremes start from the 256-angle support profile of A (served
+    from the memo when ``fit_ellipse`` has sampled A) and are refined by
+    golden-section search.
     """
     mat = as_matrix(a)
     herm = (mat + mat.conj().T) / 2.0
     if np.linalg.eigvalsh(herm).min() <= 0:
         raise ValueError("lens factor requires A + A* positive definite")
-    w, neg_dist = _angular_extremes(mat, [1.0, -1.0], 256)
+    # inside gmres_fom these are the even rows of fit_ellipse's 512-angle sweep
+    w, neg_dist = _angular_extremes(mat, [1.0, -1.0], support_profile(mat, 256).values)
     cos_beta = max(0.0, neg_dist) / w
     beta = float(np.arccos(np.clip(cos_beta, -1.0, 1.0)))
     return 2.0 * np.sin(beta / (4.0 - 2.0 * beta / np.pi))

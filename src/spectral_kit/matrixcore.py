@@ -285,11 +285,14 @@ def _pole_guard(m: np.ndarray):
     return np.linalg.eigvals(m), 1e-10 * max(1.0, float(np.linalg.norm(m, 2)))
 
 
-def _eval_rational_guarded(f: RationalFunction, m: np.ndarray, guard) -> np.ndarray:
+def _eval_rational_guarded(f: RationalFunction, m: np.ndarray, guard,
+                           poles=None) -> np.ndarray:
     # eval_rational on a validated matrix; guard is _pole_guard(m), or None
     # to compute it only if f has poles (callers evaluating many functions
-    # at one matrix pass it once computed)
-    poles = f.poles()
+    # at one matrix pass it once computed); poles is f.poles(), or None to
+    # compute it here
+    if poles is None:
+        poles = f.poles()
     if poles.size:
         eigs, radius = guard if guard is not None else _pole_guard(m)
         dist = np.abs(poles[:, None] - eigs[None, :])

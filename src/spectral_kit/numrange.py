@@ -2,11 +2,16 @@
 
 The numerical range W(A) is handled exclusively through its support function
 p(theta) = lambda_max(re(e^{-i theta} A)); convexity of W(A) is a theorem and
-is not re-verified.  ``support_profile`` memoizes the samples of the last 8
-matrices, keyed by matrix content (an in-place edit makes a new key), so the
-callers that sample W(A) of one matrix share one ``eigh`` sweep; a coarser
-grid whose angles are every k-th angle of a memoized one is served as those
-rows.  Memoized arrays are read-only.
+is not re-verified.  A sample needs only the top eigenpair of
+re(e^{-i theta} A) = cos(theta) H + sin(theta) K, with H and K the Hermitian
+and skew-Hermitian parts of A: the top eigenvalue is p(theta) and the top
+eigenvector x gives the boundary point <A x, x> (Johnson 1978).
+``support_profile`` asks LAPACK ``heevr`` for that pair alone at n >= 10 and
+takes it from a stacked ``eigh`` below, where per-call overhead dominates.  It
+memoizes the samples of the last 8 matrices, keyed by matrix content (an
+in-place edit makes a new key), so the callers that sample W(A) of one matrix
+share one sweep; a coarser grid whose angles are every k-th angle of a
+memoized one is served as those rows.  Memoized arrays are read-only.
 
 Class membership for the Sz.-Nagy--Foias families C_s is a grid decision over
 the unit-disk parameter zeta = r e^{i theta}, sharpened by lattice zooms
@@ -26,6 +31,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zheevr
 
 from .matrixcore import as_matrix
 
@@ -49,6 +55,8 @@ _PEAK_CANDIDATES = 4
 # support profiles of the most recently sampled matrices: key -> {n_grid: profile}
 _PROFILE_MEMO: OrderedDict = OrderedDict()
 _PROFILE_MEMO_SIZE = 8
+# from this n on, one top-eigenpair heevr call per angle beats a stacked eigh
+_HEEVR_MIN_N = 10
 
 
 class BisectionError(RuntimeError):
@@ -127,6 +135,27 @@ def support_value(a, theta: float) -> float:
     return float(hermitian_eigmax(h)[0])
 
 
+def _top_eigenpairs(m: np.ndarray, thetas: np.ndarray):
+    # (lambda_max, unit eigenvector) of cos(t) H + sin(t) K for each angle t,
+    # with H = (A + A*)/2 and K = (A - A*)/(2i) exactly Hermitian
+    n = m.shape[0]
+    herm = (m + m.conj().T) / 2.0
+    skew = (m - m.conj().T) * -0.5j
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    if n < _HEEVR_MIN_N:
+        vals, vecs = np.linalg.eigh(cos[:, None, None] * herm + sin[:, None, None] * skew)
+        return vals[:, -1].copy(), vecs[:, :, -1].copy()
+    values = np.empty(len(thetas))
+    witnesses = np.empty((len(thetas), n), dtype=complex)
+    for k in range(len(thetas)):
+        w, z, _, _, info = zheevr(cos[k] * herm + sin[k] * skew, range="I", il=n, iu=n)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zheevr failed with info = {info}")
+        values[k] = w[0]
+        witnesses[k] = z[:, 0]
+    return values, witnesses
+
+
 def support_profile(a, n_grid: int = 256) -> SupportProfile:
     """Sample the support function of W(A) on a uniform angle grid.
 
@@ -139,8 +168,10 @@ def support_profile(a, n_grid: int = 256) -> SupportProfile:
     -------
     SupportProfile with values p(theta_k) and unit eigenvector witnesses.
 
-    Profiles of the last 8 matrices are memoized by matrix content, so an
-    in-place edit of ``a`` between calls is sampled afresh.  A request whose
+    Each angle costs one top-eigenpair solve: LAPACK ``heevr`` restricted to
+    the largest eigenvalue for n >= 10, a stacked ``eigh`` below.  Profiles
+    of the last 8 matrices are memoized by matrix content, so an in-place
+    edit of ``a`` between calls is sampled afresh.  A request whose
     angles are every k-th angle of a memoized grid is served as those rows
     of it.  Either way the arrays are read-only and equal, bit for bit, to a
     fresh computation.
@@ -158,13 +189,9 @@ def support_profile(a, n_grid: int = 256) -> SupportProfile:
             return prof if k == 1 else SupportProfile(
                 thetas=prof.thetas[::k], values=prof.values[::k],
                 witnesses=prof.witnesses[::k], points=prof.points[::k])
-    h = _herm_parts(m, thetas)
-    vals, vecs = np.linalg.eigh(h)
-    witnesses = vecs[:, :, -1]
+    values, witnesses = _top_eigenpairs(m, thetas)
     pts = np.einsum("ki,ij,kj->k", np.conj(witnesses), m, witnesses)
-    # copies, so the memo does not keep the whole eigenvector stack alive
-    prof = SupportProfile(thetas=thetas, values=vals[:, -1].copy(),
-                          witnesses=witnesses.copy(), points=pts)
+    prof = SupportProfile(thetas=thetas, values=values, witnesses=witnesses, points=pts)
     for arr in (prof.thetas, prof.values, prof.witnesses, prof.points):
         arr.setflags(write=False)
     grids[n_grid] = prof
@@ -218,12 +245,18 @@ def _golden_max(fun, lo, hi, tol: float = 1e-12):
     return x, fun(x)
 
 
-def _angular_extremes(a: np.ndarray, signs, n_grid: int) -> list:
-    # max over theta of sign * p(theta) for each sign: one lambda_max stack
-    # on the grid, then a golden refinement around each sign's grid argmax
-    # (scalar: for one bracket the array form costs more than it saves)
+def _grid_support(a: np.ndarray, n_grid: int) -> np.ndarray:
+    # p(theta) on the uniform n_grid-angle grid from one lambda_max stack
+    return hermitian_eigmax(_herm_parts(a, 2.0 * np.pi * np.arange(n_grid) / n_grid))
+
+
+def _angular_extremes(a: np.ndarray, signs, p: np.ndarray) -> list:
+    # max over theta of sign * p(theta) for each sign, from the samples p on
+    # the uniform len(p)-angle grid and a golden refinement around each
+    # sign's grid argmax (scalar: for one bracket the array form costs more
+    # than it saves)
+    n_grid = len(p)
     thetas = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    p = hermitian_eigmax(_herm_parts(a, thetas))
     step = 2.0 * np.pi / n_grid
     out = []
     for sign in signs:
@@ -243,13 +276,13 @@ def numerical_radius(a, n_grid: int = 256) -> float:
     m = as_matrix(a)
     if not m.any():
         return 0.0
-    return _angular_extremes(m, [1.0], n_grid)[0]
+    return _angular_extremes(m, [1.0], _grid_support(m, n_grid))[0]
 
 
 def dist_origin(a, n_grid: int = 256) -> float:
     """Distance from 0 to W(A): max(0, max_theta(-p(theta)))."""
     m = as_matrix(a)
-    return max(0.0, _angular_extremes(m, [-1.0], n_grid)[0])
+    return max(0.0, _angular_extremes(m, [-1.0], _grid_support(m, n_grid))[0])
 
 
 @dataclass(frozen=True)

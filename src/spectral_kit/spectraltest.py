@@ -375,7 +375,7 @@ def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate
         if poles.size and min(signed_margin(x, p) for p in poles) <= 1e-9:
             return
         try:
-            fa = _eval_rational_guarded(f, m, guard)
+            fa = _eval_rational_guarded(f, m, guard, poles)
         except ValueError:
             return
         nrm = op_norm(fa)

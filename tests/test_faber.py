@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spectral_kit.domains import Disk, Ellipse, Interval, exterior_map
-from spectral_kit.faber import (FaberModel, best_approx_bracket, faber_coeffs,
+from spectral_kit.faber import (FaberModel, _laurent_residuals,
+                                best_approx_bracket, faber_coeffs,
                                 faber_polynomials, faber_sum_matrix)
 from spectral_kit.matrixcore import eval_poly, matfun_reference, op_norm
 from spectral_kit.numrange import _golden_max, numerical_radius
@@ -143,6 +144,45 @@ def test_faber_first_laurent_parts():
 def test_laurent_property_all_maps(shape):
     # the recurrence self-check runs to degree 8 without raising
     faber_polynomials(exterior_map(shape), 8)
+
+
+def _laurent_residuals_per_degree(emap, polys):
+    # the Laurent check as it was first written: psi^k rebuilt for every degree
+    c1, c0, cm1 = emap.c1, emap.c0, emap.cm1
+    out = []
+    for m, coeffs in enumerate(polys):
+        acc = np.zeros(2 * m + 1, dtype=complex)
+        acc[m] = coeffs[0]
+        mag = np.zeros(2 * m + 1)
+        mag[m] = abs(coeffs[0])
+        power = np.array([1.0 + 0j])
+        power_mag = np.array([1.0])
+        psi = np.array([cm1, c0, c1])
+        for k in range(1, m + 1):
+            power = np.convolve(power, psi)
+            power_mag = np.convolve(power_mag, np.abs(psi))
+            acc[m - k: m + k + 1] += coeffs[k] * power
+            mag[m - k: m + k + 1] += abs(coeffs[k]) * power_mag
+        resid = acc[m:].copy()
+        resid[m] -= 1.0
+        out.append((resid, max(1.0, float(mag.max()))))
+    return out
+
+
+@pytest.mark.parametrize("shape", [
+    Disk(0.5, 2.0),
+    Ellipse(-1.0 + 0.5j, 3.0, 1.0, rotation=1.1),
+    Interval(1j, 2.0 + 3j),
+])
+def test_laurent_residuals_match_per_degree_loop_exactly(shape):
+    emap = exterior_map(shape)
+    polys = faber_polynomials(emap, 40)
+    got = _laurent_residuals(emap, polys)
+    want = _laurent_residuals_per_degree(emap, polys)
+    assert len(got) == len(want) == 41
+    for (r_got, s_got), (r_want, s_want) in zip(got, want):
+        assert np.array_equal(r_got, r_want)
+        assert s_got == s_want
 
 
 def test_sum_matrix_nilpotent_disk():

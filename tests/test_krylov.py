@@ -10,7 +10,8 @@ from spectral_kit.krylov import (MarkovFunction, arnoldi, fab_poly,
                                  pade_matrix_bound, rational_krylov)
 from spectral_kit.matrixcore import eval_poly, eval_rational, \
     matfun_reference, op_norm
-from spectral_kit.numrange import numerical_radius, support_profile
+from spectral_kit.numrange import _top_eigenpairs, numerical_radius, \
+    support_profile
 
 
 def _random(n, rng, scale=1.0):
@@ -159,15 +160,13 @@ def test_fit_ellipse_not_wasteful():
 
 
 def _fit_ellipse_reference(a, n_grid=256):
-    # the scalar fit: fresh eigh profiles and one golden-section search per
-    # rotation angle, the arithmetic fit_ellipse runs in lockstep
+    # the scalar fit: fresh profiles from the library's top-eigenpair kernel
+    # (no memo) and one golden-section search per rotation angle, the
+    # arithmetic fit_ellipse runs in lockstep
     def profile(count):
         thetas = 2.0 * np.pi * np.arange(count) / count
-        ph = np.exp(-1j * thetas)[:, None, None]
-        h = (ph * a[None] + np.conj(ph * a[None]).swapaxes(1, 2)) / 2.0
-        vals, vecs = np.linalg.eigh(h)
-        w = vecs[:, :, -1]
-        return thetas, vals[:, -1], np.einsum("ki,ij,kj->k", np.conj(w), a, w)
+        vals, w = _top_eigenpairs(np.asarray(a, dtype=complex), thetas)
+        return thetas, vals, np.einsum("ki,ij,kj->k", np.conj(w), a, w)
 
     def golden_max(fun, lo, hi, tol):
         g = (np.sqrt(5.0) - 1.0) / 2.0

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from spectral_kit import numrange
+from spectral_kit.domains import exterior_map
+from spectral_kit.faber import _support_inside
+from spectral_kit.gallery import jordan_block
+from spectral_kit.krylov import fit_ellipse
 from spectral_kit.matrixcore import op_norm, spectral_radius
 from spectral_kit.numrange import (
     BisectionError,
@@ -172,6 +176,42 @@ def test_support_profile_arrays_are_read_only_and_memo_bounded():
     for _ in range(20):
         support_profile(rng.standard_normal((3, 3)), 64)
     assert len(numrange._PROFILE_MEMO) <= numrange._PROFILE_MEMO_SIZE
+
+
+def _kernel_inputs():
+    rng = np.random.default_rng(47)
+    cases = [pytest.param(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                          id=f"random{n}")
+             for n in (1, 2, 3, 9, 10, 11, 24, 80)]
+    h = rng.standard_normal((11, 11)) + 1j * rng.standard_normal((11, 11))
+    # Hermitian: W(A) is a segment
+    cases.append(pytest.param(h + h.conj().T, id="hermitian11"))
+    # normal, with the top eigenvalue repeated at theta = 0, pi/2, pi, ...
+    cases.append(pytest.param(
+        np.diag([1, 1, 1j, 1j, -1, -1, -1j, 1 + 1j, 0.5, 0.2j, 0, 0.3]), id="normal12"))
+    cases.append(pytest.param(jordan_block(12), id="jordan12"))
+    cases.append(pytest.param(np.zeros((10, 10)), id="zero10"))
+    return cases
+
+
+@pytest.mark.parametrize("a", _kernel_inputs())
+def test_support_profile_top_pair_matches_full_eigh(a):
+    a = np.asarray(a, dtype=complex)
+    tol = max(1.0, float(np.linalg.norm(a, 2)))
+    prof = _fresh_profile(a, 512)
+    c = np.cos(prof.thetas)[:, None, None]
+    s = np.sin(prof.thetas)[:, None, None]
+    herm = (a + a.conj().T) / 2.0
+    stack = c * herm + s * (a - a.conj().T) * -0.5j
+    assert np.abs(prof.values - np.linalg.eigh(stack)[0][:, -1]).max() <= 1e-13 * tol
+    x = prof.witnesses
+    assert np.abs(np.linalg.norm(x, axis=1) - 1.0).max() <= 1e-12 * tol
+    resid = np.einsum("kij,kj->ki", stack, x) - prof.values[:, None] * x
+    assert np.linalg.norm(resid, axis=1).max() <= 1e-12 * tol
+    # each Rayleigh point lies on its supporting line re(e^{-i theta} z) = p
+    on_line = np.real(np.exp(-1j * prof.thetas) * prof.points) - prof.values
+    assert np.abs(on_line).max() <= 1e-12 * tol
+    assert _support_inside(a, exterior_map(fit_ellipse(a))) <= 1e-8
 
 
 def test_support_value_single_angle():

@@ -325,6 +325,26 @@ def test_kratio_estimate_refines_only_candidates_that_can_win(monkeypatch):
     assert len(calls) == 3
 
 
+def test_kratio_estimate_computes_each_candidates_poles_once(monkeypatch):
+    seen = []  # the candidates themselves, so no id is reused
+    poles = RationalFunction.poles
+
+    def counting(self):
+        seen.append(self)
+        return poles(self)
+
+    monkeypatch.setattr(RationalFunction, "poles", counting)
+    rng = np.random.default_rng(32)
+    a = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / 4.0
+    budget = 60
+    # fixed family: 1, z and the Moebius map; 1, z and the annulus pair
+    for m, x, fixed in ((a, fit_ellipse(a), 3), (_annulus_matrix(1.3), Annulus(2.0), 4)):
+        seen.clear()
+        kratio_estimate(m, x, budget=budget, seed=5)
+        assert 0 < len(seen) <= fixed + budget
+        assert len({id(f) for f in seen}) == len(seen)
+
+
 # -------------------------------------------------------------------- vn_fuzz
 
 def test_vn_fuzz_no_violations():
