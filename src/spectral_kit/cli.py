@@ -9,8 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -40,82 +38,9 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, str(n))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated dispatch request.
-
-    Numeric options are range-checked during construction so handlers can
-    assume well-formed inputs.
-    """
-
-    subcommand: str
-    paths: dict = field(default_factory=dict)
-    shape: Optional[str] = None
-    numbers: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
-    seed: Optional[int] = None
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)
-
-
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cmd = args.subcommand
-    paths, numbers, options = {}, {}, {}
-    seed = None
-    for key in ("matrix", "vector", "rhs", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            paths[key] = val
-    if hasattr(args, "seed"):
-        seed = int(args.seed)
-        _require(seed >= 0, "seed must be nonnegative")
-
-    if cmd == "nr":
-        numbers["n_grid"] = int(args.n_grid)
-        _require(numbers["n_grid"] >= 8, "need at least 8 boundary angles")
-    elif cmd == "wradius":
-        numbers["s"] = float(args.s)
-        numbers["tol"] = float(args.tol)
-        _require(numbers["s"] > 0, "s must be positive")
-        _require(numbers["tol"] > 0, "tol must be positive")
-    elif cmd == "kestimate":
-        numbers["budget"] = int(args.budget)
-        _require(numbers["budget"] >= 1, "budget must be positive")
-    elif cmd == "fapprox":
-        numbers["order"] = int(args.order)
-        _require(numbers["order"] >= 1, "order must be positive")
-        options["function"] = args.function
-    elif cmd == "fab":
-        numbers["m"] = int(args.m)
-        _require(numbers["m"] >= 1, "m must be positive")
-        options["function"] = args.function
-    elif cmd == "gmres":
-        if args.m is not None:
-            numbers["m"] = int(args.m)
-            _require(numbers["m"] >= 1, "m must be positive")
-    elif cmd == "pade":
-        numbers["k"] = int(args.k)
-        numbers["m"] = int(args.m)
-        _require(numbers["k"] >= 0, "numerator degree must be nonnegative")
-        _require(numbers["m"] >= 1, "denominator degree must be positive")
-        options["function"] = args.function
-    elif cmd == "gallery":
-        options["action"] = args.action
-        options["name"] = args.name
-        numbers["tol"] = float(args.tol)
-        _require(numbers["tol"] > 0, "tol scale must be positive")
-        if args.action == "verify":
-            _require(bool(args.name), "gallery verify needs a fixture name")
-    elif cmd == "suites":
-        numbers["trials"] = int(args.trials)
-        _require(numbers["trials"] >= 1, "trials must be positive")
-
-    return RunConfig(subcommand=cmd, paths=paths,
-                     shape=getattr(args, "shape", None), numbers=numbers,
-                     options=options, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +141,11 @@ def _complex_list(vec) -> str:
 # ---------------------------------------------------------------------------
 # command handlers
 
-def _cmd_nr(cfg: RunConfig, out) -> int:
+def _cmd_nr(args, out) -> int:
+    _require(args.n_grid >= 8, "need at least 8 boundary angles")
     from .numrange import support_profile
-    a = _read_matrix(cfg.paths["matrix"])
-    prof = support_profile(a, n_grid=cfg.numbers["n_grid"])
+    a = _read_matrix(args.matrix)
+    prof = support_profile(a, n_grid=args.n_grid)
     out.write("theta, re, im, support_value\n")
     for theta, point, value in zip(prof.thetas, prof.points, prof.values):
         out.write(f"{_fmt(theta)}, {_fmt(point.real)}, {_fmt(point.imag)}, "
@@ -227,11 +153,13 @@ def _cmd_nr(cfg: RunConfig, out) -> int:
     return EXIT_PASS
 
 
-def _cmd_wradius(cfg: RunConfig, out) -> int:
+def _cmd_wradius(args, out) -> int:
+    s, tol = args.s, args.tol
+    _require(s > 0, "s must be positive")
+    _require(tol > 0, "tol must be positive")
     from .matrixcore import op_norm
     from .numrange import numerical_radius, ws_radius
-    a = _read_matrix(cfg.paths["matrix"])
-    s, tol = cfg.numbers["s"], cfg.numbers["tol"]
+    a = _read_matrix(args.matrix)
     out.write("wradius:\n")
     out.write(f"  s: {_fmt(s)}\n")
     if s == 1.0:
@@ -253,24 +181,16 @@ def _cmd_wradius(cfg: RunConfig, out) -> int:
     return EXIT_PASS
 
 
-def _cmd_certify(cfg: RunConfig, out) -> int:
-    from .spectraltest import (disk_spectral, exterior_disk_spectral,
-                               halfplane_spectral)
-    from .domains import shape_literal
-    a = _read_matrix(cfg.paths["matrix"])
-    shape = _resolve_shape(cfg.shape, a)
-    if shape.kind == "disk":
-        cert = disk_spectral(a, shape.center, shape.radius)
-    elif shape.kind == "exterior_disk":
-        cert = exterior_disk_spectral(a, shape.center, shape.radius)
-    elif shape.kind == "half_plane":
-        cert = halfplane_spectral(a, shape.angle, shape.offset)
-    else:
+def _cmd_certify(args, out) -> int:
+    a = _read_matrix(args.matrix)
+    shape = _resolve_shape(args.shape, a)
+    cert = shape.spectral_certificate(a)
+    if cert is None:
         raise ValueError(
             f"certify has exact tests for disk, xdisk, and halfplane only, "
             f"not {shape.kind!r}; use kestimate for general shapes")
     out.write("certificate:\n")
-    out.write(f"  shape: {shape_literal(shape)}\n")
+    out.write(f"  shape: {shape.literal()}\n")
     out.write(f"  claim: {cert.claim}\n")
     out.write(f"  holds: {'true' if cert.holds else 'false'}\n")
     out.write(f"  margin: {_fmt(cert.margin)}\n")
@@ -280,17 +200,17 @@ def _cmd_certify(cfg: RunConfig, out) -> int:
     return EXIT_PASS if cert.holds else EXIT_FAIL
 
 
-def _cmd_kestimate(cfg: RunConfig, out) -> int:
+def _cmd_kestimate(args, out) -> int:
+    _require(args.seed >= 0, "seed must be nonnegative")
+    _require(args.budget >= 1, "budget must be positive")
     from .spectraltest import kratio_estimate
-    from .domains import shape_literal
-    a = _read_matrix(cfg.paths["matrix"])
-    shape = _resolve_shape(cfg.shape, a)
-    est = kratio_estimate(a, shape, budget=cfg.numbers["budget"],
-                          seed=cfg.seed)
+    a = _read_matrix(args.matrix)
+    shape = _resolve_shape(args.shape, a)
+    est = kratio_estimate(a, shape, budget=args.budget, seed=args.seed)
     out.write("kestimate:\n")
-    out.write(f"  seed: {cfg.seed}\n")
-    out.write(f"  shape: {shape_literal(shape)}\n")
-    out.write(f"  budget: {cfg.numbers['budget']}\n")
+    out.write(f"  seed: {args.seed}\n")
+    out.write(f"  shape: {shape.literal()}\n")
+    out.write(f"  budget: {args.budget}\n")
     out.write(f"  lower: {_fmt(est.lower)}\n")
     out.write(f"  upper: {_fmt(est.upper) if est.upper is not None else 'none'}\n")
     out.write(f"  sup_accuracy: {_fmt(est.sup_accuracy)}\n")
@@ -298,17 +218,15 @@ def _cmd_kestimate(cfg: RunConfig, out) -> int:
     return EXIT_PASS
 
 
-def _cmd_kbound(cfg: RunConfig, out) -> int:
-    from .domains import kbound, shape_literal
-    shape = _resolve_shape(cfg.shape)
-    context = None
-    if "matrix" in cfg.paths:
-        context = _read_matrix(cfg.paths["matrix"])
+def _cmd_kbound(args, out) -> int:
+    from .domains import kbound
+    shape = _resolve_shape(args.shape)
+    context = _read_matrix(args.matrix) if args.matrix is not None else None
     kb = kbound(shape, context=context)
     out.write("kbound:\n")
-    out.write(f"  shape: {shape_literal(shape)}\n")
-    if "matrix" in cfg.paths:
-        out.write(f"  context: {cfg.paths['matrix']}\n")
+    out.write(f"  shape: {shape.literal()}\n")
+    if args.matrix is not None:
+        out.write(f"  context: {args.matrix}\n")
     out.write(f"  value: {_fmt(kb.value)}\n")
     out.write(f"  label: {kb.label}\n")
     out.write("  candidates:\n")
@@ -317,44 +235,40 @@ def _cmd_kbound(cfg: RunConfig, out) -> int:
     return EXIT_PASS
 
 
-def _cmd_fapprox(cfg: RunConfig, out) -> int:
+def _cmd_fapprox(args, out) -> int:
+    _require(args.order >= 1, "order must be positive")
     from .faber import faber_coeffs, faber_sum_matrix
     from .matrixcore import write_matrix
-    from .domains import shape_literal
-    a = _read_matrix(cfg.paths["matrix"])
-    shape = _resolve_shape(cfg.shape, a)
-    f, label = _parse_function(cfg.options["function"])
-    order = cfg.numbers["order"]
-    model = faber_coeffs(f, shape, order)
+    a = _read_matrix(args.matrix)
+    shape = _resolve_shape(args.shape, a)
+    f, label = _parse_function(args.function)
+    model = faber_coeffs(f, shape, args.order)
     approx, bound = faber_sum_matrix(model, a)
-    dest = cfg.paths.get("out", "approximant.mtx")
-    write_matrix(dest, approx)
+    write_matrix(args.out, approx)
     out.write("fapprox:\n")
-    out.write(f"  shape: {shape_literal(shape)}\n")
+    out.write(f"  shape: {shape.literal()}\n")
     out.write(f"  function: {label}\n")
-    out.write(f"  order: {order}\n")
+    out.write(f"  order: {args.order}\n")
     out.write(f"  error_bound: {_fmt(bound)}\n")
     out.write(f"  tail_capped: {'true' if model.tail_capped else 'false'}\n")
     out.write(f"  quadrature: {model.quadrature_size}\n")
-    out.write(f"  wrote: {dest}\n")
+    out.write(f"  wrote: {args.out}\n")
     return EXIT_PASS
 
 
-def _cmd_fab(cfg: RunConfig, out) -> int:
+def _cmd_fab(args, out) -> int:
+    _require(args.m >= 1, "m must be positive")
     from .krylov import fab_poly
     from .matrixcore import write_vector
-    from .domains import shape_literal
-    a = _read_matrix(cfg.paths["matrix"])
-    b = _read_vector(cfg.paths["vector"], a.shape[0])
-    f, label = _parse_function(cfg.options["function"])
-    shape = None
-    if cfg.shape is not None and cfg.shape.strip().lower() != "auto":
-        shape = _resolve_shape(cfg.shape)
-    y, report = fab_poly(a, b, cfg.numbers["m"], f, e=shape)
+    a = _read_matrix(args.matrix)
+    b = _read_vector(args.vector, a.shape[0])
+    f, label = _parse_function(args.function)
+    shape = None if args.shape.strip().lower() == "auto" else _resolve_shape(args.shape)
+    y, report = fab_poly(a, b, args.m, f, e=shape)
     out.write("fab:\n")
-    out.write(f"  m: {cfg.numbers['m']}\n")
+    out.write(f"  m: {args.m}\n")
     out.write(f"  function: {label}\n")
-    out.write(f"  shape: {shape_literal(report.shape)}\n")
+    out.write(f"  shape: {report.shape.literal()}\n")
     out.write(f"  contained: {'true' if report.contained else 'false'}\n")
     out.write(f"  exact_breakdown: {'true' if report.exact else 'false'}\n")
     if report.bound_faber is not None:
@@ -363,9 +277,9 @@ def _cmd_fab(cfg: RunConfig, out) -> int:
     else:
         out.write("  bound_faber: none (W(A) not inside the shape)\n")
         out.write("  bound_crouzeix: none\n")
-    if "out" in cfg.paths:
-        write_vector(cfg.paths["out"], y)
-        out.write(f"  wrote: {cfg.paths['out']}\n")
+    if args.out is not None:
+        write_vector(args.out, y)
+        out.write(f"  wrote: {args.out}\n")
     else:
         out.write("  approximation:\n")
         for z in y:
@@ -373,16 +287,14 @@ def _cmd_fab(cfg: RunConfig, out) -> int:
     return EXIT_PASS
 
 
-def _cmd_gmres(cfg: RunConfig, out) -> int:
+def _cmd_gmres(args, out) -> int:
+    _require(args.m is None or args.m >= 1, "m must be positive")
     from .krylov import gmres_fom
-    from .domains import shape_literal
-    a = _read_matrix(cfg.paths["matrix"])
-    b = _read_vector(cfg.paths["rhs"], a.shape[0])
-    shape = None
-    if cfg.shape is not None and cfg.shape.strip().lower() != "auto":
-        shape = _resolve_shape(cfg.shape)
-    res = gmres_fom(a, b, m=cfg.numbers.get("m"), e=shape)
-    out.write(f"# shape: {shape_literal(res.shape)}\n")
+    a = _read_matrix(args.matrix)
+    b = _read_vector(args.rhs, a.shape[0])
+    shape = None if args.shape.strip().lower() == "auto" else _resolve_shape(args.shape)
+    res = gmres_fom(a, b, m=args.m, e=shape)
+    out.write(f"# shape: {res.shape.literal()}\n")
     if res.lens_factor is not None:
         out.write(f"# lens_factor: {_fmt(res.lens_factor)}\n")
     else:
@@ -398,38 +310,43 @@ def _cmd_gmres(cfg: RunConfig, out) -> int:
     return EXIT_PASS
 
 
-def _cmd_pade(cfg: RunConfig, out) -> int:
+def _cmd_pade(args, out) -> int:
+    _require(args.k >= 0, "numerator degree must be nonnegative")
+    _require(args.m >= 1, "denominator degree must be positive")
     from .krylov import MarkovFunction, pade_markov, pade_matrix_bound
     from .matrixcore import op_norm
-    f, label = _parse_function(cfg.options["function"])
+    f, label = _parse_function(args.function)
     _require(isinstance(f, MarkovFunction),
              "pade needs a markov function ('markov <atoms file>')")
-    pq = pade_markov(f, cfg.numbers["k"], cfg.numbers["m"])
+    pq = pade_markov(f, args.k, args.m)
     poles = pq.poles()
     out.write("pade:\n")
     out.write(f"  function: {label}\n")
     out.write(f"  support: [{_fmt(f.alpha)}, {_fmt(f.beta)}]\n")
-    out.write(f"  k: {cfg.numbers['k']}\n")
-    out.write(f"  m: {cfg.numbers['m']}\n")
+    out.write(f"  k: {args.k}\n")
+    out.write(f"  m: {args.m}\n")
     out.write(f"  approximant: {pq.to_text()}\n")
     out.write(f"  poles: {_complex_list(poles)}\n")
-    if "matrix" in cfg.paths:
-        a = _read_matrix(cfg.paths["matrix"])
+    if args.matrix is not None:
+        a = _read_matrix(args.matrix)
         diff, bound = pade_matrix_bound(f, pq, a)
         out.write(f"  deviation_norm: {_fmt(op_norm(diff, 2))}\n")
         out.write(f"  matrix_bound: {_fmt(bound)}\n")
     return EXIT_PASS
 
 
-def _cmd_gallery(cfg: RunConfig, out) -> int:
+def _cmd_gallery(args, out) -> int:
+    _require(args.tol > 0, "tol scale must be positive")
+    if args.action == "verify":
+        _require(bool(args.name), "gallery verify needs a fixture name")
     from . import gallery
-    if cfg.options["action"] == "list":
+    if args.action == "list":
         for name in gallery.names():
             out.write(name + "\n")
         return EXIT_PASS
-    report = gallery.verify(cfg.options["name"], tol_scale=cfg.numbers["tol"])
+    report = gallery.verify(args.name, tol_scale=args.tol)
     out.write(f"gallery verify {report.name} (tol scale "
-              f"{_fmt(cfg.numbers['tol'])})\n")
+              f"{_fmt(args.tol)})\n")
     for row in report.rows:
         tag = "PASS" if row.passed else "FAIL"
         out.write(f"  [{tag}] {row.quantity}: got {_fmt(row.recomputed)}, "
@@ -441,9 +358,11 @@ def _cmd_gallery(cfg: RunConfig, out) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _cmd_suites(cfg: RunConfig, out) -> int:
+def _cmd_suites(args, out) -> int:
+    _require(args.seed >= 0, "seed must be nonnegative")
+    _require(args.trials >= 1, "trials must be positive")
     from .gallery import property_suites
-    report = property_suites(seed=cfg.seed, trials=cfg.numbers["trials"])
+    report = property_suites(seed=args.seed, trials=args.trials)
     out.write(f"suites: seed {report.seed}, trials {report.trials}\n")
     for res in report.results:
         tag = "PASS" if res.passed else "FAIL"
@@ -465,31 +384,6 @@ def _cmd_suites(cfg: RunConfig, out) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-_HANDLERS = {
-    "nr": _cmd_nr,
-    "wradius": _cmd_wradius,
-    "certify": _cmd_certify,
-    "kestimate": _cmd_kestimate,
-    "kbound": _cmd_kbound,
-    "fapprox": _cmd_fapprox,
-    "fab": _cmd_fab,
-    "gmres": _cmd_gmres,
-    "pade": _cmd_pade,
-    "gallery": _cmd_gallery,
-    "suites": _cmd_suites,
-}
-
-
-def dispatch(config: RunConfig, out) -> int:
-    """Run one validated command, writing its report to ``out``.
-
-    Returns the process exit status: 0 on PASS/success, 1 on a failed
-    certificate or verification, 2 is reserved for usage errors and is
-    produced by ``main`` when validation raises.
-    """
-    return _HANDLERS[config.subcommand](config, out)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -502,31 +396,37 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     q = sub.add_parser("nr", help="numerical-range boundary points as CSV")
+    q.set_defaults(handler=_cmd_nr)
     q.add_argument("--matrix", required=True)
     q.add_argument("--n-grid", type=int, default=256)
 
     q = sub.add_parser("wradius", help="operator radius w_s(A)")
+    q.set_defaults(handler=_cmd_wradius)
     q.add_argument("--matrix", required=True)
     q.add_argument("--s", type=float, default=2.0)
     q.add_argument("--tol", type=float, default=1e-6)
 
     q = sub.add_parser("certify", help="exact spectral-set certificate")
+    q.set_defaults(handler=_cmd_certify)
     q.add_argument("--matrix", required=True)
     q.add_argument("--shape", required=True)
 
     q = sub.add_parser("kestimate", help="lower bound for the K-spectral "
                                          "constant by random search")
+    q.set_defaults(handler=_cmd_kestimate)
     q.add_argument("--matrix", required=True)
     q.add_argument("--shape", required=True)
     q.add_argument("--budget", type=int, default=2000)
     q.add_argument("--seed", type=int, default=0)
 
     q = sub.add_parser("kbound", help="catalog K-spectral bound for a shape")
+    q.set_defaults(handler=_cmd_kbound)
     q.add_argument("--shape", required=True)
     q.add_argument("--matrix")
 
     q = sub.add_parser("fapprox", help="Faber-series approximant of f(A) "
                                        "with certified bound")
+    q.set_defaults(handler=_cmd_fapprox)
     q.add_argument("--matrix", required=True)
     q.add_argument("--shape", required=True)
     q.add_argument("--function", required=True)
@@ -535,6 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("fab", help="Arnoldi approximation of f(A)b with "
                                    "Faber bounds")
+    q.set_defaults(handler=_cmd_fab)
     q.add_argument("--matrix", required=True)
     q.add_argument("--vector", required=True)
     q.add_argument("--m", type=int, required=True)
@@ -544,12 +445,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("gmres", help="GMRES/FOM residual curves with bound "
                                      "curves as CSV")
+    q.set_defaults(handler=_cmd_gmres)
     q.add_argument("--matrix", required=True)
     q.add_argument("--rhs", required=True)
     q.add_argument("--m", type=int)
     q.add_argument("--shape", default="auto")
 
     q = sub.add_parser("pade", help="Pade approximant of a Markov function")
+    q.set_defaults(handler=_cmd_pade)
     q.add_argument("--function", required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
@@ -557,11 +460,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("gallery", help="list or verify the counterexample "
                                        "gallery")
+    q.set_defaults(handler=_cmd_gallery)
     q.add_argument("action", choices=("list", "verify"))
     q.add_argument("name", nargs="?")
     q.add_argument("--tol", type=float, default=1.0)
 
     q = sub.add_parser("suites", help="randomized inequality suites")
+    q.set_defaults(handler=_cmd_suites)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--trials", type=int, default=1000)
 
@@ -569,7 +474,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=None) -> int:
-    """Entry point; returns the exit status instead of raising SystemExit."""
+    """Entry point; returns the exit status instead of raising SystemExit.
+
+    Each subcommand's handler checks its own arguments, then writes its
+    report to ``out``.  The status is 0 on PASS/success, 1 on a failed
+    certificate or verification or a library postcondition, and 2 on a
+    usage error (any ValueError).
+    """
     if out is None:
         out = sys.stdout
     try:
@@ -584,8 +495,7 @@ def main(argv=None, out=None) -> int:
         code = exc.code
         return EXIT_USAGE if code not in (0, None) else int(code or 0)
     try:
-        config = _build_config(args)
-        return dispatch(config, out)
+        return args.handler(args, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

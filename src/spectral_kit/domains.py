@@ -1,16 +1,23 @@
 """Planar shape catalog: membership, boundary sampling, exterior maps, K-bounds.
 
-Shapes are immutable value objects.  The exterior maps are restricted to the
-Joukowski class psi(w) = c1*w + c0 + c_{-1}/w (disks, ellipses, intervals),
-which is exactly what the certified polynomial-approximation bounds need;
-general conformal mapping is out of scope.
+Shapes are immutable value objects that answer their own questions.  Each
+class carries its signed margin, the one parameterization of its boundary
+curve(s) and the grid rule boundary_sample places points with, its
+convexity, radial profile, K-spectral catalog entries and literal.  The
+module functions are one-line entry points over those methods; a question a
+shape has no answer for raises ValueError from the Shape default.
+
+The exterior maps are restricted to the Joukowski class
+psi(w) = c1*w + c0 + c_{-1}/w (disks, ellipses, intervals), which is exactly
+what the certified polynomial-approximation bounds need; general conformal
+mapping is out of scope.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -20,6 +27,7 @@ from .matrixcore import as_matrix, format_complex, parse_complex
 from .numrange import _golden_max
 
 _BOUNDARY_TOL = 1e-12
+_HALF_PLANE_RANGE = 100.0
 
 
 class TruncatedBoundary(UserWarning):
@@ -27,33 +35,156 @@ class TruncatedBoundary(UserWarning):
 
 
 class Shape:
-    """Base class for immutable planar shapes."""
+    """Base class for immutable planar shapes.
+
+    Every method below is one question a shape answers; the versions here are
+    the answers of a shape that does not support the question.
+    """
 
     kind = "shape"
+    heads = ()  # literal heads parse_shape accepts, the printed one first
+    is_convex = False
+    min_samples = 16  # fewest points boundary_sample hands out
+
+    def margin(self, z: np.ndarray) -> np.ndarray:
+        """Signed boundary margin of a complex array, negative strictly inside."""
+        raise ValueError(f"unknown shape kind {self.kind!r}")
+
+    def boundary_curves(self):
+        """[(lo, hi, curve, periodic)] per boundary component; None if not smooth."""
+        return None
+
+    def boundary_points(self, n: int, half_plane_range: float) -> np.ndarray:
+        """boundary_sample's grid rule for this shape."""
+        raise ValueError(f"unknown shape kind {self.kind!r}")
+
+    def exterior_map(self) -> "ExteriorMap":
+        raise ValueError(f"no finite-Laurent exterior map for kind {self.kind!r}")
+
+    def interior_mobius(self):
+        """(a, b, c, d) with M(z) = (a z + b)/(c z + d) mapping X into the unit
+        disk, for the generalized disks; None for every other shape."""
+        return None
+
+    def radial_function(self):
+        """(omega, r): the centroid and the boundary radius r(theta) about it."""
+        raise ValueError(f"no radial profile for kind {self.kind!r}")
+
+    def kbound_candidates(self, context) -> list:
+        """This shape's own (label, K) catalog entries, in catalog order."""
+        return []
+
+    def real_symmetric(self) -> bool:
+        """Is the shape symmetric about the real axis (Joukowski class only)?"""
+        raise ValueError("shape must be in the Joukowski class")
+
+    def spectral_certificate(self, a):
+        """The exact spectral-set test of a generalized disk; None otherwise."""
+        return None
+
+    def literal(self) -> str:
+        """The literal parse_shape reads back: the head, then each field."""
+        if not self.heads:
+            raise ValueError(f"unknown shape kind {self.kind!r}")
+        tokens = (_FIELD_CODECS[f.type][0](getattr(self, f.name)) for f in fields(self))
+        return " ".join([self.heads[0], *tokens])
+
+    @classmethod
+    def from_literal(cls, head: str, rest: str) -> "Shape":
+        """The shape of a literal's text after its head, one token per field."""
+        toks = _tokens(head, rest, len(fields(cls)))
+        return cls(*(_FIELD_CODECS[f.type][1](t) for f, t in zip(fields(cls), toks)))
+
+
+# a field's literal token (format, parse), keyed by the field's annotation string
+_FIELD_CODECS = {"complex": (format_complex, parse_complex),
+                 "float": (lambda v: f"{v:.17g}", float)}
+
+
+def _tokens(head: str, rest: str, *counts: int) -> list:
+    # the tokens after a literal's head, checked against the counts it takes
+    toks = rest.split()
+    if len(toks) not in counts:
+        raise ValueError(f"{head!r} shape literal takes {' or '.join(map(str, counts))} "
+                         f"token(s) after the head, got {len(toks)}")
+    return toks
 
 
 @dataclass(frozen=True)
-class Disk(Shape):
+class _Round(Shape):
+    """Shared by Disk and ExteriorDisk: the circle |z - center| = radius."""
+
     center: complex
     radius: float
-    kind = "disk"
 
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("disk radius must be positive")
 
+    def _circle(self, t):
+        return self.center + self.radius * np.exp(1j * t)
+
+    def boundary_curves(self):
+        return [(0.0, 2.0 * np.pi, self._circle, True)]
+
+    def boundary_points(self, n, half_plane_range):
+        return self._circle(2.0 * np.pi * np.arange(n) / n)
+
 
 @dataclass(frozen=True)
-class ExteriorDisk(Shape):
+class Disk(_Round):
+    kind = "disk"
+    heads = ("disk",)
+    is_convex = True
+    min_samples = 0
+
+    def margin(self, z):
+        return np.abs(z - self.center) - self.radius
+
+    def exterior_map(self):
+        return ExteriorMap(c1=complex(self.radius), c0=complex(self.center), cm1=0j)
+
+    def interior_mobius(self):
+        return (1.0 + 0j, -complex(self.center), 0j, complex(self.radius))
+
+    def radial_function(self):
+        return complex(self.center), lambda th: np.full(np.shape(th), float(self.radius))
+
+    def kbound_candidates(self, context):
+        cands = []
+        if context is not None:
+            from .numrange import numerical_radius
+            a = as_matrix(context)
+            w = numerical_radius(a - complex(self.center) * np.eye(a.shape[0]))
+            if w <= self.radius + 1e-8:
+                cands.append(("Okubo-Ando/Berger-Stampfli disk", 2.0))
+        return (cands + _ellipse_candidates(self, self.radius, self.radius, 0.0)
+                + _diameter_area(2.0 * self.radius, math.pi * self.radius ** 2))
+
+    def real_symmetric(self):
+        return abs(complex(self.center).imag) <= 1e-12 * (1 + abs(self.center))
+
+    def spectral_certificate(self, a):
+        from .spectraltest import disk_spectral
+        return disk_spectral(a, self.center, self.radius)
+
+
+@dataclass(frozen=True)
+class ExteriorDisk(_Round):
     """Complement of an open disk: |z - center| >= radius."""
 
-    center: complex
-    radius: float
     kind = "exterior_disk"
+    heads = ("xdisk", "exterior_disk")
 
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("disk radius must be positive")
+    def margin(self, z):
+        return self.radius - np.abs(z - self.center)
+
+    def interior_mobius(self):
+        return (0j, complex(self.radius), 1.0 + 0j, -complex(self.center))
+
+    def spectral_certificate(self, a):
+        from .spectraltest import exterior_disk_spectral
+        return exterior_disk_spectral(a, self.center, self.radius)
 
 
 @dataclass(frozen=True)
@@ -63,6 +194,33 @@ class HalfPlane(Shape):
     angle: float
     offset: float
     kind = "half_plane"
+    heads = ("halfplane",)
+    is_convex = True
+
+    def margin(self, z):
+        return np.real(z * np.exp(-1j * self.angle)) - self.offset
+
+    def _line(self, t):
+        return np.exp(1j * self.angle) * (self.offset + 1j * t)
+
+    def boundary_curves(self):
+        return [(-_HALF_PLANE_RANGE, _HALF_PLANE_RANGE, self._line, False)]
+
+    def boundary_points(self, n, half_plane_range):
+        warnings.warn("half-plane boundary truncated to a finite parameter range",
+                      TruncatedBoundary, stacklevel=3)
+        return self._line(np.linspace(-half_plane_range, half_plane_range, n))
+
+    def interior_mobius(self):
+        u = np.exp(-1j * self.angle)
+        return (u, complex(1.0 - self.offset), -u, complex(1.0 + self.offset))
+
+    def kbound_candidates(self, context):
+        return [_SECTOR_STRIP]
+
+    def spectral_certificate(self, a):
+        from .spectraltest import halfplane_spectral
+        return halfplane_spectral(a, self.angle, self.offset)
 
 
 @dataclass(frozen=True)
@@ -74,6 +232,8 @@ class Ellipse(Shape):
     b: float
     rotation: float = 0.0
     kind = "ellipse"
+    heads = ("ellipse",)
+    is_convex = True
 
     def __post_init__(self):
         if not (self.a >= self.b > 0):
@@ -83,6 +243,50 @@ class Ellipse(Shape):
     def eccentricity(self) -> float:
         return math.sqrt(max(0.0, 1.0 - (self.b / self.a) ** 2))
 
+    def margin(self, z):
+        u = (z - self.center) * np.exp(-1j * self.rotation)
+        s = np.hypot(u.real / self.a, u.imag / self.b)
+        return (s - 1.0) * self.b
+
+    def _curve(self, t):
+        return self.center + np.exp(1j * self.rotation) * (self.a * np.cos(t)
+                                                           + 1j * self.b * np.sin(t))
+
+    def boundary_curves(self):
+        return [(0.0, 2.0 * np.pi, self._curve, True)]
+
+    def boundary_points(self, n, half_plane_range):
+        phi = 2.0 * np.pi * np.arange(8193) / 8192
+        return self._curve(_arclength_params(phi, self._curve(phi), n))
+
+    def exterior_map(self):
+        rot = np.exp(1j * self.rotation)
+        return ExteriorMap(c1=rot * (self.a + self.b) / 2.0, c0=complex(self.center),
+                           cm1=rot * (self.a - self.b) / 2.0)
+
+    def radial_function(self):
+        a, b, rot = self.a, self.b, self.rotation
+
+        def rad(th):
+            t = np.asarray(th, dtype=float) - rot
+            return a * b / np.sqrt((b * np.cos(t)) ** 2 + (a * np.sin(t)) ** 2)
+
+        return complex(self.center), rad
+
+    def kbound_candidates(self, context):
+        return (_ellipse_candidates(self, self.a, self.b, self.eccentricity)
+                + _diameter_area(2.0 * self.a, math.pi * self.a * self.b))
+
+    def real_symmetric(self):
+        return (abs(complex(self.center).imag) <= 1e-12 * (1 + abs(self.center))
+                and abs(np.sin(self.rotation)) <= 1e-12)
+
+    @classmethod
+    def from_literal(cls, head, rest):
+        toks = _tokens(head, rest, 3, 4)
+        rot = float(toks[3]) if len(toks) > 3 else 0.0
+        return ellipse(parse_complex(toks[0]), float(toks[1]), float(toks[2]), rot)
+
 
 @dataclass(frozen=True)
 class Interval(Shape):
@@ -91,10 +295,37 @@ class Interval(Shape):
     z1: complex
     z2: complex
     kind = "interval"
+    heads = ("interval",)
+    is_convex = True
+    min_samples = 0
 
     def __post_init__(self):
         if self.z1 == self.z2:
             raise ValueError("interval endpoints must differ")
+
+    def margin(self, z):
+        return _segment_distance(z, self.z1, self.z2)
+
+    def _segment(self, t):
+        return self.z1 + (self.z2 - self.z1) * t
+
+    def boundary_curves(self):
+        return [(0.0, 1.0, self._segment, False)]
+
+    def boundary_points(self, n, half_plane_range):
+        return self._segment(np.linspace(0.0, 1.0, n))
+
+    def exterior_map(self):
+        c = (self.z1 + self.z2) / 2.0
+        h = (self.z2 - self.z1) / 2.0
+        return ExteriorMap(c1=h / 2.0, c0=complex(c), cm1=h / 2.0)
+
+    def kbound_candidates(self, context):
+        return [_eccentricity_bound(1.0)]
+
+    def real_symmetric(self):
+        return (abs(complex(self.z1).imag) <= 1e-12 * (1 + abs(self.z1))
+                and abs(complex(self.z2).imag) <= 1e-12 * (1 + abs(self.z2)))
 
 
 @dataclass(frozen=True)
@@ -103,16 +334,46 @@ class Annulus(Shape):
 
     big_r: float
     kind = "annulus"
+    heads = ("annulus",)
+    min_samples = 0
 
     def __post_init__(self):
         if not self.big_r > 1:
             raise ValueError("annulus requires R > 1")
+
+    def margin(self, z):
+        r = np.abs(z)
+        return np.maximum(r - self.big_r, 1.0 / self.big_r - r)
+
+    def boundary_curves(self):
+        return [(0.0, 2.0 * np.pi, lambda t, r=r: r * np.exp(1j * t), True)
+                for r in (self.big_r, 1.0 / self.big_r)]
+
+    def boundary_points(self, n, half_plane_range):
+        # n - n//2 points on |z| = R, n//2 on |z| = 1/R, at the angles
+        # 2 pi k * (1/m): the rounding of these circles' sample points
+        sizes = (n - n // 2, n // 2)
+        curves = [curve for _, _, curve, _ in self.boundary_curves()]
+        return np.concatenate([curve(2.0 * np.pi * np.arange(m) * (1.0 / max(m, 1)))
+                               for curve, m in zip(curves, sizes)])
+
+    def kbound_candidates(self, context):
+        big_r = self.big_r
+        return [
+            ("annulus disk-pair bound",
+             2.0 + math.sqrt((big_r ** 2 + 1.0) / (big_r ** 2 - 1.0))),
+            ("annulus refined disk-pair bound",
+             2.0 + (big_r + 1.0) / math.sqrt(big_r ** 2 + big_r + 1.0)),
+            ("annulus series bound", max(3.0, 2.0 + _annulus_series(big_r))),
+            ("annulus integral bound", 2.0 + _annulus_integral(big_r) / math.pi),
+        ]
 
 
 @dataclass(frozen=True)
 class Polygon(Shape):
     vertices: tuple
     kind = "polygon"
+    heads = ("polygon",)
 
     def __post_init__(self):
         verts = tuple(complex(v) for v in self.vertices)
@@ -128,6 +389,63 @@ class Polygon(Shape):
         return bool(np.all(cross >= -1e-12 * np.abs(cross).max())
                     or np.all(cross <= 1e-12 * np.abs(cross).max()))
 
+    def margin(self, z):
+        v = np.asarray(self.vertices)
+        w = np.roll(v, -1)
+        dist = np.min([_segment_distance(z, v[i], w[i]) for i in range(len(v))], axis=0)
+        # even-odd crossing count with a horizontal ray; boundary handled by dist
+        zx, zy = np.real(z), np.imag(z)
+        inside = np.zeros(z.shape, dtype=bool)
+        for i in range(len(v)):
+            x1, y1 = v[i].real, v[i].imag
+            x2, y2 = w[i].real, w[i].imag
+            crosses = (y1 > zy) != (y2 > zy)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi = x1 + (zy - y1) * (x2 - x1) / (y2 - y1)
+            inside ^= crosses & (zx < xi)
+        return np.where(inside, -dist, dist)
+
+    def boundary_curves(self):
+        verts = self.vertices
+        return [(0.0, 1.0, lambda t, v=v, w=w: v + (w - v) * t, False)
+                for v, w in zip(verts, verts[1:] + verts[:1])]
+
+    def boundary_points(self, n, half_plane_range):
+        # equal arclength along the edges: chord interpolation between the
+        # vertices is exact on a polygon, so resample positions
+        fine = np.append(np.asarray(self.vertices), self.vertices[0])
+        return (_arclength_params(fine.real, fine, n)
+                + 1j * _arclength_params(fine.imag, fine, n))
+
+    def radial_function(self):
+        v = np.asarray(self.vertices)
+        w = np.roll(v, -1)
+        cross = v.real * w.imag - w.real * v.imag
+        area = cross.sum() / 2.0
+        if abs(area) < 1e-15:
+            raise ValueError("degenerate polygon")
+        omega = complex(((v.real + w.real) * cross).sum() / (6.0 * area),
+                        ((v.imag + w.imag) * cross).sum() / (6.0 * area))
+        return omega, lambda th: _polygon_ray_radii(self, omega, np.atleast_1d(
+            np.asarray(th, dtype=float)))
+
+    def kbound_candidates(self, context):
+        if not self.is_convex:
+            return _tv_candidates(self)
+        v = np.asarray(self.vertices)
+        diam = float(np.abs(v[:, None] - v[None, :]).max())
+        w = np.roll(v, -1)
+        area = abs(float((v.real * w.imag - w.real * v.imag).sum()) / 2.0)
+        return _tv_candidates(self) + _diameter_area(diam, area)
+
+    def literal(self):
+        return "polygon " + " ".join(format_complex(v) for v in self.vertices)
+
+    @classmethod
+    def from_literal(cls, head, rest):
+        # __post_init__ refuses fewer than 3 vertices
+        return cls(tuple(parse_complex(t) for t in rest.split()))
+
 
 @dataclass(frozen=True)
 class Intersection(Shape):
@@ -135,13 +453,15 @@ class Intersection(Shape):
 
     members: tuple
     kind = "disk_intersection"
+    heads = ("intersect",)
 
     def __post_init__(self):
         members = tuple(self.members)
         if not members:
             raise ValueError("intersection needs at least one member")
         for m in members:
-            if m.kind not in ("disk", "exterior_disk", "half_plane"):
+            # the generalized disks are the shapes with an interior Moebius map
+            if m.interior_mobius() is None:
                 raise ValueError(f"unsupported intersection member kind {m.kind!r}")
         object.__setattr__(self, "members", members)
         if _interior_point(members) is None:
@@ -149,7 +469,51 @@ class Intersection(Shape):
 
     @property
     def is_convex(self) -> bool:
-        return all(m.kind != "exterior_disk" for m in self.members)
+        return all(m.is_convex for m in self.members)
+
+    def margin(self, z):
+        return np.max([m.margin(z) for m in self.members], axis=0)
+
+    def boundary_points(self, n, half_plane_range):
+        dense = max(1024, 8 * n)
+        cloud = []
+        for m in self.members:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncatedBoundary)
+                pts = m.boundary_points(dense, half_plane_range)
+            others = [o for o in self.members if o is not m]
+            if others:
+                keep = np.max([o.margin(pts) for o in others], axis=0) <= 1e-9
+                pts = pts[keep]
+            cloud.append(pts)
+        cloud = np.concatenate(cloud)
+        if cloud.size == 0:
+            raise RuntimeError("no boundary points survived the intersection filter")
+        idx = np.round(np.linspace(0, cloud.size - 1, n)).astype(int)
+        return cloud[idx]
+
+    def kbound_candidates(self, context):
+        n = len(self.members)
+        cands = [("intersection of generalized disks (members assumed spectral)",
+                  n + n * (n - 1) / math.sqrt(3.0))]
+        if n == 2 and all(isinstance(m, HalfPlane) for m in self.members):
+            return [_SECTOR_STRIP] + cands
+        return cands
+
+    def literal(self):
+        inner = " ; ".join(m.literal() for m in self.members)
+        return f"intersect [ {inner} ]"
+
+    @classmethod
+    def from_literal(cls, head, rest):
+        if not (rest.startswith("[") and rest.endswith("]")):
+            raise ValueError("intersect literal needs [ ... ] with ';' separators")
+        return cls(tuple(parse_shape(p) for p in rest[1:-1].split(";") if p.strip()))
+
+
+_LITERAL_HEADS = {head: cls for cls in (Disk, ExteriorDisk, HalfPlane, Ellipse, Interval,
+                                        Annulus, Polygon, Intersection)
+                  for head in cls.heads}
 
 
 def ellipse(center, a: float, b: float, rotation: float = 0.0) -> Shape:
@@ -162,7 +526,7 @@ def ellipse(center, a: float, b: float, rotation: float = 0.0) -> Shape:
 
 def _interior_point(members, n_grid: int = 48) -> Optional[complex]:
     # sampled nonempty-interior check: grid over a heuristic bounding box
-    boxes = [(m.center, 2.0 * m.radius) for m in members if m.kind == "disk"]
+    boxes = [(m.center, 2.0 * m.radius) for m in members if isinstance(m, Disk)]
     if boxes:
         centers = np.array([b[0] for b in boxes])
         spans = np.array([b[1] for b in boxes])
@@ -179,36 +543,11 @@ def _interior_point(members, n_grid: int = 48) -> Optional[complex]:
     xs = np.linspace(lo_x, hi_x, n_grid)
     ys = np.linspace(lo_y, hi_y, n_grid)
     pts = (xs[:, None] + 1j * ys[None, :]).ravel()
-    margin = np.max([_margin_many(m, pts) for m in members], axis=0)
+    margin = np.max([m.margin(pts) for m in members], axis=0)
     k = int(np.argmin(margin))
     if margin[k] < -1e-9:
         return complex(pts[k])
     return None
-
-
-def _margin_many(x: Shape, z: np.ndarray) -> np.ndarray:
-    # signed boundary margin, negative strictly inside; vectorized over z
-    z = np.asarray(z, dtype=complex)
-    if x.kind == "disk":
-        return np.abs(z - x.center) - x.radius
-    if x.kind == "exterior_disk":
-        return x.radius - np.abs(z - x.center)
-    if x.kind == "half_plane":
-        return np.real(z * np.exp(-1j * x.angle)) - x.offset
-    if x.kind == "ellipse":
-        u = (z - x.center) * np.exp(-1j * x.rotation)
-        s = np.hypot(u.real / x.a, u.imag / x.b)
-        return (s - 1.0) * x.b
-    if x.kind == "interval":
-        return _segment_distance(z, x.z1, x.z2)
-    if x.kind == "annulus":
-        r = np.abs(z)
-        return np.maximum(r - x.big_r, 1.0 / x.big_r - r)
-    if x.kind == "polygon":
-        return _polygon_margin(x, z)
-    if x.kind == "disk_intersection":
-        return np.max([_margin_many(m, z) for m in x.members], axis=0)
-    raise ValueError(f"unknown shape kind {x.kind!r}")
 
 
 def _segment_distance(z: np.ndarray, z1: complex, z2: complex) -> np.ndarray:
@@ -217,42 +556,27 @@ def _segment_distance(z: np.ndarray, z1: complex, z2: complex) -> np.ndarray:
     return np.abs(z - (z1 + t * d))
 
 
-def _polygon_margin(x: Polygon, z: np.ndarray) -> np.ndarray:
-    v = np.asarray(x.vertices)
-    w = np.roll(v, -1)
-    dist = np.min([_segment_distance(z, v[i], w[i]) for i in range(len(v))], axis=0)
-    # even-odd crossing count with a horizontal ray; boundary handled by dist
-    zx, zy = np.real(z), np.imag(z)
-    inside = np.zeros(z.shape, dtype=bool)
-    for i in range(len(v)):
-        x1, y1 = v[i].real, v[i].imag
-        x2, y2 = w[i].real, w[i].imag
-        crosses = (y1 > zy) != (y2 > zy)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = x1 + (zy - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= crosses & (zx < xi)
-    return np.where(inside, -dist, dist)
-
-
 def contains(x: Shape, z, tol: float = _BOUNDARY_TOL) -> bool:
     """Membership test with absolute boundary tolerance (intersections conjoin)."""
-    return bool(_margin_many(x, np.asarray([complex(z)]))[0] <= tol)
+    return bool(x.margin(np.asarray([complex(z)]))[0] <= tol)
 
 
 def signed_margin(x: Shape, z) -> float:
     """Signed boundary margin: negative strictly inside, positive outside."""
-    return float(_margin_many(x, np.asarray([complex(z)]))[0])
+    return float(x.margin(np.asarray([complex(z)]))[0])
 
 
 def _arclength_params(params: np.ndarray, pts_fine: np.ndarray, n: int) -> np.ndarray:
-    # equal-arclength parameter targets for a closed curve; interpolating the
-    # parameter (not the position) keeps resampled points exactly on the curve
+    # params interpolated at n equal-arclength targets along the closed chain
+    # pts_fine; on a smooth curve, interpolating the parameter (not the
+    # position) keeps resampled points exactly on the curve
     cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(pts_fine)))])
     targets = np.arange(n) / n * cum[-1]
     return np.interp(targets, cum, params)
 
 
-def boundary_sample(x: Shape, n: int, half_plane_range: float = 100.0) -> np.ndarray:
+def boundary_sample(x: Shape, n: int,
+                    half_plane_range: float = _HALF_PLANE_RANGE) -> np.ndarray:
     """N quasi-uniform (in arclength) points on the boundary of a shape.
 
     Multi-component boundaries (annulus) are sampled on every component;
@@ -260,56 +584,9 @@ def boundary_sample(x: Shape, n: int, half_plane_range: float = 100.0) -> np.nda
     [-half_plane_range, half_plane_range] and a TruncatedBoundary warning
     flags the cut.
     """
-    if n < 16 and x.kind not in ("disk", "interval", "annulus"):
+    if n < x.min_samples:
         raise ValueError("need at least 16 boundary samples")
-    if x.kind in ("disk", "exterior_disk"):
-        ang = 2.0 * np.pi * np.arange(n) / n
-        return x.center + x.radius * np.exp(1j * ang)
-    if x.kind == "half_plane":
-        warnings.warn("half-plane boundary truncated to a finite parameter range",
-                      TruncatedBoundary, stacklevel=2)
-        t = np.linspace(-half_plane_range, half_plane_range, n)
-        return np.exp(1j * x.angle) * (x.offset + 1j * t)
-    if x.kind == "ellipse":
-        def on_curve(phi):
-            return x.center + np.exp(1j * x.rotation) * (x.a * np.cos(phi)
-                                                         + 1j * x.b * np.sin(phi))
-
-        phi = 2.0 * np.pi * np.arange(8193) / 8192
-        return on_curve(_arclength_params(phi, on_curve(phi), n))
-    if x.kind == "interval":
-        return x.z1 + (x.z2 - x.z1) * np.linspace(0.0, 1.0, n)
-    if x.kind == "annulus":
-        n_out = n - n // 2
-        n_in = n // 2
-        out = x.big_r * np.exp(2j * np.pi * np.arange(n_out) / max(n_out, 1))
-        inn = (1.0 / x.big_r) * np.exp(2j * np.pi * np.arange(n_in) / max(n_in, 1))
-        return np.concatenate([out, inn])
-    if x.kind == "polygon":
-        # chord interpolation is exact on a polygon, so resample positions
-        fine = np.append(np.asarray(x.vertices), x.vertices[0])
-        cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(fine)))])
-        targets = np.arange(n) / n * cum[-1]
-        return (np.interp(targets, cum, fine.real)
-                + 1j * np.interp(targets, cum, fine.imag))
-    if x.kind == "disk_intersection":
-        dense = max(1024, 8 * n)
-        cloud = []
-        for m in x.members:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", TruncatedBoundary)
-                pts = boundary_sample(m, dense, half_plane_range)
-            others = [o for o in x.members if o is not m]
-            if others:
-                keep = np.max([_margin_many(o, pts) for o in others], axis=0) <= 1e-9
-                pts = pts[keep]
-            cloud.append(pts)
-        cloud = np.concatenate(cloud)
-        if cloud.size == 0:
-            raise RuntimeError("no boundary points survived the intersection filter")
-        idx = np.round(np.linspace(0, cloud.size - 1, n)).astype(int)
-        return cloud[idx]
-    raise ValueError(f"unknown shape kind {x.kind!r}")
+    return x.boundary_points(n, half_plane_range)
 
 
 @dataclass(frozen=True)
@@ -368,37 +645,11 @@ class ExteriorMap:
 
 def exterior_map(x: Shape) -> ExteriorMap:
     """Exterior conformal map for the Joukowski class (disk/ellipse/interval)."""
-    if x.kind == "disk":
-        return ExteriorMap(c1=complex(x.radius), c0=complex(x.center), cm1=0j)
-    if x.kind == "ellipse":
-        rot = np.exp(1j * x.rotation)
-        return ExteriorMap(c1=rot * (x.a + x.b) / 2.0, c0=complex(x.center),
-                           cm1=rot * (x.a - x.b) / 2.0)
-    if x.kind == "interval":
-        c = (x.z1 + x.z2) / 2.0
-        h = (x.z2 - x.z1) / 2.0
-        return ExteriorMap(c1=h / 2.0, c0=complex(c), cm1=h / 2.0)
-    raise ValueError(f"no finite-Laurent exterior map for kind {x.kind!r}")
+    return x.exterior_map()
 
 
 # ---------------------------------------------------------------------------
 # radial profiles and total variation of log r (about the centroid)
-
-def _centroid(x: Shape) -> complex:
-    if x.kind in ("disk", "ellipse"):
-        return complex(x.center)
-    if x.kind == "polygon":
-        v = np.asarray(x.vertices)
-        w = np.roll(v, -1)
-        cross = v.real * w.imag - w.real * v.imag
-        area = cross.sum() / 2.0
-        if abs(area) < 1e-15:
-            raise ValueError("degenerate polygon")
-        cx = ((v.real + w.real) * cross).sum() / (6.0 * area)
-        cy = ((v.imag + w.imag) * cross).sum() / (6.0 * area)
-        return complex(cx, cy)
-    raise ValueError(f"no radial profile for kind {x.kind!r}")
-
 
 def _polygon_ray_radii(x: Polygon, omega: complex, thetas: np.ndarray) -> np.ndarray:
     v = np.asarray(x.vertices) - omega
@@ -426,24 +677,6 @@ def _polygon_ray_radii(x: Polygon, omega: complex, thetas: np.ndarray) -> np.nda
     return radii
 
 
-def _radial_function(x: Shape):
-    omega = _centroid(x)
-    if x.kind == "disk":
-        return omega, lambda th: np.full(np.shape(th), float(x.radius))
-    if x.kind == "ellipse":
-        a, b, rot = x.a, x.b, x.rotation
-
-        def rad(th):
-            t = np.asarray(th, dtype=float) - rot
-            return a * b / np.sqrt((b * np.cos(t)) ** 2 + (a * np.sin(t)) ** 2)
-
-        return omega, rad
-    if x.kind == "polygon":
-        return omega, lambda th: _polygon_ray_radii(x, omega, np.atleast_1d(
-            np.asarray(th, dtype=float)))
-    raise ValueError(f"no radial profile for kind {x.kind!r}")
-
-
 def tv_log_radius(x: Shape, n_grid: int = 4096) -> float:
     """Total variation of log r(theta) about the centroid.
 
@@ -451,7 +684,7 @@ def tv_log_radius(x: Shape, n_grid: int = 4096) -> float:
     sharpened together by a lockstep golden-section search so the value is
     accurate to ~1e-10 even for boundaries with corners.
     """
-    omega, rad = _radial_function(x)
+    omega, rad = x.radial_function()
     thetas = 2.0 * np.pi * np.arange(n_grid) / n_grid
     vals = np.log(np.asarray(rad(thetas), dtype=float))
     if np.ptp(vals) < 1e-14:
@@ -475,6 +708,7 @@ def tv_log_radius(x: Shape, n_grid: int = 4096) -> float:
 # K-spectral bound catalog
 
 _K_UNIVERSAL = 11.08
+_SECTOR_STRIP = ("sector/strip bound", 2.0 + 2.0 / math.sqrt(3.0))
 
 
 @dataclass(frozen=True)
@@ -484,20 +718,6 @@ class KBound:
     value: float
     label: str
     candidates: tuple = field(default_factory=tuple)
-
-
-def _diam_area(x: Shape):
-    if x.kind == "disk":
-        return 2.0 * x.radius, math.pi * x.radius ** 2
-    if x.kind == "ellipse":
-        return 2.0 * x.a, math.pi * x.a * x.b
-    if x.kind == "polygon":
-        v = np.asarray(x.vertices)
-        diam = float(np.abs(v[:, None] - v[None, :]).max())
-        w = np.roll(v, -1)
-        area = abs(float((v.real * w.imag - w.real * v.imag).sum()) / 2.0)
-        return diam, area
-    return None
 
 
 def _ellipse_perimeter(a: float, b: float) -> float:
@@ -536,14 +756,35 @@ def _annulus_integral(big_r: float) -> float:
     return head + tail
 
 
-def _is_convex(x: Shape) -> bool:
-    if x.kind in ("disk", "half_plane", "ellipse", "interval"):
-        return True
-    if x.kind == "polygon":
-        return x.is_convex
-    if x.kind == "disk_intersection":
-        return x.is_convex
-    return False
+def _eccentricity_bound(ecc: float):
+    return ("ellipse eccentricity bound", 2.0 + 2.0 / math.sqrt(4.0 - ecc ** 2))
+
+
+def _tv_candidates(x: Shape) -> list:
+    try:
+        tv = tv_log_radius(x)
+    except ValueError:
+        return []
+    return [("radial total-variation bound", 2.0 + math.pi + tv)]
+
+
+def _diameter_area(diam: float, area: float) -> list:
+    # a convex shape's entry from its diameter and area
+    if not area > 0:
+        return []
+    return [("diameter-area bound", 3.0 + (2.0 * math.pi * diam ** 2 / area) ** 3)]
+
+
+def _ellipse_candidates(x: Shape, a_axis: float, b_axis: float, ecc: float) -> list:
+    # the entries a disk shares with an ellipse (a disk is one with a = b)
+    cands = [_eccentricity_bound(ecc)]
+    q_ecc = 1.0 - (1.0 + ecc) / 2.0 * math.sqrt(1.0 - ecc ** 2)
+    r_curv = a_axis ** 2 / b_axis
+    q_curv = 1.0 - _ellipse_perimeter(a_axis, b_axis) / (2.0 * math.pi * r_curv)
+    q = min(q_ecc, q_curv)
+    if q < 1.0:
+        cands.append(("configuration constant bound", 1.0 + 2.0 / (1.0 - q)))
+    return cands + _tv_candidates(x)
 
 
 def kbound(x: Shape, context=None):
@@ -558,72 +799,8 @@ def kbound(x: Shape, context=None):
     Returns a :class:`KBound` holding the winning (value, label) and all
     applicable candidates for audit.
     """
-    cands = []
-
-    if context is not None and x.kind == "disk":
-        from .numrange import numerical_radius
-        a = as_matrix(context)
-        w = numerical_radius(a - complex(x.center) * np.eye(a.shape[0]))
-        if w <= x.radius + 1e-8:
-            cands.append(("Okubo-Ando/Berger-Stampfli disk", 2.0))
-
-    if x.kind in ("disk", "ellipse", "interval"):
-        if x.kind == "interval":
-            ecc = 1.0
-        elif x.kind == "disk":
-            ecc = 0.0
-        else:
-            ecc = x.eccentricity
-        cands.append(("ellipse eccentricity bound",
-                      2.0 + 2.0 / math.sqrt(4.0 - ecc ** 2)))
-
-    if x.kind in ("disk", "ellipse"):
-        a_axis = x.radius if x.kind == "disk" else x.a
-        b_axis = x.radius if x.kind == "disk" else x.b
-        ecc = 0.0 if x.kind == "disk" else x.eccentricity
-        q_ecc = 1.0 - (1.0 + ecc) / 2.0 * math.sqrt(1.0 - ecc ** 2)
-        r_curv = a_axis ** 2 / b_axis
-        q_curv = 1.0 - _ellipse_perimeter(a_axis, b_axis) / (2.0 * math.pi * r_curv)
-        q = min(q_ecc, q_curv)
-        if q < 1.0:
-            cands.append(("configuration constant bound", 1.0 + 2.0 / (1.0 - q)))
-
-    if x.kind in ("disk", "ellipse", "polygon"):
-        try:
-            tv = tv_log_radius(x)
-        except ValueError:
-            tv = None
-        if tv is not None:
-            cands.append(("radial total-variation bound", 2.0 + math.pi + tv))
-
-    if x.kind == "half_plane":
-        cands.append(("sector/strip bound", 2.0 + 2.0 / math.sqrt(3.0)))
-    if x.kind == "disk_intersection":
-        if (len(x.members) == 2
-                and all(m.kind == "half_plane" for m in x.members)):
-            cands.append(("sector/strip bound", 2.0 + 2.0 / math.sqrt(3.0)))
-        n = len(x.members)
-        cands.append(("intersection of generalized disks (members assumed spectral)",
-                      n + n * (n - 1) / math.sqrt(3.0)))
-
-    if x.kind == "annulus":
-        big_r = x.big_r
-        cands.append(("annulus disk-pair bound",
-                      2.0 + math.sqrt((big_r ** 2 + 1.0) / (big_r ** 2 - 1.0))))
-        cands.append(("annulus refined disk-pair bound",
-                      2.0 + (big_r + 1.0) / math.sqrt(big_r ** 2 + big_r + 1.0)))
-        cands.append(("annulus series bound",
-                      max(3.0, 2.0 + _annulus_series(big_r))))
-        cands.append(("annulus integral bound",
-                      2.0 + _annulus_integral(big_r) / math.pi))
-
-    diam_area = _diam_area(x) if _is_convex(x) else None
-    if diam_area is not None and diam_area[1] > 0:
-        diam, area = diam_area
-        cands.append(("diameter-area bound",
-                      3.0 + (2.0 * math.pi * diam ** 2 / area) ** 3))
-
-    if _is_convex(x):
+    cands = x.kbound_candidates(context)
+    if x.is_convex:
         cands.append(("universal convex numerical-range bound", _K_UNIVERSAL))
 
     if not cands:
@@ -641,53 +818,19 @@ def kbound(x: Shape, context=None):
 
 def shape_literal(x: Shape) -> str:
     """Inverse of parse_shape."""
-    fc = format_complex
-    if x.kind == "disk":
-        return f"disk {fc(x.center)} {x.radius:.17g}"
-    if x.kind == "exterior_disk":
-        return f"xdisk {fc(x.center)} {x.radius:.17g}"
-    if x.kind == "half_plane":
-        return f"halfplane {x.angle:.17g} {x.offset:.17g}"
-    if x.kind == "ellipse":
-        return f"ellipse {fc(x.center)} {x.a:.17g} {x.b:.17g} {x.rotation:.17g}"
-    if x.kind == "interval":
-        return f"interval {fc(x.z1)} {fc(x.z2)}"
-    if x.kind == "annulus":
-        return f"annulus {x.big_r:.17g}"
-    if x.kind == "polygon":
-        return "polygon " + " ".join(fc(v) for v in x.vertices)
-    if x.kind == "disk_intersection":
-        inner = " ; ".join(shape_literal(m) for m in x.members)
-        return f"intersect [ {inner} ]"
-    raise ValueError(f"unknown shape kind {x.kind!r}")
+    return x.literal()
 
 
 def parse_shape(text: str) -> Shape:
-    """Parse a shape literal like "disk 0+0i 1.5" or "intersect [ ... ; ... ]"."""
+    """Parse a shape literal like "disk 0+0i 1.5" or "intersect [ ... ; ... ]".
+
+    A literal with the wrong number of tokens for its head raises ValueError.
+    """
     text = text.strip()
     if not text:
         raise ValueError("empty shape literal")
     head = text.split(None, 1)[0].lower()
-    rest = text[len(head):].strip()
-    if head == "intersect":
-        if not (rest.startswith("[") and rest.endswith("]")):
-            raise ValueError("intersect literal needs [ ... ] with ';' separators")
-        parts = [p.strip() for p in rest[1:-1].split(";")]
-        return Intersection(tuple(parse_shape(p) for p in parts if p))
-    toks = rest.split()
-    if head == "disk":
-        return Disk(parse_complex(toks[0]), float(toks[1]))
-    if head in ("xdisk", "exterior_disk"):
-        return ExteriorDisk(parse_complex(toks[0]), float(toks[1]))
-    if head == "halfplane":
-        return HalfPlane(float(toks[0]), float(toks[1]))
-    if head == "ellipse":
-        rot = float(toks[3]) if len(toks) > 3 else 0.0
-        return ellipse(parse_complex(toks[0]), float(toks[1]), float(toks[2]), rot)
-    if head == "interval":
-        return Interval(parse_complex(toks[0]), parse_complex(toks[1]))
-    if head == "annulus":
-        return Annulus(float(toks[0]))
-    if head == "polygon":
-        return Polygon(tuple(parse_complex(t) for t in toks))
-    raise ValueError(f"unknown shape literal head {head!r}")
+    cls = _LITERAL_HEADS.get(head)
+    if cls is None:
+        raise ValueError(f"unknown shape literal head {head!r}")
+    return cls.from_literal(head, text[len(head):].strip())

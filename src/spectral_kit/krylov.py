@@ -185,18 +185,22 @@ def fit_ellipse(a, n_grid: int = 256) -> Shape:
         t += np.pi / 2.0
     t = float(np.mod(t, np.pi))
 
-    if ax <= 1e-12 * (1.0 + abs(center)):
+    point = ax <= 1e-12 * (1.0 + abs(center))
+    if point:
         # W(A) is a single point (normal A with one eigenvalue, or 1x1)
         ax = ay = 1e-9 * (1.0 + abs(center))
-        shape = Disk(center, ax)
-    elif ay <= 1e-10 * ax:
-        u = np.exp(1j * t)
-        shape = Interval(center - ax * u, center + ax * u)
-    else:
-        shape = Ellipse(center, ax, ay, rotation=t)
+    u = np.exp(1j * t)
+
+    def fitted(scale):
+        # the fitted shape with both axes scaled by `scale`
+        if point:
+            return Disk(center, scale * ax)
+        if ay <= 1e-10 * ax:
+            return Interval(center - scale * ax * u, center + scale * ax * u)
+        return Ellipse(center, scale * ax, scale * ay, rotation=t)
 
     # containment guarantee: scale axes so h_E >= p_A everywhere
-    emap = exterior_map(shape)
+    emap = exterior_map(fitted(1.0))
     radial = fine.values - np.real(np.exp(-1j * fine.thetas) * emap.c0)
     amaj = abs(emap.c1) + abs(emap.cm1)
     bmin = abs(emap.c1) - abs(emap.cm1)
@@ -205,12 +209,7 @@ def fit_ellipse(a, n_grid: int = 256) -> Shape:
     s = np.sqrt((amaj * np.cos(tt)) ** 2 + (bmin * np.sin(tt)) ** 2)
     lam = float(np.max(radial / np.maximum(s, 1e-300))) * (1.0 + 1e-9)
     lam = max(lam, 1.0 + 1e-12)
-    if isinstance(shape, Disk):
-        return Disk(center, lam * ax)
-    if isinstance(shape, Interval):
-        u = np.exp(1j * t)
-        return Interval(center - lam * ax * u, center + lam * ax * u)
-    return Ellipse(center, lam * ax, lam * ay, rotation=t)
+    return fitted(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -456,22 +455,6 @@ class RationalReport:
     decomposition: KrylovDecomposition
 
 
-def _require_real_symmetric(e: Shape) -> None:
-    kind = e.kind
-    if kind == "disk":
-        ok = abs(complex(e.center).imag) <= 1e-12 * (1 + abs(e.center))
-    elif kind == "ellipse":
-        ok = (abs(complex(e.center).imag) <= 1e-12 * (1 + abs(e.center))
-              and abs(np.sin(e.rotation)) <= 1e-12)
-    elif kind == "interval":
-        ok = (abs(complex(e.z1).imag) <= 1e-12 * (1 + abs(e.z1))
-              and abs(complex(e.z2).imag) <= 1e-12 * (1 + abs(e.z2)))
-    else:
-        raise ValueError("shape must be in the Joukowski class")
-    if not ok:
-        raise ValueError("shape must be symmetric about the real axis")
-
-
 def fab_rational(a, b, poles: Sequence, f: MarkovFunction, e: Shape):
     """Rational Arnoldi approximation of f(A)b with the explicit pole bound.
 
@@ -480,7 +463,8 @@ def fab_rational(a, b, poles: Sequence, f: MarkovFunction, e: Shape):
     outside e.  Poles may include numpy.inf (polynomial steps).
     """
     mat = as_matrix(a)
-    _require_real_symmetric(e)
+    if not e.real_symmetric():
+        raise ValueError("shape must be symmetric about the real axis")
     emap = exterior_map(e)
     if _support_inside(mat, emap) > 1e-8:
         raise ValueError("W(A) is not contained in the shape")

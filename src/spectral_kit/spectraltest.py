@@ -175,41 +175,10 @@ def classify_structure(a) -> StructureReport:
 # ---------------------------------------------------------------------------
 # sup-norm of a rational function on the boundary of a shape
 
-def _boundary_components(x: Shape, half_plane_range: float = 100.0):
-    # (lo, hi, map, periodic) parameterizations; None = no smooth param
-    if x.kind in ("disk", "exterior_disk"):
-        return [(0.0, 2.0 * np.pi,
-                 lambda t, c=x.center, r=x.radius: c + r * np.exp(1j * t), True)]
-    if x.kind == "ellipse":
-        def curve(t, e=x):
-            return e.center + np.exp(1j * e.rotation) * (e.a * np.cos(t)
-                                                         + 1j * e.b * np.sin(t))
-        return [(0.0, 2.0 * np.pi, curve, True)]
-    if x.kind == "interval":
-        return [(0.0, 1.0, lambda t, z1=x.z1, z2=x.z2: z1 + (z2 - z1) * t, False)]
-    if x.kind == "annulus":
-        return [
-            (0.0, 2.0 * np.pi, lambda t, r=x.big_r: r * np.exp(1j * t), True),
-            (0.0, 2.0 * np.pi, lambda t, r=1.0 / x.big_r: r * np.exp(1j * t), True),
-        ]
-    if x.kind == "polygon":
-        comps = []
-        verts = x.vertices
-        for i in range(len(verts)):
-            v, w = verts[i], verts[(i + 1) % len(verts)]
-            comps.append((0.0, 1.0, lambda t, v=v, w=w: v + (w - v) * t, False))
-        return comps
-    if x.kind == "half_plane":
-        return [(-half_plane_range, half_plane_range,
-                 lambda t, th=x.angle, d=x.offset: np.exp(1j * th) * (d + 1j * t),
-                 False)]
-    return None
-
-
 class _BoundarySampler:
     """One shape's boundary grid, built once for many sup |f| queries.
 
-    Holds each component's parameter grid and its mapped points, or the
+    Holds each boundary curve's parameter grid and its mapped points, or the
     4n- and n-point boundary samples of a shape with no parameterization.
     grid(f) samples |f| and returns (grid maximum, per-component peaks);
     refine(f, grid) finishes with sup_on_boundary's golden refinement
@@ -217,7 +186,7 @@ class _BoundarySampler:
     """
 
     def __init__(self, x: Shape, n: int = 4096):
-        comps = _boundary_components(x)
+        comps = x.boundary_curves()
         self.comps = None
         if comps is None:
             with warnings.catch_warnings():
@@ -280,14 +249,7 @@ def sup_on_boundary(f, x: Shape, n: int = 4096):
 
 def _interior_mobius(x: Shape):
     # (a, b, c, d) with M(z) = (a z + b)/(c z + d) mapping X into the unit disk
-    if x.kind == "disk":
-        return (1.0 + 0j, -complex(x.center), 0j, complex(x.radius))
-    if x.kind == "exterior_disk":
-        return (0j, complex(x.radius), 1.0 + 0j, -complex(x.center))
-    if x.kind == "half_plane":
-        u = np.exp(-1j * x.angle)
-        return (u, complex(1.0 - x.offset), -u, complex(1.0 + x.offset))
-    return None
+    return x.interior_mobius()
 
 
 def _blaschke_through(mobius, zeros, phase: complex = 1.0) -> RationalFunction:

@@ -214,6 +214,7 @@ def test_usage_errors_exit_two(workdir):
                  "--n-grid", "2"])[0] == EXIT_USAGE
     assert _run(["certify", "--matrix", str(workdir / "a.mtx"),
                  "--shape", "blob 1"])[0] == EXIT_USAGE
+    assert _run(["kbound", "--shape", "disk 0"])[0] == EXIT_USAGE
     assert _run(["gallery", "verify"])[0] == EXIT_USAGE
     assert _run(["kestimate", "--matrix", str(workdir / "a.mtx"),
                  "--shape", "disk 0 1", "--budget", "0"])[0] == EXIT_USAGE

@@ -113,8 +113,7 @@ def test_boundary_sample_half_plane_truncated():
 def test_boundary_sample_polygon_on_edges():
     sq = _square()
     pts = boundary_sample(sq, 40)
-    from spectral_kit.domains import _margin_many
-    assert np.abs(_margin_many(sq, pts)).max() < 1e-12
+    assert np.abs(sq.margin(pts)).max() < 1e-12
 
 
 def test_boundary_sample_lens_intersection():
@@ -213,8 +212,7 @@ def test_tv_star_polygon_matches_dense_grid():
     angles = 2 * np.pi * np.arange(8) / 8
     radii = np.where(np.arange(8) % 2 == 0, 1.0, 0.45)
     star = Polygon(tuple(radii * np.exp(1j * angles)))
-    from spectral_kit.domains import _radial_function
-    _, rad = _radial_function(star)
+    _, rad = star.radial_function()
     thetas = 2 * np.pi * np.arange(200000) / 200000
     vals = np.log(rad(thetas))
     oracle = np.abs(np.diff(np.append(vals, vals[0]))).sum()
@@ -332,5 +330,9 @@ def test_parse_shape_ellipse_degenerates_to_interval():
 
 
 def test_parse_shape_rejects_unknown():
-    with pytest.raises(ValueError):
-        parse_shape("blob 1 2")
+    # unknown heads, and known heads with the wrong number of tokens
+    for literal in ("blob 1 2", "disk 0", "disk 0 1 2", "annulus", "halfplane 0",
+                    "ellipse 0 1", "ellipse 0 1 0.5 0 9", "interval 0", "xdisk 0",
+                    "polygon 0 1"):
+        with pytest.raises(ValueError):
+            parse_shape(literal)

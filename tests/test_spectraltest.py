@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spectral_kit import spectraltest
-from spectral_kit.domains import (Annulus, Disk, HalfPlane, Intersection, Polygon,
-                                  TruncatedBoundary, boundary_sample, ellipse,
-                                  kbound, signed_margin)
+from spectral_kit.domains import (Annulus, Disk, ExteriorDisk, HalfPlane, Intersection,
+                                  Interval, Polygon, TruncatedBoundary, boundary_sample,
+                                  ellipse, kbound, signed_margin)
 from spectral_kit.krylov import fit_ellipse
 from spectral_kit.matrixcore import RationalFunction, eval_rational, op_norm
 from spectral_kit.numrange import numerical_radius, support_value
@@ -137,6 +137,38 @@ def test_sup_on_boundary_annulus_refinement():
     f1, _ = annulus_extremal_pair(2.0)
     val, _ = sup_on_boundary(f1, Annulus(2.0))
     assert val == pytest.approx(2.0 + 0.5, abs=1e-10)  # |z - 1/z| at z = 2i
+
+
+_STAR = tuple(np.where(np.arange(8) % 2 == 0, 1.0, 0.45)
+              * np.exp(2j * np.pi * np.arange(8) / 8))
+
+
+@pytest.mark.parametrize("x", [
+    Disk(0.3 - 0.2j, 1.7),
+    ExteriorDisk(1 - 2j, 0.75),
+    HalfPlane(0.5, 2.0),
+    ellipse(1 + 1j, 2.0, 0.5, rotation=0.4),
+    Interval(-2 - 1j, 1 + 2j),
+    Annulus(2.0),
+    Polygon((1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)),
+    Polygon(_STAR),
+    Intersection((Disk(0.2j, 1.0), HalfPlane(0.3, 0.4))),
+], ids=["disk", "xdisk", "halfplane", "ellipse", "interval", "annulus",
+        "convex_polygon", "star_polygon", "disk_halfplane"])
+def test_sampler_and_boundary_sample_points_lie_on_the_boundary(x):
+    # the sampler's curve points and boundary_sample's grid both lie on the boundary
+    sampler = spectraltest._BoundarySampler(x, 256)
+    if sampler.comps is None:
+        clouds = [sampler.fine, sampler.coarse]
+    else:
+        clouds = [pts for *_, pts in sampler.comps]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncatedBoundary)
+        clouds.append(boundary_sample(x, 256))
+    for pts in clouds:
+        scale = max(1.0, float(np.max(np.abs(pts))))
+        margins = np.array([signed_margin(x, z) for z in pts])
+        assert np.max(np.abs(margins)) <= 1e-12 * scale
 
 
 # --------------------------------------------------------------- K estimation
