@@ -220,8 +220,8 @@ def _cmd_kestimate(args, out) -> int:
 
 def _cmd_kbound(args, out) -> int:
     from .domains import kbound
-    shape = _resolve_shape(args.shape)
     context = _read_matrix(args.matrix) if args.matrix is not None else None
+    shape = _resolve_shape(args.shape, context)
     kb = kbound(shape, context=context)
     out.write("kbound:\n")
     out.write(f"  shape: {shape.literal()}\n")
@@ -263,8 +263,7 @@ def _cmd_fab(args, out) -> int:
     a = _read_matrix(args.matrix)
     b = _read_vector(args.vector, a.shape[0])
     f, label = _parse_function(args.function)
-    shape = None if args.shape.strip().lower() == "auto" else _resolve_shape(args.shape)
-    y, report = fab_poly(a, b, args.m, f, e=shape)
+    y, report = fab_poly(a, b, args.m, f, e=_resolve_shape(args.shape, a))
     out.write("fab:\n")
     out.write(f"  m: {args.m}\n")
     out.write(f"  function: {label}\n")
@@ -292,8 +291,7 @@ def _cmd_gmres(args, out) -> int:
     from .krylov import gmres_fom
     a = _read_matrix(args.matrix)
     b = _read_vector(args.rhs, a.shape[0])
-    shape = None if args.shape.strip().lower() == "auto" else _resolve_shape(args.shape)
-    res = gmres_fom(a, b, m=args.m, e=shape)
+    res = gmres_fom(a, b, m=args.m, e=_resolve_shape(args.shape, a))
     out.write(f"# shape: {res.shape.literal()}\n")
     if res.lens_factor is not None:
         out.write(f"# lens_factor: {_fmt(res.lens_factor)}\n")

@@ -24,10 +24,11 @@ import numpy as np
 from scipy import integrate, special
 
 from .matrixcore import as_matrix, format_complex, parse_complex
-from .numrange import _golden_max
+from .numrange import _polish_peaks
 
 _BOUNDARY_TOL = 1e-12
 _HALF_PLANE_RANGE = 100.0
+_CONTAINMENT_TOL = 1e-8  # slack of every W(A) in X check that gates a bound
 
 
 class TruncatedBoundary(UserWarning):
@@ -44,6 +45,7 @@ class Shape:
     kind = "shape"
     heads = ()  # literal heads parse_shape accepts, the printed one first
     is_convex = False
+    is_bounded = True
     min_samples = 16  # fewest points boundary_sample hands out
 
     def margin(self, z: np.ndarray) -> np.ndarray:
@@ -156,7 +158,7 @@ class Disk(_Round):
             from .numrange import numerical_radius
             a = as_matrix(context)
             w = numerical_radius(a - complex(self.center) * np.eye(a.shape[0]))
-            if w <= self.radius + 1e-8:
+            if w <= self.radius + _CONTAINMENT_TOL:
                 cands.append(("Okubo-Ando/Berger-Stampfli disk", 2.0))
         return (cands + _ellipse_candidates(self, self.radius, self.radius, 0.0)
                 + _diameter_area(2.0 * self.radius, math.pi * self.radius ** 2))
@@ -175,6 +177,7 @@ class ExteriorDisk(_Round):
 
     kind = "exterior_disk"
     heads = ("xdisk", "exterior_disk")
+    is_bounded = False
 
     def margin(self, z):
         return self.radius - np.abs(z - self.center)
@@ -196,6 +199,7 @@ class HalfPlane(Shape):
     kind = "half_plane"
     heads = ("halfplane",)
     is_convex = True
+    is_bounded = False
 
     def margin(self, z):
         return np.real(z * np.exp(-1j * self.angle)) - self.offset
@@ -471,6 +475,10 @@ class Intersection(Shape):
     def is_convex(self) -> bool:
         return all(m.is_convex for m in self.members)
 
+    @property
+    def is_bounded(self) -> bool:
+        return any(m.is_bounded for m in self.members)
+
     def margin(self, z):
         return np.max([m.margin(z) for m in self.members], axis=0)
 
@@ -524,8 +532,8 @@ def ellipse(center, a: float, b: float, rotation: float = 0.0) -> Shape:
     return Ellipse(complex(center), float(a), float(b), float(rotation))
 
 
-def _interior_point(members, n_grid: int = 48) -> Optional[complex]:
-    # sampled nonempty-interior check: grid over a heuristic bounding box
+def _interior_point(members) -> Optional[complex]:
+    # sampled nonempty-interior check: 48 x 48 grid over a heuristic bounding box
     boxes = [(m.center, 2.0 * m.radius) for m in members if isinstance(m, Disk)]
     if boxes:
         centers = np.array([b[0] for b in boxes])
@@ -540,8 +548,8 @@ def _interior_point(members, n_grid: int = 48) -> Optional[complex]:
                                   + abs(complex(getattr(m, "center", 0.0)))
                                   for m in members))
         lo_x, hi_x, lo_y, hi_y = -scale, scale, -scale, scale
-    xs = np.linspace(lo_x, hi_x, n_grid)
-    ys = np.linspace(lo_y, hi_y, n_grid)
+    xs = np.linspace(lo_x, hi_x, 48)
+    ys = np.linspace(lo_y, hi_y, 48)
     pts = (xs[:, None] + 1j * ys[None, :]).ravel()
     margin = np.max([m.margin(pts) for m in members], axis=0)
     k = int(np.argmin(margin))
@@ -611,6 +619,13 @@ class ExteriorMap:
     def capacity(self) -> float:
         return abs(self.c1)
 
+    def support_about_center(self, thetas) -> np.ndarray:
+        """max of Re(e^{-i theta} (z - c0)) over the shape, semi-axes |c1| +- |cm1|."""
+        amaj = abs(self.c1) + abs(self.cm1)
+        bmin = abs(self.c1) - abs(self.cm1)
+        t = thetas - 0.5 * (np.angle(self.c1) + np.angle(self.cm1))
+        return np.sqrt((amaj * np.cos(t)) ** 2 + (bmin * np.sin(t)) ** 2)
+
     def psi(self, w):
         w = np.asarray(w, dtype=complex)
         out = self.c1 * w + self.c0
@@ -677,15 +692,15 @@ def _polygon_ray_radii(x: Polygon, omega: complex, thetas: np.ndarray) -> np.nda
     return radii
 
 
-def tv_log_radius(x: Shape, n_grid: int = 4096) -> float:
+def tv_log_radius(x: Shape) -> float:
     """Total variation of log r(theta) about the centroid.
 
-    Grid scan locates the monotone pieces; the local extrema are then
-    sharpened together by a lockstep golden-section search so the value is
-    accurate to ~1e-10 even for boundaries with corners.
+    A 4096-angle grid scan locates the monotone pieces; the local extrema
+    are then sharpened together by a lockstep golden-section search so the
+    value is accurate to ~1e-10 even for boundaries with corners.
     """
     omega, rad = x.radial_function()
-    thetas = 2.0 * np.pi * np.arange(n_grid) / n_grid
+    thetas = 2.0 * np.pi * np.arange(4096) / 4096
     vals = np.log(np.asarray(rad(thetas), dtype=float))
     if np.ptp(vals) < 1e-14:
         return 0.0
@@ -693,13 +708,10 @@ def tv_log_radius(x: Shape, n_grid: int = 4096) -> float:
     prev = np.roll(nxt, 1)
     is_max = ((prev > 0) & (nxt <= 0)) | ((prev >= 0) & (nxt < 0))
     is_min = ((prev < 0) & (nxt >= 0)) | ((prev <= 0) & (nxt > 0))
-    ks = np.flatnonzero(is_max | is_min)
-    if not ks.size:
-        return 0.0
+    ks = np.flatnonzero(is_max | is_min)  # a nonconstant cycle has both
     sign = np.where(is_max[ks], 1.0, -1.0)  # minima are maxima of -log r
-    step = 2.0 * np.pi / n_grid
-    _, best = _golden_max(lambda t: sign * np.log(rad(t)),
-                          thetas[ks] - step, thetas[ks] + step)
+    _, best = _polish_peaks(lambda t: sign * np.log(rad(t)), thetas, thetas[ks],
+                            sign * vals[ks], periodic=True)
     e = sign * best
     return float(np.abs(np.diff(np.append(e, e[0]))).sum())
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import ExteriorMap, Shape, exterior_map
+from .domains import _CONTAINMENT_TOL, ExteriorMap, Shape, exterior_map
 from .matrixcore import as_matrix
 from .numrange import support_profile
 
@@ -38,6 +38,10 @@ class FaberModel:
     tail_bound: float
     quadrature_size: int
     tail_capped: bool = False
+
+    def tail(self, m: int) -> float:
+        """sum_{j>=m} |f_j| + tail_bound: the coefficient mass from degree m on."""
+        return float(np.abs(self.coeffs[m:]).sum()) + self.tail_bound
 
 
 def faber_coeffs(f, e: Shape, order: int, n: int = None) -> FaberModel:
@@ -163,20 +167,10 @@ def _laurent_check(emap: ExteriorMap, polys: list) -> None:
                 f"Faber recurrence failed the Laurent identity at degree {m}")
 
 
-def _support_inside(a: np.ndarray, emap: ExteriorMap,
-                    n_grid: int = 256) -> float:
-    # max over directions of (support of W(A)) - (support of E); <= 0 inside
-    prof = support_profile(a, n_grid)
-    shift = np.real(np.exp(-1j * prof.thetas) * emap.c0)
-    if emap.cm1 == 0:
-        h = shift + abs(emap.c1)
-    else:
-        # ellipse/interval support function about c0 with axes from the map
-        amaj = abs(emap.c1) + abs(emap.cm1)
-        bmin = abs(emap.c1) - abs(emap.cm1)
-        rot = 0.5 * (np.angle(emap.c1) + np.angle(emap.cm1))
-        t = prof.thetas - rot
-        h = shift + np.sqrt((amaj * np.cos(t)) ** 2 + (bmin * np.sin(t)) ** 2)
+def _support_inside(a: np.ndarray, emap: ExteriorMap) -> float:
+    # max over 256 directions of (support of W(A)) - (support of E); <= 0 inside
+    prof = support_profile(a, 256)
+    h = np.real(np.exp(-1j * prof.thetas) * emap.c0) + emap.support_about_center(prof.thetas)
     return float(np.max(prof.values - h))
 
 
@@ -185,7 +179,7 @@ def faber_sum_matrix(model: FaberModel, a, m: int = None):
 
     p_m(A) = sum_{j<=m} f_j F_j(A) via the three-term matrix recurrence;
     returns (p_m(A), 2*(sum_{m<j<=M} |f_j| + tail_bound)).  Requires
-    W(A) to lie in the shape (support-function check, 1e-8 slack).
+    W(A) to lie in the shape (support-function check, _CONTAINMENT_TOL slack).
     """
     mat = as_matrix(a)
     if m is None:
@@ -194,7 +188,7 @@ def faber_sum_matrix(model: FaberModel, a, m: int = None):
         raise ValueError("truncation order must lie in [0, M]")
     emap = model.map
     gap = _support_inside(mat, emap)
-    if gap > 1e-8:
+    if gap > _CONTAINMENT_TOL:
         raise ValueError(
             f"W(A) exceeds the expansion shape by {gap:.3g}; the Faber bound "
             "hypothesis W(A) into E fails")
@@ -213,8 +207,7 @@ def faber_sum_matrix(model: FaberModel, a, m: int = None):
                 g_next = g_next - (cm1 / c1) * eye  # F_2 extra -2c_{-1} term
             total = total + model.coeffs[j] * g_next
             g_prev, g_cur = g_cur, g_next
-    inside = float(np.abs(model.coeffs[m + 1:]).sum())
-    return total, 2.0 * (inside + model.tail_bound)
+    return total, 2.0 * model.tail(m + 1)
 
 
 def best_approx_bracket(model: FaberModel, m: int):
@@ -225,5 +218,4 @@ def best_approx_bracket(model: FaberModel, m: int):
     if not 0 <= m < model.order:
         raise ValueError("need m < M to bracket the best approximation error")
     lower = float(np.abs(model.coeffs[m + 1]))
-    upper = 2.0 * (float(np.abs(model.coeffs[m + 1:]).sum()) + model.tail_bound)
-    return lower, upper
+    return lower, 2.0 * model.tail(m + 1)

@@ -26,7 +26,7 @@ from .matrixcore import (
     eval_rational,
     op_norm,
 )
-from .numrange import _golden_max, numerical_radius, support_value, ws_radius
+from .numrange import _polish_peaks, numerical_radius, support_value, ws_radius
 from .spectraltest import annulus_extremal_pair, sup_on_boundary
 
 _SQRT3 = math.sqrt(3.0)
@@ -107,40 +107,38 @@ def _mv_eval(terms: dict, angles) -> float:
     return abs(val)
 
 
-def torus_sup(terms: dict, n_axis: int = 200, sweeps: int = 3,
-              n_coarse: int = 48) -> float:
+def torus_sup(terms: dict) -> float:
     """Sup of |p(z1, z2, z3)| over the unit 3-torus.
 
-    A full coarse grid locates the dominant basin (a complete fine grid at
+    A 48^3 coarse grid locates the dominant basin (a complete fine grid at
     200^3 points is out of budget), then three cyclic sweeps refine one
-    phase at a time on an ``n_axis``-point circle, finishing with a golden
-    polish of each angle.  The returned value is always a lower bound of
-    the true sup; for the gallery gap assertions an absolute accuracy near
-    1e-3 is already sufficient and the polish does far better.
+    phase at a time on a 200-point circle, finishing with two rounds of
+    golden polish of each angle.  The returned value is always a lower bound
+    of the true sup; for the gallery gap assertions an absolute accuracy
+    near 1e-3 is already sufficient and the polish does far better.
     """
-    th = 2.0 * np.pi * np.arange(n_coarse) / n_coarse
+    th = 2.0 * np.pi * np.arange(48) / 48
     z1 = np.exp(1j * th)[:, None, None]
     z2 = np.exp(1j * th)[None, :, None]
     z3 = np.exp(1j * th)[None, None, :]
-    coarse = np.zeros((n_coarse,) * 3, dtype=complex)
+    coarse = np.zeros((48,) * 3, dtype=complex)
     for (e1, e2, e3), coeff in terms.items():
         coarse += coeff * z1 ** e1 * z2 ** e2 * z3 ** e3
     idx = np.unravel_index(int(np.argmax(np.abs(coarse))), coarse.shape)
     ang = [float(th[i]) for i in idx]
 
-    grid = 2.0 * np.pi * np.arange(n_axis) / n_axis
-    for _ in range(sweeps):
+    grid = 2.0 * np.pi * np.arange(200) / 200
+    for _ in range(3):
         for ax in range(3):
             vals = [_mv_eval(terms, ang[:ax] + [g] + ang[ax + 1:])
                     for g in grid]
             ang[ax] = float(grid[int(np.argmax(vals))])
-    step = 2.0 * np.pi / n_axis
     for _ in range(2):
         for ax in range(3):
-            t, _ = _golden_max(
+            x, _ = _polish_peaks(
                 lambda t: _mv_eval(terms, ang[:ax] + [t] + ang[ax + 1:]),
-                ang[ax] - step, ang[ax] + step, tol=1e-12)
-            ang[ax] = float(t)
+                grid, [ang[ax]], [_mv_eval(terms, ang)], periodic=True)
+            ang[ax] = float(x[0])
     return _mv_eval(terms, ang)
 
 
@@ -153,19 +151,18 @@ def _max_commutator(mats) -> float:
     return worst
 
 
-def _disk_sup(coeffs, radius: float = 1.0, n: int = 2048) -> float:
+def _disk_sup(coeffs, radius: float = 1.0) -> float:
     # max-modulus on |z| = radius: dense circle grid + golden refinement
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    ts = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    vals = np.abs(np.polyval(c[::-1], radius * np.exp(1j * ts)))
-    k = int(np.argmax(vals))
-    step = 2.0 * np.pi / n
 
     def mod(t):
-        return float(np.abs(np.polyval(c[::-1], radius * np.exp(1j * t))))
+        return np.abs(np.polyval(c[::-1], radius * np.exp(1j * t)))
 
-    _, refined = _golden_max(mod, ts[k] - step, ts[k] + step, tol=1e-12)
-    return max(float(vals[k]), refined)
+    ts = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+    vals = mod(ts)
+    k = int(np.argmax(vals))
+    _, refined = _polish_peaks(mod, ts, [ts[k]], [vals[k]], periodic=True)
+    return float(refined[0])
 
 
 # ---------------------------------------------------------------------------

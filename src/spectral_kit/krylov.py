@@ -13,13 +13,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domains import (Disk, Ellipse, Interval, Shape, _K_UNIVERSAL,
+from .domains import (_CONTAINMENT_TOL, _K_UNIVERSAL, Disk, Ellipse, Interval, Shape,
                       exterior_map, signed_margin)
 from .faber import FaberModel, _support_inside, faber_coeffs, faber_polynomials
-from .matrixcore import RationalFunction, as_matrix, eval_rational, \
-    matfun_reference, op_norm
-from .numrange import _angular_extremes, _golden_max, numerical_radius, \
-    support_profile
+from .matrixcore import RationalFunction, as_matrix, eval_rational, matfun_reference
+from .numrange import _angular_extremes, _golden_max, _polish_peaks, \
+    numerical_radius, support_profile
 from .spectraltest import sup_on_boundary
 
 _BREAKDOWN_TOL = 1e-12
@@ -147,19 +146,19 @@ def rational_krylov(a, b, poles: Sequence) -> KrylovDecomposition:
 # ---------------------------------------------------------------------------
 # auto-fitted enclosure of the numerical range
 
-def fit_ellipse(a, n_grid: int = 256) -> Shape:
+def fit_ellipse(a) -> Shape:
     """Small-area ellipse (or interval) containing W(A).
 
     Boundary samples of W(A) are enclosed by an axis-aligned bounding
     ellipse after a rotation search over 180 angles and a golden-section
     aspect-ratio optimization (run in lockstep across the angles); the
     result is then inflated so the support function dominates that of W(A)
-    on a 512-angle grid (containment guarantee).  Both profiles come from
-    one top-eigenpair sweep of W(A) when n_grid divides 512.
+    on a 512-angle grid (containment guarantee).  The 256 fitted points and
+    that profile come from one top-eigenpair sweep of W(A).
     """
     mat = as_matrix(a)
     fine = support_profile(mat, 512)
-    pts = support_profile(mat, n_grid).points
+    pts = support_profile(mat, 256).points
 
     ts = np.linspace(0.0, np.pi, 180, endpoint=False)
     q = pts[None, :] * np.exp(-1j * ts)[:, None]
@@ -202,11 +201,7 @@ def fit_ellipse(a, n_grid: int = 256) -> Shape:
     # containment guarantee: scale axes so h_E >= p_A everywhere
     emap = exterior_map(fitted(1.0))
     radial = fine.values - np.real(np.exp(-1j * fine.thetas) * emap.c0)
-    amaj = abs(emap.c1) + abs(emap.cm1)
-    bmin = abs(emap.c1) - abs(emap.cm1)
-    rot = 0.5 * (np.angle(emap.c1) + np.angle(emap.cm1))
-    tt = fine.thetas - rot
-    s = np.sqrt((amaj * np.cos(tt)) ** 2 + (bmin * np.sin(tt)) ** 2)
+    s = emap.support_about_center(fine.thetas)
     lam = float(np.max(radial / np.maximum(s, 1e-300))) * (1.0 + 1e-9)
     lam = max(lam, 1.0 + 1e-12)
     return fitted(lam)
@@ -247,15 +242,13 @@ def fab_poly(a, b, m: int, f, e: Shape = None):
     if e is None:
         e = fit_ellipse(mat)
     emap = exterior_map(e)
-    contained = _support_inside(mat, emap) <= 1e-8
+    contained = _support_inside(mat, emap) <= _CONTAINMENT_TOL
     bound_c = bound_f = model = None
     if contained:
         order = max(2 * m, 24)
         model = faber_coeffs(f, e, order)
-        inside = float(np.abs(model.coeffs[m:]).sum())
-        rho_upper = 2.0 * (inside + model.tail_bound)
-        bound_c = 2.0 * _K_UNIVERSAL * rho_upper
-        bound_f = 4.0 * (inside + model.tail_bound)
+        bound_c = 2.0 * _K_UNIVERSAL * (2.0 * model.tail(m))
+        bound_f = 4.0 * model.tail(m)
     report = ArnoldiReport(shape=e, contained=contained,
                            bound_crouzeix=bound_c, bound_faber=bound_f,
                            model=model, exact=dec.exact)
@@ -466,7 +459,7 @@ def fab_rational(a, b, poles: Sequence, f: MarkovFunction, e: Shape):
     if not e.real_symmetric():
         raise ValueError("shape must be symmetric about the real axis")
     emap = exterior_map(e)
-    if _support_inside(mat, emap) > 1e-8:
+    if _support_inside(mat, emap) > _CONTAINMENT_TOL:
         raise ValueError("W(A) is not contained in the shape")
     for x in np.linspace(f.alpha, f.beta, 65):
         if signed_margin(e, complex(x)) <= 0:
@@ -487,8 +480,7 @@ def fab_rational(a, b, poles: Sequence, f: MarkovFunction, e: Shape):
 
     def blaschke(t):
         w = phi_a + t * (phi_b - phi_a)
-        out = np.abs(w) ** (-float(n_inf)) if n_inf else np.ones_like(t,
-                                                                      dtype=float)
+        out = np.abs(w) ** (-float(n_inf))  # ones when every pole is finite
         for pz in phi_poles:
             out = out * np.abs((w - pz) / (1.0 - w * np.conj(pz)))
         return out
@@ -496,11 +488,8 @@ def fab_rational(a, b, poles: Sequence, f: MarkovFunction, e: Shape):
     ts = np.linspace(0.0, 1.0, 4096)
     vals = blaschke(ts)
     kmax = int(np.argmax(vals))
-    lo = max(0.0, ts[kmax] - 1.0 / 4095)
-    hi = min(1.0, ts[kmax] + 1.0 / 4095)
-    _, refined = _golden_max(lambda t: float(blaschke(np.array([t]))[0]),
-                             lo, hi, tol=1e-12)
-    bmax = max(float(vals[kmax]), refined)
+    _, refined = _polish_peaks(blaschke, ts, [ts[kmax]], [vals[kmax]], periodic=False)
+    bmax = float(refined[0])
 
     rho = (1.0 / abs(phi_b)) * sup_dev * bmax
     report = RationalReport(rho_bound=rho, error_bound=4.0 * rho,

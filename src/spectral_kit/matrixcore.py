@@ -97,18 +97,18 @@ def _dual_columns(y: np.ndarray, p: float) -> np.ndarray:
     return z / norms ** (p - 1.0)
 
 
-def _pnorm_ascent(m: np.ndarray, p: float, starts: int, seed: int) -> tuple[float, np.ndarray]:
-    # Boyd/Higham power method for the induced Hoelder p-norm.  Ascent is
-    # monotone, so the result is a certified lower bound with witness x.
+def _pnorm_ascent(m: np.ndarray, p: float) -> tuple[float, np.ndarray]:
+    # Boyd/Higham power method for the induced Hoelder p-norm, 32 random
+    # starts.  Ascent is monotone: a certified lower bound with witness x.
     # All starts advance together as columns; converged or annihilated
     # columns freeze while the rest keep iterating.
     n = m.shape[0]
     q = p / (p - 1.0)
     mh = m.conj().T
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     cols = [np.ones(n, dtype=complex)]
     cols += [e for e in np.eye(n, dtype=complex)]
-    for _ in range(starts):
+    for _ in range(32):
         cols.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     x = np.stack(cols, axis=1)
     x = x / np.sum(np.abs(x) ** p, axis=0) ** (1.0 / p)
@@ -138,7 +138,7 @@ def _pnorm_ascent(m: np.ndarray, p: float, starts: int, seed: int) -> tuple[floa
     return float(gamma[j]), x[:, j]
 
 
-def op_norm(a, p=2, seed: int = 0) -> float:
+def op_norm(a, p=2) -> float:
     """Induced Hoelder p-norm of a square matrix.
 
     p = 1 and p = inf are exact column/row sums, p = 2 is the largest
@@ -156,7 +156,7 @@ def op_norm(a, p=2, seed: int = 0) -> float:
     p = float(p)
     if not 1.0 < p < math.inf:
         raise ValueError(f"norm selector p={p} outside (1, inf)")
-    val, _ = _pnorm_ascent(m, p, starts=32, seed=seed)
+    val, _ = _pnorm_ascent(m, p)
     return val
 
 
@@ -343,13 +343,13 @@ def parse_complex(token: str) -> complex:
         raise ValueError(f"cannot parse complex literal {token!r}") from exc
 
 
-def format_complex(z: complex, digits: int = 15) -> str:
+def format_complex(z: complex) -> str:
     z = complex(z)
-    re = f"{z.real:.{digits}g}"
+    re = f"{z.real:.15g}"
     if z.imag == 0:
         return re
     sign = "+" if z.imag >= 0 else "-"
-    return f"{re}{sign}{abs(z.imag):.{digits}g}i"
+    return f"{re}{sign}{abs(z.imag):.15g}i"
 
 
 def read_matrix(path) -> np.ndarray:

@@ -52,6 +52,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # 4x angular zooms after the 90-angle start: 2pi/90 / 4^8 ~ 1e-6 rad
 _PEAK_ZOOMS = 8
 _PEAK_CANDIDATES = 4
+# lambda_max(H) at or below this passes the C_s membership test
+_MEMBERSHIP_TOL = 1e-8
 # support profiles of the most recently sampled matrices: key -> {n_grid: profile}
 _PROFILE_MEMO: OrderedDict = OrderedDict()
 _PROFILE_MEMO_SIZE = 8
@@ -79,10 +81,10 @@ class SupportProfile:
     points: np.ndarray
 
 
-def _herm_parts(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    # stack of re(e^{-i theta} A) = (e^{-i theta} A + e^{i theta} A*) / 2
-    ph = np.exp(-1j * thetas)[:, None, None]
-    return (ph * a[None] + np.conj(ph * a[None]).swapaxes(1, 2)) / 2.0
+def _herm_parts(a: np.ndarray, thetas) -> np.ndarray:
+    # re(e^{-i theta} A) = (e^{-i theta} A + e^{i theta} A*) / 2 per angle in thetas
+    ph = np.exp(-1j * np.asarray(thetas))[..., None, None]
+    return (ph * a + np.conj(ph * a).swapaxes(-1, -2)) / 2.0
 
 
 def hermitian_eigmax(h: np.ndarray) -> np.ndarray:
@@ -130,9 +132,7 @@ def _det3_hermitian(d0, d1, d2, h01, h02, h12):
 
 def support_value(a, theta: float) -> float:
     """p(theta) for a single angle."""
-    m = as_matrix(a)
-    h = _herm_parts(m, np.asarray([theta]))
-    return float(hermitian_eigmax(h)[0])
+    return float(hermitian_eigmax(_herm_parts(as_matrix(a), float(theta))))
 
 
 def _top_eigenpairs(m: np.ndarray, thetas: np.ndarray):
@@ -245,44 +245,78 @@ def _golden_max(fun, lo, hi, tol: float = 1e-12):
     return x, fun(x)
 
 
-def _grid_support(a: np.ndarray, n_grid: int) -> np.ndarray:
-    # p(theta) on the uniform n_grid-angle grid from one lambda_max stack
-    return hermitian_eigmax(_herm_parts(a, 2.0 * np.pi * np.arange(n_grid) / n_grid))
+def _polish_peaks(fun, grid: np.ndarray, centers, values, periodic: bool):
+    """Golden-section polish of sampled peaks, the finish of every reported sup.
+
+    grid is the sample grid (2 pi k / m if periodic, else linspace(lo, hi, m));
+    each centre, with its sampled value, is searched over +- one grid
+    spacing, clipped to [lo, hi] unless periodic, and never reports below
+    that value.  One centre runs the scalar loop on fun(float); several run
+    in lockstep on fun(array), which costs more for a single bracket.
+    Returns (points, values), one entry per centre.
+    """
+    centers = np.asarray(centers, dtype=float)
+    if periodic:
+        step = 2.0 * np.pi / len(grid)
+        lo, hi = centers - step, centers + step
+    else:
+        step = (grid[-1] - grid[0]) / (len(grid) - 1)
+        lo = np.maximum(grid[0], centers - step)
+        hi = np.minimum(grid[-1], centers + step)
+    if len(centers) == 1:
+        x, fx = _golden_max(fun, lo[0], hi[0])
+    else:
+        x, fx = _golden_max(fun, lo, hi)
+    better = fx >= values
+    return np.where(better, x, centers), np.where(better, fx, values)
+
+
+def _peak_indices(vals: np.ndarray, floor: float = -np.inf) -> np.ndarray:
+    # periodic local maxima of vals not below floor, best first, at most
+    # _PEAK_CANDIDATES of them; the global argmax is always one
+    local = (vals >= np.roll(vals, 1)) & (vals > np.roll(vals, -1)) & (vals >= floor)
+    local[int(np.argmax(vals))] = True
+    return np.flatnonzero(local)[np.argsort(-vals[local])][:_PEAK_CANDIDATES]
+
+
+def _grid_support(a: np.ndarray) -> np.ndarray:
+    # p(theta) on the uniform 256-angle grid from one lambda_max stack
+    return hermitian_eigmax(_herm_parts(a, 2.0 * np.pi * np.arange(256) / 256))
 
 
 def _angular_extremes(a: np.ndarray, signs, p: np.ndarray) -> list:
     # max over theta of sign * p(theta) for each sign, from the samples p on
-    # the uniform len(p)-angle grid and a golden refinement around each
-    # sign's grid argmax (scalar: for one bracket the array form costs more
-    # than it saves)
-    n_grid = len(p)
-    thetas = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    step = 2.0 * np.pi / n_grid
+    # a uniform grid of spacing h.  Every grid peak within |best| h^2 of the
+    # best sample can still win, since p'' >= -p keeps a peak within
+    # p h^2 / 8 of its nearest sample.  For w(A) several can; for
+    # dist(0, W(A)) > 0 only the argmax is one, because the sublevel sets
+    # of p are then arcs, so -p has one local maximum.
+    grid = 2.0 * np.pi * np.arange(len(p)) / len(p)
+    h = 2.0 * np.pi / len(p)
     out = []
     for sign in signs:
         vals = sign * p
-        k = int(np.argmax(vals))
-
-        def f(t):
-            return sign * float(hermitian_eigmax(_herm_parts(a, np.asarray([t])))[0])
-
-        _, best = _golden_max(f, thetas[k] - step, thetas[k] + step)
-        out.append(max(float(vals[k]), best))
+        best = float(vals.max())
+        ks = _peak_indices(vals, floor=best - abs(best) * h * h)
+        _, polished = _polish_peaks(
+            lambda t: sign * hermitian_eigmax(_herm_parts(a, t)),
+            grid, grid[ks], vals[ks], periodic=True)
+        out.append(float(polished.max()))
     return out
 
 
-def numerical_radius(a, n_grid: int = 256) -> float:
-    """w(A) = max_theta p(theta), grid maximum plus golden-section refinement."""
+def numerical_radius(a) -> float:
+    """w(A) = max_theta p(theta): every grid peak that can still win, polished."""
     m = as_matrix(a)
     if not m.any():
         return 0.0
-    return _angular_extremes(m, [1.0], _grid_support(m, n_grid))[0]
+    return _angular_extremes(m, [1.0], _grid_support(m))[0]
 
 
-def dist_origin(a, n_grid: int = 256) -> float:
+def dist_origin(a) -> float:
     """Distance from 0 to W(A): max(0, max_theta(-p(theta)))."""
     m = as_matrix(a)
-    return max(0.0, _angular_extremes(m, [-1.0], _grid_support(m, n_grid))[0])
+    return max(0.0, _angular_extremes(m, [-1.0], _grid_support(m))[0])
 
 
 @dataclass(frozen=True)
@@ -297,22 +331,15 @@ class CsMembership:
     tol: float
 
 
-def _peak_indices(vals: np.ndarray, floor: float = -np.inf) -> np.ndarray:
-    # periodic local maxima of vals not below floor, best first, at most
-    # _PEAK_CANDIDATES of them; the global argmax is always one
-    local = (vals >= np.roll(vals, 1)) & (vals > np.roll(vals, -1)) & (vals >= floor)
-    local[int(np.argmax(vals))] = True
-    return np.flatnonzero(local)[np.argsort(-vals[local])][:_PEAK_CANDIDATES]
-
-
 class _CsKernel:
     """Shared evaluator for C_s membership of A/t.
 
     With B = A*A, M(theta) = e^{i theta} A + e^{-i theta} A*, ca = (2-s)/s and
     cb = (s-1)/s, the test matrix at zeta = r e^{i theta} is
-    H = ca u^2 B + cb u M(theta) - I with u = r/t.  ``margins*`` evaluate
-    lambda_max(H) on (theta, r) lattices; ``peak`` finds the scaling t at
-    which the test first fails from the companion eigenproblem per angle.
+    H = ca u^2 B + cb u M(theta) - I with u = r/t.  ``test_matrices`` builds
+    H on (theta, r) lattices and ``margins_at`` its lambda_max; ``peak``
+    finds the scaling t at which the test first fails from the companion
+    eigenproblem per angle.
     """
 
     def __init__(self, a: np.ndarray, s: float, grid=(90, 50)):
@@ -334,19 +361,19 @@ class _CsKernel:
         ph = np.exp(1j * np.asarray(thetas, dtype=float))[..., None, None]
         return ph * self.a + np.conj(ph) * self.a.conj().T
 
-    def margins(self, t: float) -> np.ndarray:
-        # lambda_max(H(r, theta)) for A/t over the whole grid, shape (n_theta, n_r)
-        return self.margins_at(t, self.thetas, self.rs)
-
-    def margins_at(self, t: float, thetas, rs) -> np.ndarray:
-        # lambda_max(H(r, theta)) for A/t on (theta, r) lattices: thetas of
-        # shape (..., T) and rs of shape (..., R) give shape (..., T, R)
+    def test_matrices(self, t: float, thetas, rs) -> np.ndarray:
+        # H(r, theta) for A/t on (theta, r) lattices: thetas of shape
+        # (..., T) and rs of shape (..., R) give shape (..., T, R, n, n)
         u = (np.asarray(rs, dtype=float) / t)[..., None, :, None, None]
         mst = self._mstack(thetas)[..., :, None, :, :]
         h = self.ca * u ** 2 * self.aha + self.cb * u * mst
         idx = np.arange(self.n)
         h[..., idx, idx] -= 1.0
-        return hermitian_eigmax(h)
+        return h
+
+    def margins_at(self, t: float, thetas, rs) -> np.ndarray:
+        # lambda_max(H(r, theta)) for A/t on (theta, r) lattices, shape (..., T, R)
+        return hermitian_eigmax(self.test_matrices(t, thetas, rs))
 
     def max_margin(self, t: float) -> tuple[float, float, float]:
         """Sharpened sup of lambda_max(H) for A/t, with its (theta, r).
@@ -359,7 +386,7 @@ class _CsKernel:
         lockstep; four 4x shrinks resolve ~256x below the grid spacing, and
         re-evaluating the centre keeps the rounds monotone.
         """
-        grid = self.margins(t)
+        grid = self.margins_at(t, self.thetas, self.rs)
         ks = _peak_indices(grid.max(axis=1))
         js = np.argmax(grid[ks], axis=1)
         rows = np.arange(len(ks))
@@ -429,26 +456,21 @@ class _CsKernel:
         return float(centres[k]), float(values[k])
 
 
-def cs_membership(a, s: float, grid=(90, 50), tol: float = 1e-8) -> CsMembership:
+def cs_membership(a, s: float, grid=(90, 50)) -> CsMembership:
     """Decide A in C_s on a (theta, r) grid over the unit disk.
 
     H(r, theta) = ((2-s)/s) r^2 A*A + ((s-1)/s) r (e^{i theta} A + e^{-i theta} A*) - I;
     membership holds iff the maximum of lambda_max(H), over the grid sharpened
     by lattice zooms around its leading peaks (see ``_CsKernel.max_margin``),
-    stays <= tol.
+    stays <= 1e-8, the membership tolerance ``ws_radius`` certifies with.
     The r-grid covers [0, 1] even for s < 2 (where the supremum sits at r = 1)
     so that one code path also serves s > 2, where (2-s)/s < 0.
     """
-    m = as_matrix(a)
-    kernel = _CsKernel(m, s, grid)
+    kernel = _CsKernel(as_matrix(a), s, grid)
     margin, theta, r = kernel.max_margin(1.0)
-    s = float(s)
-    h = ((2.0 - s) / s * r ** 2 * kernel.aha
-         + (s - 1.0) / s * r * (np.exp(1j * theta) * m + np.exp(-1j * theta) * m.conj().T)
-         - np.eye(m.shape[0]))
-    _, vecs = np.linalg.eigh(h)
-    return CsMembership(member=margin <= tol, margin=margin, theta=theta, r=r,
-                        vector=vecs[:, -1], tol=tol)
+    _, vecs = np.linalg.eigh(kernel.test_matrices(1.0, [theta], [r])[0, 0])
+    return CsMembership(member=margin <= _MEMBERSHIP_TOL, margin=margin, theta=theta,
+                        r=r, vector=vecs[:, -1], tol=_MEMBERSHIP_TOL)
 
 
 @dataclass(frozen=True)
@@ -473,8 +495,7 @@ class OperatorRadiusResult:
     iterations: int
 
 
-def ws_radius(a, s: float, tol: float = 1e-6, grid=(90, 50),
-              membership_tol: float = 1e-8) -> OperatorRadiusResult:
+def ws_radius(a, s: float, tol: float = 1e-6, grid=(90, 50)) -> OperatorRadiusResult:
     """Operator radius w_s(A) = inf{ r > 0 : A/r in C_s }.
 
     w_s(A) = max_theta mu*(theta), where u = 1/mu* is the first u at which
@@ -516,20 +537,20 @@ def ws_radius(a, s: float, tol: float = 1e-6, grid=(90, 50),
         return max(kernel.max_margin(t)[0], witness(t))
 
     lo = mu - 0.45 * tol
-    if lo <= floor or witness(lo) <= membership_tol:
+    if lo <= floor or witness(lo) <= _MEMBERSHIP_TOL:
         lo = floor
     # lo >= floor, and for s > 2 the r-grid accepts tiny t, so hi must not
     # follow an estimate that fell below the floor
     hi = max(lo, min(ceiling, mu + 0.45 * tol))
-    if margin(hi) > membership_tol:
+    if margin(hi) > _MEMBERSHIP_TOL:
         hi = ceiling
-        if margin(hi) > membership_tol:
+        if margin(hi) > _MEMBERSHIP_TOL:
             raise BisectionError(
                 f"membership oracle rejects the upper bracket t={hi:.6g} for s={s}")
     iters = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if margin(mid) <= membership_tol:
+        if margin(mid) <= _MEMBERSHIP_TOL:
             hi = mid
         else:
             lo = mid

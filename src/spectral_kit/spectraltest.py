@@ -33,7 +33,7 @@ from .matrixcore import (
     format_complex,
     op_norm,
 )
-from .numrange import _golden_max, support_value
+from .numrange import _herm_parts, _polish_peaks
 
 _CERT_TOL = 1e-9
 
@@ -118,8 +118,8 @@ def halfplane_spectral(a, angle: float, offset: float) -> Certificate:
     must agree away from the decision boundary.
     """
     m = as_matrix(a)
-    p, vec = _support_with_witness(m, float(angle))
-    margin = float(offset) - p
+    vals, vecs = np.linalg.eigh(_herm_parts(m, float(angle)))
+    margin = float(offset) - float(vals[-1])
     holds = margin >= -_CERT_TOL
     b = float(offset) * np.eye(m.shape[0]) - np.exp(-1j * float(angle)) * m
     scale = 1.0 + abs(offset) + float(np.linalg.norm(m, 2))
@@ -133,14 +133,8 @@ def halfplane_spectral(a, angle: float, offset: float) -> Certificate:
         claim=f"half-plane angle={angle:g} offset={offset:g} contains W(A)",
         holds=holds,
         margin=margin,
-        witness=vec,
+        witness=vecs[:, -1],
     )
-
-
-def _support_with_witness(m: np.ndarray, theta: float):
-    herm = (np.exp(-1j * theta) * m + np.exp(1j * theta) * m.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(herm)
-    return float(vals[-1]), vecs[:, -1]
 
 
 @dataclass(frozen=True)
@@ -181,8 +175,8 @@ class _BoundarySampler:
     Holds each boundary curve's parameter grid and its mapped points, or the
     4n- and n-point boundary samples of a shape with no parameterization.
     grid(f) samples |f| and returns (grid maximum, per-component peaks);
-    refine(f, grid) finishes with sup_on_boundary's golden refinement
-    around each peak, so the refined sup is never below the grid maximum.
+    refine(f, grid) polishes each peak (see ``numrange._polish_peaks``), so
+    the refined sup is never below the grid maximum.
     """
 
     def __init__(self, x: Shape, n: int = 4096):
@@ -198,7 +192,7 @@ class _BoundarySampler:
         for lo, hi, mp, periodic in comps:
             m = max(64, n // len(comps))
             ts = np.linspace(lo, hi, m, endpoint=not periodic)
-            self.comps.append((lo, hi, mp, periodic, ts, mp(ts)))
+            self.comps.append((mp, periodic, ts, mp(ts)))
 
     def grid(self, f):
         if self.comps is None:
@@ -220,42 +214,36 @@ class _BoundarySampler:
             fine, coarse = peaks
             return grid_best, abs(fine - coarse) / max(grid_best, 1e-300)
         best = 0.0
-        for (lo, hi, mp, periodic, ts, _), (k, peak) in zip(self.comps, peaks):
-            step = (hi - lo) / len(ts)
-            blo, bhi = ts[k] - step, ts[k] + step
-            if not periodic:
-                blo, bhi = max(lo, blo), min(hi, bhi)
-            _, refined = _golden_max(lambda t: float(np.abs(f(mp(t)))), blo, bhi,
-                                     tol=1e-12)
-            best = max(best, peak, refined)
+        for (mp, periodic, ts, _), (k, peak) in zip(self.comps, peaks):
+            _, refined = _polish_peaks(lambda t: np.abs(f(mp(t))), ts, [ts[k]], [peak],
+                                       periodic)
+            best = max(best, float(refined[0]))
         return best, abs(best - grid_best) / max(best, 1e-300)
 
-    def sup(self, f):
-        return self.refine(f, self.grid(f))
 
-
-def sup_on_boundary(f, x: Shape, n: int = 4096):
+def sup_on_boundary(f, x: Shape):
     """sup |f| over the boundary of a shape: dense grid + golden refinement.
 
     Returns (value, relative accuracy estimate).  Shapes without a smooth
-    parameterization (intersections) fall back to pure dense sampling at 4n
-    points; the accuracy estimate then compares against the n-point grid.
+    parameterization (intersections) fall back to dense sampling at 16384
+    points; the accuracy estimate then compares against 4096 points.
     """
-    return _BoundarySampler(x, n).sup(f)
+    sampler = _BoundarySampler(x)
+    return sampler.refine(f, sampler.grid(f))
 
 
 # ---------------------------------------------------------------------------
 # rational families for K lower bounds
 
 def _interior_mobius(x: Shape):
-    # (a, b, c, d) with M(z) = (a z + b)/(c z + d) mapping X into the unit disk
+    # x.interior_mobius(); the bench tracer (bench/tracing.py) calls this name
     return x.interior_mobius()
 
 
-def _blaschke_through(mobius, zeros, phase: complex = 1.0) -> RationalFunction:
+def _blaschke_through(mobius, zeros) -> RationalFunction:
     # B(M(z)) assembled factor by factor: (M - z0)/(1 - conj(z0) M)
     a, b, c, d = mobius
-    num = np.array([complex(phase)])
+    num = np.array([1.0 + 0j])
     den = np.array([1.0 + 0j])
     for z0 in np.atleast_1d(np.asarray(zeros, dtype=complex)):
         num = np.convolve(num, np.array([b - z0 * d, a - z0 * c]))
@@ -302,8 +290,9 @@ def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate
     the shape's interior Moebius map when X is a generalized disk.  The
     randomized part (seeded, deterministic) explores Blaschke products of
     degree <= 6 through that Moebius map and random rationals with poles
-    kept a margin away from X.  Refuses when the spectrum touches X's
-    boundary.
+    kept a margin away from X.  On an unbounded X only candidates bounded
+    at infinity enter (numerator degree <= denominator degree, so not the
+    identity).  Refuses when the spectrum touches X's boundary.
 
     The boundary grid is sampled once per call.  A candidate whose ratio
     against its grid maximum already fails to beat the running lower bound
@@ -331,7 +320,7 @@ def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate
 
     def consider(f: RationalFunction):
         nonlocal lower, best_f, best_acc
-        if f is None:
+        if f is None or (not x.is_bounded and len(f.num) > len(f.den)):
             return
         poles = f.poles()
         if poles.size and min(signed_margin(x, p) for p in poles) <= 1e-9:
@@ -359,7 +348,7 @@ def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate
         f1, f2 = annulus_extremal_pair(x.big_r)
         consider(f1)
         consider(f2)
-    mobius = _interior_mobius(x)
+    mobius = x.interior_mobius()
     if mobius is not None:
         consider(_blaschke_through(mobius, [0.0]))
 

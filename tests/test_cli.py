@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spectral_kit.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
+from spectral_kit.krylov import fit_ellipse
 from spectral_kit.matrixcore import (read_matrix, read_vector, write_matrix,
                                      write_vector)
 
@@ -85,6 +86,15 @@ def test_kbound_reports_candidates():
     # every candidate line carries a label and a 15-significant-digit value
     cand = [ln for ln in text.splitlines() if ln.startswith("    ")]
     assert len(cand) >= 3
+
+
+def test_kbound_auto_fits_the_context_matrix(workdir):
+    code, text = _run(["kbound", "--shape", "auto", "--matrix", str(workdir / "a.mtx")])
+    assert code == EXIT_PASS
+    fitted = fit_ellipse(read_matrix(workdir / "a.mtx"))
+    assert f"  shape: {fitted.literal()}\n" in text
+    code, _ = _run(["kbound", "--shape", "auto"])
+    assert code == EXIT_USAGE
 
 
 def test_kestimate_echoes_seed(workdir):

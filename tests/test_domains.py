@@ -135,6 +135,19 @@ def test_exterior_map_disk_affine():
     assert em.capacity == 2.0
 
 
+def test_exterior_map_support_matches_closed_forms():
+    th = np.linspace(0.0, 2.0 * np.pi, 97)
+    disk = exterior_map(Disk(1 - 2j, 0.7)).support_about_center(th)
+    assert np.allclose(disk, 0.7, rtol=1e-14)
+    ell = exterior_map(ellipse(2 - 1j, 2.0, 0.5, rotation=1.1)).support_about_center(th)
+    want = np.hypot(2.0 * np.cos(th - 1.1), 0.5 * np.sin(th - 1.1))
+    assert np.allclose(ell, want, rtol=1e-14)
+    z1, z2 = -1 + 0.5j, 2 - 1j
+    seg = exterior_map(Interval(z1, z2)).support_about_center(th)
+    want = np.abs(np.real(np.exp(-1j * th) * (z2 - z1) / 2.0))
+    assert np.allclose(seg, want, rtol=1e-14, atol=1e-15)
+
+
 def test_exterior_map_interval_joukowski():
     em = exterior_map(Interval(-1, 1))
     w = np.exp(0.7j) * 1.3

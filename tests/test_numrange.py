@@ -106,6 +106,66 @@ def test_numerical_radius_disk_and_normal():
     assert numerical_radius(np.zeros((3, 3))) == 0.0
 
 
+def test_numerical_radius_finds_the_higher_of_two_near_equal_peaks():
+    # the grid argmax sits on the lower peak; the higher one lies half a
+    # spacing off the grid, where its sample drops by about h^2 / 8
+    h = 2.0 * np.pi / 256
+    a = np.diag([np.exp(10j * h), (1.0 + 1e-6) * np.exp(1j * (100 * h + h / 2))])
+    assert numerical_radius(a) == pytest.approx(1.0 + 1e-6, abs=1e-12)
+
+
+def test_polish_peaks_recovers_an_off_grid_periodic_peak():
+    # the peak sits just below 2 pi, so its bracket wraps around the grid start
+    m = 64
+    grid = 2.0 * np.pi * np.arange(m) / m
+    t0 = 2.0 * np.pi - 0.4 * (2.0 * np.pi / m)
+
+    def fun(t):
+        return np.cos(t - t0)
+
+    vals = fun(grid)
+    k = int(np.argmax(vals))
+    assert k == 0
+    _, value = numrange._polish_peaks(fun, grid, grid[[k]], vals[[k]], periodic=True)
+    assert abs(value[0] - 1.0) <= 1e-12
+
+
+def test_polish_peaks_keeps_an_end_peak_inside_the_range():
+    grid = np.linspace(-1.0, 2.0, 31)
+    for fun, k in ((lambda t: t, 30), (lambda t: -t, 0)):
+        vals = fun(grid)
+        x, value = numrange._polish_peaks(fun, grid, grid[[k]], vals[[k]], periodic=False)
+        assert -1.0 <= x[0] <= 2.0
+        assert value[0] == vals[k] == fun(x[0])
+
+
+def test_polish_peaks_never_reports_below_the_grid_value():
+    # a corner on the grid: the golden search ends beside it, below its value
+    grid = 2.0 * np.pi * np.arange(32) / 32
+    c = grid[5]
+    x, value = numrange._polish_peaks(lambda t: -np.abs(t - c), grid, [c], [0.0],
+                                      periodic=True)
+    assert value[0] == 0.0 and x[0] == c
+
+
+def test_polish_peaks_in_lockstep_matches_each_scalar_search_bit_for_bit():
+    # T_5 on [-1, 1] has interior maxima at cos(2 pi / 5) and cos(4 pi / 5),
+    # both off the grid; products and sums only, so array and scalar
+    # evaluation round alike
+    def fun(t):
+        return ((16.0 * t * t - 20.0) * t * t + 5.0) * t
+
+    grid = np.linspace(-1.0, 1.0, 41)
+    vals = fun(grid)
+    ks = [k for k in range(1, 40) if vals[k] >= vals[k - 1] and vals[k] > vals[k + 1]]
+    assert len(ks) == 2
+    xs, values = numrange._polish_peaks(fun, grid, grid[ks], vals[ks], periodic=False)
+    for j, k in enumerate(ks):
+        x, value = numrange._polish_peaks(fun, grid, grid[[k]], vals[[k]], periodic=False)
+        assert (x[0], value[0]) == (xs[j], values[j])
+    assert np.allclose(xs, np.cos([4.0 * np.pi / 5.0, 2.0 * np.pi / 5.0]), atol=1e-6)
+
+
 def test_numerical_radius_two_sided_norm_bound():
     rng = np.random.default_rng(3)
     for _ in range(25):

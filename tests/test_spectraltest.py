@@ -6,13 +6,12 @@ import pytest
 from spectral_kit import spectraltest
 from spectral_kit.domains import (Annulus, Disk, ExteriorDisk, HalfPlane, Intersection,
                                   Interval, Polygon, TruncatedBoundary, boundary_sample,
-                                  ellipse, kbound, signed_margin)
+                                  ellipse, kbound, parse_shape, signed_margin)
 from spectral_kit.krylov import fit_ellipse
 from spectral_kit.matrixcore import RationalFunction, eval_rational, op_norm
 from spectral_kit.numrange import numerical_radius, support_value
 from spectral_kit.spectraltest import (
     _blaschke_through,
-    _interior_mobius,
     _random_rational,
     annulus_extremal_pair,
     classify_structure,
@@ -253,7 +252,8 @@ def test_kratio_random_crouzeix_disk_property():
 
 def _kratio_reference(a, x, budget, seed):
     # kratio_estimate's candidate stream with no pruning: every candidate
-    # goes through eval_rational and the public sup_on_boundary, in order
+    # bounded on X goes through eval_rational and the public
+    # sup_on_boundary, in order
     m = np.asarray(a, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncatedBoundary)
@@ -263,7 +263,7 @@ def _kratio_reference(a, x, budget, seed):
     best = {"lower": 0.0, "f": None, "acc": 0.0}
 
     def consider(f):
-        if f is None:
+        if f is None or (not x.is_bounded and len(f.num) > len(f.den)):
             return
         poles = f.poles()
         if poles.size and min(signed_margin(x, p) for p in poles) <= 1e-9:
@@ -284,7 +284,7 @@ def _kratio_reference(a, x, budget, seed):
     if isinstance(x, Annulus):
         for f in annulus_extremal_pair(x.big_r):
             consider(f)
-    mobius = _interior_mobius(x)
+    mobius = x.interior_mobius()
     if mobius is not None:
         consider(_blaschke_through(mobius, [0.0]))
     rng = np.random.default_rng(seed)
@@ -338,13 +338,13 @@ def test_kratio_estimate_matches_unpruned_reference_exactly():
 
 def test_kratio_estimate_refines_only_candidates_that_can_win(monkeypatch):
     calls = []
-    golden = spectraltest._golden_max
+    polish = spectraltest._polish_peaks
 
     def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return golden(*args, **kwargs)
+        calls.append(args[2])
+        return polish(*args, **kwargs)
 
-    monkeypatch.setattr(spectraltest, "_golden_max", counting)
+    monkeypatch.setattr(spectraltest, "_polish_peaks", counting)
     rng = np.random.default_rng(31)
     a = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))) / np.sqrt(5)
     kratio_estimate(a, fit_ellipse(a), budget=100, seed=7)
@@ -355,6 +355,19 @@ def test_kratio_estimate_refines_only_candidates_that_can_win(monkeypatch):
     assert len(calls) == 2
     sup_on_boundary(f1, ellipse(0, 2.0, 1.0))
     assert len(calls) == 3
+
+
+def test_kratio_estimate_on_unbounded_shapes_stays_below_k():
+    # inner.mtx of tools/cli_reports.py; both shapes are spectral sets
+    # (K = 1), and a polynomial of degree >= 1 is unbounded on them, so its
+    # ratio over the boundary alone is no lower bound for K
+    rng = np.random.default_rng(0)
+    a = 0.6j * np.eye(5) + rng.standard_normal((5, 5)) * 0.4 / 20
+    for literal in ("xdisk 1-2i 0.75", "halfplane 0.5 2"):
+        x = parse_shape(literal)
+        assert x.spectral_certificate(a).holds
+        est = kratio_estimate(a, x, budget=100, seed=3)
+        assert est.lower <= 1.0 + 1e-9, literal
 
 
 def test_kratio_estimate_computes_each_candidates_poles_once(monkeypatch):

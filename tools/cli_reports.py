@@ -95,6 +95,7 @@ def commands():
     for name in run(["gallery", "list"])[1].split():
         yield ["gallery", "verify", name]
     yield ["suites", "--seed", "7", "--trials", "3"]
+    yield ["kbound", "--shape", "auto", *m]
 
 
 def write_reports(outdir):
