@@ -564,9 +564,9 @@ def _segment_distance(z: np.ndarray, z1: complex, z2: complex) -> np.ndarray:
     return np.abs(z - (z1 + t * d))
 
 
-def contains(x: Shape, z, tol: float = _BOUNDARY_TOL) -> bool:
-    """Membership test with absolute boundary tolerance (intersections conjoin)."""
-    return bool(x.margin(np.asarray([complex(z)]))[0] <= tol)
+def contains(x: Shape, z) -> bool:
+    """Membership test with absolute boundary tolerance 1e-12 (intersections conjoin)."""
+    return bool(x.margin(np.asarray([complex(z)]))[0] <= _BOUNDARY_TOL)
 
 
 def signed_margin(x: Shape, z) -> float:

@@ -13,9 +13,15 @@ in-place edit makes a new key), so the callers that sample W(A) of one matrix
 share one sweep; a coarser grid whose angles are every k-th angle of a
 memoized one is served as those rows.  Memoized arrays are read-only.
 
-Class membership for the Sz.-Nagy--Foias families C_s is a grid decision over
-the unit-disk parameter zeta = r e^{i theta}, sharpened by lattice zooms
-around the grid's leading local maxima.  The operator radius w_s is computed
+Class membership for the Sz.-Nagy--Foias families C_s is a grid decision on
+the test matrix H(r, theta) = ca r^2 A*A + cb r M(theta) - I over the unit
+disk zeta = r e^{i theta}, sharpened by zooms around the grid's leading local
+maxima; here ca = (2-s)/s, cb = (s-1)/s and M(theta) = e^{i theta} A +
+e^{-i theta} A*.  For s <= 2, ca >= 0 and A*A is positive semidefinite, so
+r -> H is matrix-convex and lambda_max(H) is convex in r.  H(0) = -I, and the
+maximum over theta at r = 1 is at least -1 (M(theta) has angular mean 0), so
+the supremum over r in [0, 1] sits at r = 1: the grid is that circle alone.
+For s > 2 it is a (theta, r) lattice.  The operator radius w_s is computed
 directly as the maximum over angles of the largest positive real eigenvalue
 of a 2n x 2n companion matrix, then bracketed: ``lo`` carries a violation
 witness of the membership test (or is the a-priori bound max(rho(A),
@@ -54,6 +60,8 @@ _PEAK_ZOOMS = 8
 _PEAK_CANDIDATES = 4
 # lambda_max(H) at or below this passes the C_s membership test
 _MEMBERSHIP_TOL = 1e-8
+# (angles, radii) of the C_s membership grid; the radii are read only for s > 2
+_CS_GRID = (90, 50)
 # support profiles of the most recently sampled matrices: key -> {n_grid: profile}
 _PROFILE_MEMO: OrderedDict = OrderedDict()
 _PROFILE_MEMO_SIZE = 8
@@ -290,14 +298,19 @@ def _angular_extremes(a: np.ndarray, signs, p: np.ndarray) -> list:
     # best sample can still win, since p'' >= -p keeps a peak within
     # p h^2 / 8 of its nearest sample.  For w(A) several can; for
     # dist(0, W(A)) > 0 only the argmax is one, because the sublevel sets
-    # of p are then arcs, so -p has one local maximum.
+    # of p are then arcs, so -p has one local maximum.  For real A,
+    # p(-theta) = p(theta), so each peak is polished once, at its mirror
+    # image in [0, pi] if it lies in (pi, 2 pi).
     grid = 2.0 * np.pi * np.arange(len(p)) / len(p)
     h = 2.0 * np.pi / len(p)
+    real = not a.imag.any()
     out = []
     for sign in signs:
         vals = sign * p
         best = float(vals.max())
         ks = _peak_indices(vals, floor=best - abs(best) * h * h)
+        if real:
+            ks = np.unique(np.minimum(ks, -ks % len(p)))
         _, polished = _polish_peaks(
             lambda t: sign * hermitian_eigmax(_herm_parts(a, t)),
             grid, grid[ks], vals[ks], periodic=True)
@@ -339,10 +352,12 @@ class _CsKernel:
     H = ca u^2 B + cb u M(theta) - I with u = r/t.  ``test_matrices`` builds
     H on (theta, r) lattices and ``margins_at`` its lambda_max; ``peak``
     finds the scaling t at which the test first fails from the companion
-    eigenproblem per angle.
+    eigenproblem per angle.  The r-grid is the single row r = 1 when
+    ca >= 0 (s <= 2, see the module docstring), n_r points over [0, 1]
+    otherwise.
     """
 
-    def __init__(self, a: np.ndarray, s: float, grid=(90, 50)):
+    def __init__(self, a: np.ndarray, s: float, grid=_CS_GRID):
         if s <= 0:
             raise ValueError("class parameter s must be positive")
         n_theta, n_r = grid
@@ -354,7 +369,7 @@ class _CsKernel:
         self.cb = (s - 1.0) / s
         self.n = a.shape[0]
         self.thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        self.rs = np.linspace(0.0, 1.0, n_r)
+        self.rs = np.ones(1) if self.ca >= 0 else np.linspace(0.0, 1.0, n_r)
         self.aha = a.conj().T @ a
 
     def _mstack(self, thetas) -> np.ndarray:
@@ -378,13 +393,14 @@ class _CsKernel:
     def max_margin(self, t: float) -> tuple[float, float, float]:
         """Sharpened sup of lambda_max(H) for A/t, with its (theta, r).
 
-        The grid supremum is refined by nested 9x9 lattice zooms around up
-        to ``_PEAK_CANDIDATES`` theta-local maxima of the grid's row maxima,
+        The grid supremum is refined by nested zooms around up to
+        ``_PEAK_CANDIDATES`` theta-local maxima of the grid's row maxima,
         best first, so a peak between grid angles is not hidden by a near
-        equal one on the grid (for s <= 2 the r-supremum sits exactly at
-        r = 1, for s > 2 it may be interior).  The candidates zoom in
-        lockstep; four 4x shrinks resolve ~256x below the grid spacing, and
-        re-evaluating the centre keeps the rounds monotone.
+        equal one on the grid.  For s > 2, where the r-supremum may be
+        interior, each zoom is a 9x9 (theta, r) lattice; for s <= 2 the
+        r-grid is the one row r = 1 and a zoom is 9 angles.  The candidates
+        zoom in lockstep; four 4x shrinks resolve ~256x below the grid
+        spacing, and re-evaluating the centre keeps the rounds monotone.
         """
         grid = self.margins_at(t, self.thetas, self.rs)
         ks = _peak_indices(grid.max(axis=1))
@@ -392,14 +408,15 @@ class _CsKernel:
         rows = np.arange(len(ks))
         values, thetas, rs = grid[ks, js], self.thetas[ks], self.rs[js]
         d_theta = 2.0 * np.pi / len(self.thetas)
-        d_r = 1.0 / (len(self.rs) - 1)
+        # one row r = 1 zooms in theta alone: a single r-offset of 0
+        n_zoom_r, d_r = (9, 1.0 / (len(self.rs) - 1)) if len(self.rs) > 1 else (1, 0.0)
         for _ in range(4):
             ths = thetas[:, None] + np.linspace(-d_theta, d_theta, 9)
-            rrs = np.clip(rs[:, None] + np.linspace(-d_r, d_r, 9), 0.0, 1.0)
+            rrs = np.clip(rs[:, None] + np.linspace(-d_r, d_r, n_zoom_r), 0.0, 1.0)
             sub = self.margins_at(t, ths, rrs).reshape(len(ks), -1)
-            i, j = np.divmod(np.argmax(sub, axis=1), 9)
+            i, j = np.divmod(np.argmax(sub, axis=1), n_zoom_r)
             thetas, rs = ths[rows, i], rrs[rows, j]
-            values = np.maximum(values, sub[rows, 9 * i + j])
+            values = np.maximum(values, sub[rows, n_zoom_r * i + j])
             d_theta /= 4.0
             d_r /= 4.0
         k = int(np.argmax(values))
@@ -412,9 +429,12 @@ class _CsKernel:
         # roots (the edge of a real-root window) carry rounding-level
         # imaginary parts, so "real" is decided with a loose tolerance;
         # a spurious root can only raise the estimate, which the witness
-        # check in ws_radius then rejects
+        # check in ws_radius then rejects.  At s = 2 (ca = 0) the companion is
+        # block-triangular and mu* is the Hermitian lambda_max(cb M), or 0
         n = self.n
         mst = self._mstack(thetas)
+        if self.ca == 0.0:
+            return np.maximum(np.linalg.eigvalsh(self.cb * mst)[:, -1], 0.0)
         comp = np.zeros((len(mst), 2 * n, 2 * n), dtype=complex)
         comp[:, :n, n:] = np.eye(n)
         comp[:, n:, :n] = self.ca * self.aha
@@ -435,8 +455,12 @@ class _CsKernel:
         The margin is 8x the s = 2 bound: there mu* is the support function
         p of the convex set W(A), and p'' >= -p keeps a peak within
         p step^2 / 8 of its nearest sample.  Each candidate gets nested
-        9-point zooms, shrinking 4x per round.
+        9-point zooms, shrinking 4x per round.  At s = 1 (cb = 0) the
+        companion's eigenvalues +-sqrt(ca lambda(A*A)) do not depend on theta,
+        and the estimate is ||A||_2 at angle 0 with no sweep.
         """
+        if self.cb == 0.0:
+            return 0.0, float(np.linalg.norm(self.a, 2))
         thetas = np.sort(np.concatenate([
             self.thetas, np.mod(np.asarray(extra_thetas, dtype=float), 2.0 * np.pi)]))
         mu = self.crossing(thetas)
@@ -456,15 +480,17 @@ class _CsKernel:
         return float(centres[k]), float(values[k])
 
 
-def cs_membership(a, s: float, grid=(90, 50)) -> CsMembership:
-    """Decide A in C_s on a (theta, r) grid over the unit disk.
+def cs_membership(a, s: float, grid=_CS_GRID) -> CsMembership:
+    """Decide A in C_s on a grid over the unit disk.
 
     H(r, theta) = ((2-s)/s) r^2 A*A + ((s-1)/s) r (e^{i theta} A + e^{-i theta} A*) - I;
     membership holds iff the maximum of lambda_max(H), over the grid sharpened
-    by lattice zooms around its leading peaks (see ``_CsKernel.max_margin``),
-    stays <= 1e-8, the membership tolerance ``ws_radius`` certifies with.
-    The r-grid covers [0, 1] even for s < 2 (where the supremum sits at r = 1)
-    so that one code path also serves s > 2, where (2-s)/s < 0.
+    by zooms around its leading peaks (see ``_CsKernel.max_margin``), stays
+    <= 1e-8, the membership tolerance ``ws_radius`` certifies with.
+    ``grid`` = (n_theta, n_r), at least (90, 50).  For s <= 2, where the
+    supremum over r sits at r = 1, the grid is the n_theta angles on the
+    circle r = 1 and n_r is not read; for s > 2, where (2-s)/s < 0 and the
+    supremum may be interior, it is n_theta x n_r points over [0, 1].
     """
     kernel = _CsKernel(as_matrix(a), s, grid)
     margin, theta, r = kernel.max_margin(1.0)
@@ -480,11 +506,12 @@ class OperatorRadiusResult:
     radius is the bracket midpoint.  lo is witness-certified: either the
     a-priori bound max(rho(A), ||A||/s) (shrunk by 1e-9) or a scaling at
     which some tested (theta, r) point's lambda_max exceeds the membership
-    tolerance, so lo < w_s(A).  hi passed the grid membership test (the
-    90 x 50 sweep with lattice zooms, plus the companion estimate's angle),
-    so scaling by hi is safe downstream.  iterations counts the bisection
-    steps of the fallback that runs only when the companion estimate fails
-    either check; it is 0 when the estimate is certified directly.
+    tolerance, so lo < w_s(A).  hi passed the grid membership test (90
+    angles on r = 1 for s <= 2, the 90 x 50 grid for s > 2, with zooms, plus
+    the companion estimate's angle), so scaling by hi is safe downstream.
+    iterations counts the bisection steps of the fallback that runs only
+    when the companion estimate fails either check; it is 0 when the
+    estimate is certified directly.
     """
 
     s: float
@@ -495,7 +522,7 @@ class OperatorRadiusResult:
     iterations: int
 
 
-def ws_radius(a, s: float, tol: float = 1e-6, grid=(90, 50)) -> OperatorRadiusResult:
+def ws_radius(a, s: float, tol: float = 1e-6) -> OperatorRadiusResult:
     """Operator radius w_s(A) = inf{ r > 0 : A/r in C_s }.
 
     w_s(A) = max_theta mu*(theta), where u = 1/mu* is the first u at which
@@ -522,7 +549,7 @@ def ws_radius(a, s: float, tol: float = 1e-6, grid=(90, 50)) -> OperatorRadiusRe
         raise ValueError("w_s is undefined for the zero matrix")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    kernel = _CsKernel(m, s, grid)
+    kernel = _CsKernel(m, s)
     eigs = np.linalg.eigvals(m)
     floor = max(float(np.abs(eigs).max()), norm2 / s) * (1.0 - 1e-9)
     ceiling = 2.0 * norm2 * max(1.0, 1.0 / s)

@@ -114,6 +114,33 @@ def test_numerical_radius_finds_the_higher_of_two_near_equal_peaks():
     assert numerical_radius(a) == pytest.approx(1.0 + 1e-6, abs=1e-12)
 
 
+def test_numerical_radius_polishes_one_of_each_mirror_pair_for_real_a(monkeypatch):
+    # real A has p(-theta) = p(theta); this seeded 5x5 has its grid argmax
+    # and the mirror image of it both within reach of the top, and only the
+    # one in [0, pi] is polished
+    a = np.random.default_rng(5).standard_normal((5, 5))
+    centres = []
+    polish = numrange._polish_peaks
+
+    def spy(fun, grid, cs, values, periodic):
+        centres.append(np.array(cs))
+        return polish(fun, grid, cs, values, periodic)
+
+    monkeypatch.setattr(numrange, "_polish_peaks", spy)
+    w = numerical_radius(a)
+    assert len(centres) == 1 and len(centres[0]) == 1
+    assert 0.0 <= centres[0][0] <= math.pi
+    assert numerical_radius(a.astype(complex)) == pytest.approx(w, rel=1e-15, abs=0)
+    # the skipped mirror peak polishes to the same value
+    m = a.astype(complex)
+    grid = 2.0 * np.pi * np.arange(256) / 256
+    k = int(round(centres[0][0] / (2.0 * np.pi / 256)))
+    _, mirror = polish(lambda t: hermitian_eigmax(numrange._herm_parts(m, t)),
+                       grid, grid[[-k % 256]], [support_value(m, grid[-k % 256])],
+                       periodic=True)
+    assert mirror[0] == pytest.approx(w, rel=1e-15, abs=0)
+
+
 def test_polish_peaks_recovers_an_off_grid_periodic_peak():
     # the peak sits just below 2 pi, so its bracket wraps around the grid start
     m = 64
@@ -441,3 +468,109 @@ def test_cs_certificate_refines_every_peak():
     res = cs_membership(a / t, 2.0)
     assert not res.member
     assert res.margin > 1e-8
+
+
+def _lattice_max_margin(kernel, t):
+    # the full 90 x 50 (theta, r) lattice with 9 x 9 zooms: max_margin as it
+    # ran for every s before the r = 1 row for s <= 2
+    rs = np.linspace(0.0, 1.0, 50)
+    grid = kernel.margins_at(t, kernel.thetas, rs)
+    ks = numrange._peak_indices(grid.max(axis=1))
+    js = np.argmax(grid[ks], axis=1)
+    rows = np.arange(len(ks))
+    values, thetas, rr = grid[ks, js], kernel.thetas[ks], rs[js]
+    d_theta, d_r = 2.0 * np.pi / 90, 1.0 / 49
+    for _ in range(4):
+        ths = thetas[:, None] + np.linspace(-d_theta, d_theta, 9)
+        rrs = np.clip(rr[:, None] + np.linspace(-d_r, d_r, 9), 0.0, 1.0)
+        sub = kernel.margins_at(t, ths, rrs).reshape(len(ks), -1)
+        i, j = np.divmod(np.argmax(sub, axis=1), 9)
+        thetas, rr = ths[rows, i], rrs[rows, j]
+        values = np.maximum(values, sub[rows, 9 * i + j])
+        d_theta /= 4.0
+        d_r /= 4.0
+    k = int(np.argmax(values))
+    return float(values[k]), float(thetas[k]), float(rr[k])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_max_margin_on_the_circle_equals_the_full_lattice_for_s_up_to_2(n):
+    # lambda_max(H) is convex in r for s <= 2 and peaks at r = 1, so the one
+    # row r = 1 decides exactly what the 90 x 50 lattice decided
+    rng = np.random.default_rng(40 + n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for s in (0.3, 0.5, 1.0, 1.5, 2.0):
+        kernel = numrange._CsKernel(a, s)
+        w = ws_radius(a, s, tol=1e-6).radius
+        for t in (0.9 * w, w, 1.1 * w):
+            got = kernel.max_margin(t)
+            assert got == _lattice_max_margin(kernel, t)
+            assert got[2] == 1.0
+
+
+def test_max_margin_on_the_circle_evaluates_one_row(monkeypatch):
+    # s <= 2: 90 angles plus 4 zoom rounds of 9 angles for at most 4 peaks
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    t = numerical_radius(a)
+    counted = []
+    eigmax = numrange.hermitian_eigmax
+
+    def spy(h):
+        counted.append(math.prod(h.shape[:-2]))
+        return eigmax(h)
+
+    monkeypatch.setattr(numrange, "hermitian_eigmax", spy)
+    for s in (0.5, 1.0, 2.0):
+        counted.clear()
+        numrange._CsKernel(a, s).max_margin(t)
+        assert sum(counted) <= 90 + 4 * 4 * 9
+
+
+def _companion_crossing(a, s, thetas):
+    # largest positive real eigenvalue of [[0, I], [ca A*A, cb M(theta)]],
+    # straight from eigvals; 0 where there is none
+    n = a.shape[0]
+    ca, cb = (2.0 - s) / s, (s - 1.0) / s
+    out = []
+    for th in thetas:
+        m = np.exp(1j * th) * a + np.exp(-1j * th) * a.conj().T
+        comp = np.block([[np.zeros((n, n)), np.eye(n)], [ca * (a.conj().T @ a), cb * m]])
+        ev = np.linalg.eigvals(comp)
+        real = ev[(np.abs(ev.imag) <= 1e-6 * np.abs(ev).max()) & (ev.real > 0)].real
+        out.append(real.max() if len(real) else 0.0)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_peak_at_s1_and_s2_matches_the_companion(n):
+    # s = 1: the companion's eigenvalues +-sqrt(lambda(A*A)) do not depend on
+    # theta, and the peak is ||A||_2 without a sweep; s = 2: the companion is
+    # block-triangular and mu*(theta) is lambda_max(M(theta) / 2)
+    rng = np.random.default_rng(60 + n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    norm2 = np.linalg.norm(a, 2)
+    for s in (1.0, 2.0):
+        kernel = numrange._CsKernel(a, s)
+        theta, mu = kernel.peak([])
+        ref = _companion_crossing(a, s, kernel.thetas)
+        assert mu == pytest.approx(_companion_crossing(a, s, [theta])[0], rel=1e-13)
+        if s == 1.0:
+            assert mu == pytest.approx(norm2, rel=1e-13)
+            assert np.allclose(ref, norm2, rtol=1e-13, atol=0)
+        else:
+            assert np.allclose(kernel.crossing(kernel.thetas), ref,
+                               rtol=1e-13, atol=1e-13 * norm2)
+            assert mu >= ref.max() * (1.0 - 1e-13)
+
+
+def test_ws_radius_just_above_s2_keeps_the_lattice_and_agrees():
+    rng = np.random.default_rng(18)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    s_up = 2.0 + 1e-9
+    assert len(numrange._CsKernel(a, 2.0).rs) == 1
+    assert len(numrange._CsKernel(a, s_up).rs) == 50
+    tol = 1e-6
+    at2, above = ws_radius(a, 2.0, tol=tol), ws_radius(a, s_up, tol=tol)
+    assert abs(at2.radius - above.radius) <= tol
+    assert above.lo <= at2.hi and at2.lo <= above.hi
