@@ -24,7 +24,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .matrixcore import as_matrix, format_complex, parse_complex
-from .numrange import _polish_peaks
+from .numrange import _polish_peaks, numerical_radius
 
 _BOUNDARY_TOL = 1e-12
 _HALF_PLANE_RANGE = 100.0
@@ -56,7 +56,7 @@ class Shape:
         """[(lo, hi, curve, periodic)] per boundary component; None if not smooth."""
         return None
 
-    def boundary_points(self, n: int, half_plane_range: float) -> np.ndarray:
+    def boundary_points(self, n: int) -> np.ndarray:
         """boundary_sample's grid rule for this shape."""
         raise ValueError(f"unknown shape kind {self.kind!r}")
 
@@ -129,7 +129,7 @@ class _Round(Shape):
     def boundary_curves(self):
         return [(0.0, 2.0 * np.pi, self._circle, True)]
 
-    def boundary_points(self, n, half_plane_range):
+    def boundary_points(self, n):
         return self._circle(2.0 * np.pi * np.arange(n) / n)
 
 
@@ -155,7 +155,6 @@ class Disk(_Round):
     def kbound_candidates(self, context):
         cands = []
         if context is not None:
-            from .numrange import numerical_radius
             a = as_matrix(context)
             w = numerical_radius(a - complex(self.center) * np.eye(a.shape[0]))
             if w <= self.radius + _CONTAINMENT_TOL:
@@ -210,10 +209,10 @@ class HalfPlane(Shape):
     def boundary_curves(self):
         return [(-_HALF_PLANE_RANGE, _HALF_PLANE_RANGE, self._line, False)]
 
-    def boundary_points(self, n, half_plane_range):
+    def boundary_points(self, n):
         warnings.warn("half-plane boundary truncated to a finite parameter range",
                       TruncatedBoundary, stacklevel=3)
-        return self._line(np.linspace(-half_plane_range, half_plane_range, n))
+        return self._line(np.linspace(-_HALF_PLANE_RANGE, _HALF_PLANE_RANGE, n))
 
     def interior_mobius(self):
         u = np.exp(-1j * self.angle)
@@ -259,7 +258,7 @@ class Ellipse(Shape):
     def boundary_curves(self):
         return [(0.0, 2.0 * np.pi, self._curve, True)]
 
-    def boundary_points(self, n, half_plane_range):
+    def boundary_points(self, n):
         phi = 2.0 * np.pi * np.arange(8193) / 8192
         return self._curve(_arclength_params(phi, self._curve(phi), n))
 
@@ -316,7 +315,7 @@ class Interval(Shape):
     def boundary_curves(self):
         return [(0.0, 1.0, self._segment, False)]
 
-    def boundary_points(self, n, half_plane_range):
+    def boundary_points(self, n):
         return self._segment(np.linspace(0.0, 1.0, n))
 
     def exterior_map(self):
@@ -353,7 +352,7 @@ class Annulus(Shape):
         return [(0.0, 2.0 * np.pi, lambda t, r=r: r * np.exp(1j * t), True)
                 for r in (self.big_r, 1.0 / self.big_r)]
 
-    def boundary_points(self, n, half_plane_range):
+    def boundary_points(self, n):
         # n - n//2 points on |z| = R, n//2 on |z| = 1/R, at the angles
         # 2 pi k * (1/m): the rounding of these circles' sample points
         sizes = (n - n // 2, n // 2)
@@ -414,7 +413,7 @@ class Polygon(Shape):
         return [(0.0, 1.0, lambda t, v=v, w=w: v + (w - v) * t, False)
                 for v, w in zip(verts, verts[1:] + verts[:1])]
 
-    def boundary_points(self, n, half_plane_range):
+    def boundary_points(self, n):
         # equal arclength along the edges: chord interpolation between the
         # vertices is exact on a polygon, so resample positions
         fine = np.append(np.asarray(self.vertices), self.vertices[0])
@@ -482,13 +481,13 @@ class Intersection(Shape):
     def margin(self, z):
         return np.max([m.margin(z) for m in self.members], axis=0)
 
-    def boundary_points(self, n, half_plane_range):
+    def boundary_points(self, n):
         dense = max(1024, 8 * n)
         cloud = []
         for m in self.members:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", TruncatedBoundary)
-                pts = m.boundary_points(dense, half_plane_range)
+                pts = m.boundary_points(dense)
             others = [o for o in self.members if o is not m]
             if others:
                 keep = np.max([o.margin(pts) for o in others], axis=0) <= 1e-9
@@ -583,18 +582,16 @@ def _arclength_params(params: np.ndarray, pts_fine: np.ndarray, n: int) -> np.nd
     return np.interp(targets, cum, params)
 
 
-def boundary_sample(x: Shape, n: int,
-                    half_plane_range: float = _HALF_PLANE_RANGE) -> np.ndarray:
+def boundary_sample(x: Shape, n: int) -> np.ndarray:
     """N quasi-uniform (in arclength) points on the boundary of a shape.
 
     Multi-component boundaries (annulus) are sampled on every component;
     the unbounded half-plane boundary is truncated to the parameter range
-    [-half_plane_range, half_plane_range] and a TruncatedBoundary warning
-    flags the cut.
+    [-100, 100] and a TruncatedBoundary warning flags the cut.
     """
     if n < x.min_samples:
         raise ValueError("need at least 16 boundary samples")
-    return x.boundary_points(n, half_plane_range)
+    return x.boundary_points(n)
 
 
 @dataclass(frozen=True)

@@ -44,23 +44,19 @@ class FaberModel:
         return float(np.abs(self.coeffs[m:]).sum()) + self.tail_bound
 
 
-def faber_coeffs(f, e: Shape, order: int, n: int = None) -> FaberModel:
+def faber_coeffs(f, e: Shape, order: int) -> FaberModel:
     """Faber coefficients f_m = (1/2*pi*i) int_{|w|=1} f(psi(w)) / w^{m+1} dw.
 
     Trapezoidal (= FFT) quadrature on the unit circle, spectrally accurate
-    for f analytic near E.  The grid is doubled until every reported
-    coefficient moves by less than 1e-10; slow coefficient decay
-    (|f_M| > 0.5 max_j |f_j|) triggers an "insufficient analyticity margin"
-    warning.
+    for f analytic near E.  The grid starts at max(8*order, 64) points and
+    is doubled until every reported coefficient moves by less than 1e-10;
+    slow coefficient decay (|f_M| > 0.5 max_j |f_j|) triggers an
+    "insufficient analyticity margin" warning.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     emap = exterior_map(e)
-    n_min = max(8 * order, 64)
-    if n is None:
-        n = n_min
-    elif n < 8 * order:
-        raise ValueError("quadrature size must be at least 8*order")
+    n = max(8 * order, 64)
 
     def coeff_block(size):
         w = np.exp(2j * np.pi * np.arange(size) / size)
@@ -70,12 +66,11 @@ def faber_coeffs(f, e: Shape, order: int, n: int = None) -> FaberModel:
     block = coeff_block(n)
     for _ in range(12):
         finer = coeff_block(2 * n)
-        if np.max(np.abs(finer[: order + 1] - block[: order + 1])) < _CONV_TOL:
-            n *= 2
-            block = finer
-            break
+        converged = np.max(np.abs(finer[: order + 1] - block[: order + 1])) < _CONV_TOL
         n *= 2
         block = finer
+        if converged:
+            break
     else:
         raise RuntimeError("Faber quadrature did not converge; "
                            "is f analytic near the shape?")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -55,10 +55,17 @@ class Expected:
 
 @dataclass(frozen=True)
 class GalleryFixture:
+    """A named fixture with its expected rows and the function recomputing them.
+
+    recompute(fixture) returns {quantity: value} for every quantity the
+    expected rows name, computed from the matrices and payload alone.
+    """
+
     name: str
     matrices: tuple
     payload: dict
     expected: tuple
+    recompute: Callable
     notes: tuple = ()
 
 
@@ -99,12 +106,13 @@ def mv_polynomial_matrix(terms: dict, mats) -> np.ndarray:
     return out
 
 
-def _mv_eval(terms: dict, angles) -> float:
-    z = np.exp(1j * np.asarray(angles, dtype=float))
-    val = 0.0 + 0.0j
+def _mv_eval(terms: dict, angles):
+    # |p(e^{i t1}, e^{i t2}, e^{i t3})|, broadcast over the three angle arrays
+    z1, z2, z3 = (np.exp(1j * np.asarray(t, dtype=float)) for t in angles)
+    val = 0j
     for (e1, e2, e3), coeff in terms.items():
-        val += coeff * z[0] ** e1 * z[1] ** e2 * z[2] ** e3
-    return abs(val)
+        val = val + coeff * z1 ** e1 * z2 ** e2 * z3 ** e3
+    return np.abs(val)
 
 
 def torus_sup(terms: dict) -> float:
@@ -113,33 +121,35 @@ def torus_sup(terms: dict) -> float:
     A 48^3 coarse grid locates the dominant basin (a complete fine grid at
     200^3 points is out of budget), then three cyclic sweeps refine one
     phase at a time on a 200-point circle, finishing with two rounds of
-    golden polish of each angle.  The returned value is always a lower bound
-    of the true sup; for the gallery gap assertions an absolute accuracy
-    near 1e-3 is already sufficient and the polish does far better.
+    golden polish of each angle.  A step is taken only when it raises |p|,
+    so the result is never below the coarse grid's maximum.  The returned
+    value is |p| at a point of the torus, a lower bound of the true sup up
+    to rounding; for the gallery gap assertions an absolute accuracy near
+    1e-3 is already sufficient and the polish does far better.
     """
     th = 2.0 * np.pi * np.arange(48) / 48
-    z1 = np.exp(1j * th)[:, None, None]
-    z2 = np.exp(1j * th)[None, :, None]
-    z3 = np.exp(1j * th)[None, None, :]
-    coarse = np.zeros((48,) * 3, dtype=complex)
-    for (e1, e2, e3), coeff in terms.items():
-        coarse += coeff * z1 ** e1 * z2 ** e2 * z3 ** e3
-    idx = np.unravel_index(int(np.argmax(np.abs(coarse))), coarse.shape)
+    coarse = _mv_eval(terms, (th[:, None, None], th[None, :, None],
+                              th[None, None, :]))
+    idx = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
     ang = [float(th[i]) for i in idx]
+    best = float(coarse[idx])
+
+    def along(ax, t):
+        return _mv_eval(terms, ang[:ax] + [t] + ang[ax + 1:])
 
     grid = 2.0 * np.pi * np.arange(200) / 200
     for _ in range(3):
         for ax in range(3):
-            vals = [_mv_eval(terms, ang[:ax] + [g] + ang[ax + 1:])
-                    for g in grid]
-            ang[ax] = float(grid[int(np.argmax(vals))])
+            vals = along(ax, grid)
+            k = int(np.argmax(vals))
+            if vals[k] > best:
+                ang[ax], best = float(grid[k]), float(vals[k])
     for _ in range(2):
         for ax in range(3):
-            x, _ = _polish_peaks(
-                lambda t: _mv_eval(terms, ang[:ax] + [t] + ang[ax + 1:]),
-                grid, [ang[ax]], [_mv_eval(terms, ang)], periodic=True)
-            ang[ax] = float(x[0])
-    return _mv_eval(terms, ang)
+            x, fx = _polish_peaks(lambda t: along(ax, t), grid, [ang[ax]],
+                                  [best], periodic=True)
+            ang[ax], best = float(x[0]), float(fx[0])
+    return best
 
 
 def _max_commutator(mats) -> float:
@@ -239,39 +249,9 @@ def _parrott_triple(u: np.ndarray, v: np.ndarray):
     return tuple(blocks)
 
 
-_CATALOG_PARAMS = {
-    "hoelder1": (),
-    "varopoulos": (),
-    "crabb_davie": (),
-    "parrott": ("u", "v"),
-    "annulus": ("big_r",),
-    "jordan_nilpotent": ("n",),
-    "bergman": ("n",),
-    "crouzeix_2x2": (),
-    "ellipse_2x2": ("rho",),
-}
-
-
 def names() -> tuple:
     """Catalog keys accepted by build()/verify()."""
-    return tuple(_CATALOG_PARAMS)
-
-
-def _parse_name(name: str):
-    m = re.fullmatch(r"\s*([a-z0-9_]+)\s*(?:\(([^)]*)\))?\s*", name.lower())
-    if not m:
-        raise ValueError(f"unknown gallery fixture {name!r}")
-    base, arg = m.group(1), m.group(2)
-    if base not in _CATALOG_PARAMS:
-        raise ValueError(f"unknown gallery fixture {name!r}")
-    params = {}
-    if arg is not None and arg.strip():
-        keys = _CATALOG_PARAMS[base]
-        if not keys or keys == ("u", "v"):
-            raise ValueError(f"fixture {base!r} takes no literal argument")
-        value = float(arg)
-        params[keys[0]] = int(value) if keys[0] == "n" else value
-    return base, params
+    return tuple(_CATALOG)
 
 
 def build(name: str, **params) -> GalleryFixture:
@@ -281,9 +261,16 @@ def build(name: str, **params) -> GalleryFixture:
     ``"jordan_nilpotent(5)"``; keyword parameters win over the literal.
     Unknown names raise ValueError.
     """
-    base, literal = _parse_name(name)
-    literal.update(params)
-    return _BUILDERS[base](**literal)
+    m = re.fullmatch(r"\s*([a-z0-9_]+)\s*(?:\(([^)]*)\))?\s*", name.lower())
+    if not m or m.group(1) not in _CATALOG:
+        raise ValueError(f"unknown gallery fixture {name!r}")
+    base, arg = m.groups()
+    keyword, builder = _CATALOG[base]
+    if arg is not None and arg.strip():
+        if keyword is None:
+            raise ValueError(f"fixture {base!r} takes no literal argument")
+        params.setdefault(keyword, float(arg))
+    return builder(**params)
 
 
 def _build_hoelder1() -> GalleryFixture:
@@ -300,7 +287,31 @@ def _build_hoelder1() -> GalleryFixture:
     )
     return GalleryFixture(name="hoelder1", matrices=(a,),
                           payload={"function": f, "image": image},
-                          expected=expected)
+                          expected=expected, recompute=_recompute_hoelder1)
+
+
+def _recompute_hoelder1(fx: GalleryFixture) -> dict:
+    a = fx.matrices[0]
+    f = fx.payload["function"]
+    fa = eval_rational(f, a)
+    sup, _ = sup_on_boundary(f, Disk(0.0, 1.0))
+    return {
+        "hoelder 1-norm of A": op_norm(a, 1),
+        "unit-circle sup of f": sup,
+        "hoelder 1-norm of f(A)": op_norm(fa, 1),
+        "entrywise deviation from printed image":
+            float(np.max(np.abs(fa - fx.payload["image"]))),
+    }
+
+
+def _torus_triple_quantities(fx: GalleryFixture) -> dict:
+    # the rows every commuting-contraction triple with a torus polynomial has
+    mats = fx.matrices
+    return {
+        "max pairwise commutator norm": _max_commutator(mats),
+        "max operator norm of the triple": max(op_norm(m, 2) for m in mats),
+        "torus sup of p": torus_sup(fx.payload["terms"]),
+    }
 
 
 def _build_varopoulos() -> GalleryFixture:
@@ -316,7 +327,15 @@ def _build_varopoulos() -> GalleryFixture:
         Expected("norm of assembled p(A1,A2,A3)", 5.0, "threshold", 0.0, ">"),
     )
     return GalleryFixture(name="varopoulos", matrices=mats,
-                          payload={"terms": terms}, expected=expected)
+                          payload={"terms": terms}, expected=expected,
+                          recompute=_recompute_varopoulos)
+
+
+def _recompute_varopoulos(fx: GalleryFixture) -> dict:
+    out = _torus_triple_quantities(fx)
+    out["norm of assembled p(A1,A2,A3)"] = op_norm(
+        mv_polynomial_matrix(fx.payload["terms"], fx.matrices), 2)
+    return out
 
 
 def _build_crabb_davie() -> GalleryFixture:
@@ -331,7 +350,16 @@ def _build_crabb_davie() -> GalleryFixture:
         Expected("torus sup of p", 3.99, "threshold", 0.0, "<"),
     )
     return GalleryFixture(name="crabb_davie", matrices=mats,
-                          payload={"terms": terms}, expected=expected)
+                          payload={"terms": terms}, expected=expected,
+                          recompute=_recompute_crabb_davie)
+
+
+def _recompute_crabb_davie(fx: GalleryFixture) -> dict:
+    out = _torus_triple_quantities(fx)
+    assembled = mv_polynomial_matrix(fx.payload["terms"], fx.matrices)
+    out["norm of p(A1,A2,A3) at the first basis vector"] = float(
+        np.linalg.norm(assembled[:, 0]))
+    return out
 
 
 def _build_parrott(u=None, v=None) -> GalleryFixture:
@@ -358,7 +386,21 @@ def _build_parrott(u=None, v=None) -> GalleryFixture:
              "so it is recorded here as metadata only",)
     return GalleryFixture(name="parrott", matrices=mats,
                           payload={"u": u, "v": v}, expected=expected,
-                          notes=notes)
+                          recompute=_recompute_parrott, notes=notes)
+
+
+def _recompute_parrott(fx: GalleryFixture) -> dict:
+    u, v = fx.payload["u"], fx.payload["v"]
+    eye = np.eye(u.shape[0])
+    return {
+        "max pairwise commutator norm": _max_commutator(fx.matrices),
+        "max operator norm of the triple": max(op_norm(m, 2)
+                                               for m in fx.matrices),
+        "unitarity defect of U": float(np.linalg.norm(
+            u.conj().T @ u - eye, 2)),
+        "commutator norm of the generating pair": float(np.linalg.norm(
+            u @ v - v @ u, 2)),
+    }
 
 
 def _build_annulus(big_r: float = 2.0) -> GalleryFixture:
@@ -383,7 +425,24 @@ def _build_annulus(big_r: float = 2.0) -> GalleryFixture:
     return GalleryFixture(name="annulus", matrices=(a,),
                           payload={"big_r": r, "f_misra": f1, "f_sharper": f2,
                                    "shape": Annulus(r)},
-                          expected=expected)
+                          expected=expected, recompute=_recompute_annulus)
+
+
+def _recompute_annulus(fx: GalleryFixture) -> dict:
+    a = fx.matrices[0]
+    shape = fx.payload["shape"]
+    f1, f2 = fx.payload["f_misra"], fx.payload["f_sharper"]
+    sup1, _ = sup_on_boundary(f1, shape)
+    sup2, _ = sup_on_boundary(f2, shape)
+    image2 = op_norm(eval_rational(f2, a), 2)
+    return {
+        "operator norm of A": op_norm(a, 2),
+        "operator norm of the inverse": op_norm(np.linalg.inv(a), 2),
+        "misra ratio": op_norm(eval_rational(f1, a), 2) / sup1,
+        "norm of the sharper extremal image": image2,
+        "annulus sup of the sharper extremal": sup2,
+        "K lower bound from the sharper pair": image2 / sup2,
+    }
 
 
 def _build_jordan(n: int = 5) -> GalleryFixture:
@@ -398,7 +457,18 @@ def _build_jordan(n: int = 5) -> GalleryFixture:
         Expected("norm of the n-th power", 0.0, "derived", 0.0, "<="),
     )
     return GalleryFixture(name=f"jordan_nilpotent({n})", matrices=(a,),
-                          payload={"n": n}, expected=expected)
+                          payload={"n": n}, expected=expected,
+                          recompute=_recompute_jordan)
+
+
+def _recompute_jordan(fx: GalleryFixture) -> dict:
+    a = fx.matrices[0]
+    n = fx.payload["n"]
+    return {
+        "operator norm": op_norm(a, 2),
+        "numerical radius": numerical_radius(a),
+        "norm of the n-th power": op_norm(np.linalg.matrix_power(a, n), 2),
+    }
 
 
 def _build_bergman(n: int = 3) -> GalleryFixture:
@@ -424,7 +494,26 @@ def _build_bergman(n: int = 3) -> GalleryFixture:
                              math.sqrt(1.0 / 12.0), "printed: sqrt(1/12)",
                              1e-8, "<="))
     return GalleryFixture(name=f"bergman({n})", matrices=(a,),
-                          payload={"n": n}, expected=tuple(rows))
+                          payload={"n": n}, expected=tuple(rows),
+                          recompute=_recompute_bergman)
+
+
+def _recompute_bergman(fx: GalleryFixture) -> dict:
+    a = fx.matrices[0]
+    n = fx.payload["n"]
+    eye = np.eye(n)
+    gram = a.conj().T @ a
+    out = {
+        "operator norm": op_norm(a, 2),
+        "norm of the n-th power": op_norm(np.linalg.matrix_power(a, n), 2),
+        "defect of I - A*A": float(np.min(np.linalg.eigvalsh(eye - gram))),
+        "defect of I - 2A*A + A*^2A^2": float(np.min(np.linalg.eigvalsh(
+            eye - 2.0 * gram + a.conj().T @ a.conj().T @ a @ a))),
+    }
+    if n == 3:
+        out["numerical radius"] = numerical_radius(a)
+        out["numerical radius of the square"] = numerical_radius(a @ a)
+    return out
 
 
 def _build_crouzeix_2x2() -> GalleryFixture:
@@ -437,7 +526,17 @@ def _build_crouzeix_2x2() -> GalleryFixture:
                  "printed", 1e-8),
     )
     return GalleryFixture(name="crouzeix_2x2", matrices=(a,), payload={},
-                          expected=expected)
+                          expected=expected, recompute=_recompute_crouzeix)
+
+
+def _recompute_crouzeix(fx: GalleryFixture) -> dict:
+    a = fx.matrices[0]
+    w = numerical_radius(a)
+    return {
+        "operator norm": op_norm(a, 2),
+        "numerical radius": w,
+        "identity-map ratio over the numerical range": op_norm(a, 2) / w,
+    }
 
 
 def _build_ellipse_2x2(rho: float = 2.0) -> GalleryFixture:
@@ -461,123 +560,7 @@ def _build_ellipse_2x2(rho: float = 2.0) -> GalleryFixture:
     )
     return GalleryFixture(name=f"ellipse_2x2({rho:g})", matrices=(a,),
                           payload={"rho": rho, "factor": ell, "diagonal": b},
-                          expected=expected)
-
-
-_BUILDERS: dict = {
-    "hoelder1": _build_hoelder1,
-    "varopoulos": _build_varopoulos,
-    "crabb_davie": _build_crabb_davie,
-    "parrott": _build_parrott,
-    "annulus": _build_annulus,
-    "jordan_nilpotent": _build_jordan,
-    "bergman": _build_bergman,
-    "crouzeix_2x2": _build_crouzeix_2x2,
-    "ellipse_2x2": _build_ellipse_2x2,
-}
-
-
-# ---------------------------------------------------------------------------
-# verification: recompute quantities from the raw matrices
-
-def _recompute_hoelder1(fx: GalleryFixture) -> dict:
-    a = fx.matrices[0]
-    f = fx.payload["function"]
-    fa = eval_rational(f, a)
-    sup, _ = sup_on_boundary(f, Disk(0.0, 1.0))
-    return {
-        "hoelder 1-norm of A": op_norm(a, 1),
-        "unit-circle sup of f": sup,
-        "hoelder 1-norm of f(A)": op_norm(fa, 1),
-        "entrywise deviation from printed image":
-            float(np.max(np.abs(fa - fx.payload["image"]))),
-    }
-
-
-def _recompute_torus_triple(fx: GalleryFixture) -> dict:
-    mats = fx.matrices
-    terms = fx.payload["terms"]
-    assembled = mv_polynomial_matrix(terms, mats)
-    out = {
-        "max pairwise commutator norm": _max_commutator(mats),
-        "max operator norm of the triple": max(op_norm(m, 2) for m in mats),
-        "torus sup of p": torus_sup(terms),
-    }
-    if fx.name == "varopoulos":
-        out["norm of assembled p(A1,A2,A3)"] = op_norm(assembled, 2)
-    else:
-        out["norm of p(A1,A2,A3) at the first basis vector"] = float(
-            np.linalg.norm(assembled[:, 0]))
-    return out
-
-
-def _recompute_parrott(fx: GalleryFixture) -> dict:
-    u, v = fx.payload["u"], fx.payload["v"]
-    eye = np.eye(u.shape[0])
-    return {
-        "max pairwise commutator norm": _max_commutator(fx.matrices),
-        "max operator norm of the triple": max(op_norm(m, 2)
-                                               for m in fx.matrices),
-        "unitarity defect of U": float(np.linalg.norm(
-            u.conj().T @ u - eye, 2)),
-        "commutator norm of the generating pair": float(np.linalg.norm(
-            u @ v - v @ u, 2)),
-    }
-
-
-def _recompute_annulus(fx: GalleryFixture) -> dict:
-    a = fx.matrices[0]
-    shape = fx.payload["shape"]
-    f1, f2 = fx.payload["f_misra"], fx.payload["f_sharper"]
-    sup1, _ = sup_on_boundary(f1, shape)
-    sup2, _ = sup_on_boundary(f2, shape)
-    image2 = op_norm(eval_rational(f2, a), 2)
-    return {
-        "operator norm of A": op_norm(a, 2),
-        "operator norm of the inverse": op_norm(np.linalg.inv(a), 2),
-        "misra ratio": op_norm(eval_rational(f1, a), 2) / sup1,
-        "norm of the sharper extremal image": image2,
-        "annulus sup of the sharper extremal": sup2,
-        "K lower bound from the sharper pair": image2 / sup2,
-    }
-
-
-def _recompute_jordan(fx: GalleryFixture) -> dict:
-    a = fx.matrices[0]
-    n = fx.payload["n"]
-    return {
-        "operator norm": op_norm(a, 2),
-        "numerical radius": numerical_radius(a),
-        "norm of the n-th power": op_norm(np.linalg.matrix_power(a, n), 2),
-    }
-
-
-def _recompute_bergman(fx: GalleryFixture) -> dict:
-    a = fx.matrices[0]
-    n = fx.payload["n"]
-    eye = np.eye(n)
-    gram = a.conj().T @ a
-    out = {
-        "operator norm": op_norm(a, 2),
-        "norm of the n-th power": op_norm(np.linalg.matrix_power(a, n), 2),
-        "defect of I - A*A": float(np.min(np.linalg.eigvalsh(eye - gram))),
-        "defect of I - 2A*A + A*^2A^2": float(np.min(np.linalg.eigvalsh(
-            eye - 2.0 * gram + a.conj().T @ a.conj().T @ a @ a))),
-    }
-    if n == 3:
-        out["numerical radius"] = numerical_radius(a)
-        out["numerical radius of the square"] = numerical_radius(a @ a)
-    return out
-
-
-def _recompute_crouzeix(fx: GalleryFixture) -> dict:
-    a = fx.matrices[0]
-    w = numerical_radius(a)
-    return {
-        "operator norm": op_norm(a, 2),
-        "numerical radius": w,
-        "identity-map ratio over the numerical range": op_norm(a, 2) / w,
-    }
+                          expected=expected, recompute=_recompute_ellipse)
 
 
 def _recompute_ellipse(fx: GalleryFixture) -> dict:
@@ -595,18 +578,22 @@ def _recompute_ellipse(fx: GalleryFixture) -> dict:
     }
 
 
-_RECOMPUTE: dict = {
-    "hoelder1": _recompute_hoelder1,
-    "varopoulos": _recompute_torus_triple,
-    "crabb_davie": _recompute_torus_triple,
-    "parrott": _recompute_parrott,
-    "annulus": _recompute_annulus,
-    "jordan_nilpotent": _recompute_jordan,
-    "bergman": _recompute_bergman,
-    "crouzeix_2x2": _recompute_crouzeix,
-    "ellipse_2x2": _recompute_ellipse,
+# name -> (keyword a literal argument binds, or None if it takes none; builder)
+_CATALOG = {
+    "hoelder1": (None, _build_hoelder1),
+    "varopoulos": (None, _build_varopoulos),
+    "crabb_davie": (None, _build_crabb_davie),
+    "parrott": (None, _build_parrott),
+    "annulus": ("big_r", _build_annulus),
+    "jordan_nilpotent": ("n", _build_jordan),
+    "bergman": ("n", _build_bergman),
+    "crouzeix_2x2": (None, _build_crouzeix_2x2),
+    "ellipse_2x2": ("rho", _build_ellipse_2x2),
 }
 
+
+# ---------------------------------------------------------------------------
+# verification: recompute quantities from the raw matrices
 
 def _relation_holds(rec: float, exp: Expected, tol_scale: float) -> bool:
     tol = exp.tol * tol_scale
@@ -633,8 +620,7 @@ def verify(name: str, tol_scale: float = 1.0, **params) -> VerifyReport:
     if tol_scale <= 0:
         raise ValueError("tolerance scale must be positive")
     fixture = build(name, **params)
-    base, _ = _parse_name(name)
-    recomputed = _RECOMPUTE[base](fixture)
+    recomputed = fixture.recompute(fixture)
     rows = []
     for exp in fixture.expected:
         rec = float(recomputed[exp.quantity])

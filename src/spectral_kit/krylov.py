@@ -299,8 +299,7 @@ def markov_eval(f: MarkovFunction, z) -> complex:
     return complex(f(zc))
 
 
-def markov_discretize(density, alpha: float, beta: float, n: int,
-                      c: float = 0.0) -> MarkovFunction:
+def markov_discretize(density, alpha: float, beta: float, n: int) -> MarkovFunction:
     """Chebyshev-point discretization of a density on [alpha, beta].
 
     Gauss-Chebyshev quadrature: atoms at mid + hw*cos(theta_k) with weights
@@ -316,7 +315,7 @@ def markov_discretize(density, alpha: float, beta: float, n: int,
     ws = np.asarray([float(density(x)) for x in xs]) * hw * (np.pi / n) \
         * np.sin(theta)
     atoms = tuple((float(x), float(w)) for x, w in zip(xs, ws))
-    return MarkovFunction(c=float(c), atoms=atoms, alpha=float(alpha),
+    return MarkovFunction(c=0.0, atoms=atoms, alpha=float(alpha),
                           beta=float(beta))
 
 
@@ -546,47 +545,45 @@ def lens_asymptotic_factor(a) -> float:
     return 2.0 * np.sin(beta / (4.0 - 2.0 * beta / np.pi))
 
 
-def gmres_fom(a, b, x0=None, m: int = None, e: Shape = None) -> GmresFomResult:
+def gmres_fom(a, b, m: int = None, e: Shape = None) -> GmresFomResult:
     """Run GMRES and FOM for Ax = b and evaluate the Faber bound curves.
 
-    Textbook implementations on one shared Arnoldi decomposition of
-    (A, r_0); bound curves use a caller-chosen or auto-fitted shape
-    containing W(A) and require 0 outside it (curves are None otherwise).
+    Textbook implementations from x_0 = 0 on one shared Arnoldi
+    decomposition of (A, b); bound curves use a caller-chosen or
+    auto-fitted shape containing W(A) and require 0 outside it (curves are
+    None otherwise).
     """
     mat = as_matrix(a)
     n = mat.shape[0]
     bv = np.asarray(b, dtype=complex).reshape(-1)
-    x_start = np.zeros(n, dtype=complex) if x0 is None \
-        else np.asarray(x0, dtype=complex).reshape(-1)
     if m is None:
         m = n
-    r0 = bv - mat @ x_start
-    r0_norm = float(np.linalg.norm(r0))
     b_norm = float(np.linalg.norm(bv))
     x_true = np.linalg.solve(mat, bv)
 
-    gmres_x = [x_start]
-    fom_x = [x_start]
-    resid = [1.0 if r0_norm else 0.0]
-    fom_err = [float(np.linalg.norm(x_start - x_true)) / b_norm]
+    x_zero = np.zeros(n, dtype=complex)
+    gmres_x = [x_zero]
+    fom_x = [x_zero]
+    resid = [1.0 if b_norm else 0.0]
+    fom_err = [float(np.linalg.norm(x_true)) / b_norm]
     skipped = []
-    if r0_norm == 0.0:
+    if b_norm == 0.0:
         dec = None
         mm = 0
     else:
-        dec = arnoldi(mat, r0, m)
+        dec = arnoldi(mat, bv, m)
         mm = dec.order
         hbar = np.zeros((mm + 1, mm), dtype=complex)
         hbar[:mm, :] = dec.h
         hbar[mm, mm - 1] = dec.next_h
         e1 = np.zeros(mm + 1, dtype=complex)
-        e1[0] = r0_norm
+        e1[0] = b_norm
         for j in range(1, mm + 1):
             y, *_ = np.linalg.lstsq(hbar[: j + 1, :j], e1[: j + 1],
                                     rcond=None)
-            xg = x_start + dec.v[:, :j] @ y
+            xg = dec.v[:, :j] @ y
             gmres_x.append(xg)
-            resid.append(float(np.linalg.norm(bv - mat @ xg)) / r0_norm)
+            resid.append(float(np.linalg.norm(bv - mat @ xg)) / b_norm)
             hj = dec.h[:j, :j]
             sv = np.linalg.svd(hj, compute_uv=False)
             if sv[-1] <= sv[0] / _SOLVE_COND_MAX:
@@ -594,7 +591,7 @@ def gmres_fom(a, b, x0=None, m: int = None, e: Shape = None) -> GmresFomResult:
                 fom_x.append(None)
                 fom_err.append(np.nan)
             else:
-                xf = x_start + dec.v[:, :j] @ np.linalg.solve(hj, e1[:j])
+                xf = dec.v[:, :j] @ np.linalg.solve(hj, e1[:j])
                 fom_x.append(xf)
                 fom_err.append(float(np.linalg.norm(xf - x_true)) / b_norm)
 

@@ -79,17 +79,9 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-def _dual_vector(y: np.ndarray, p: float) -> np.ndarray:
-    # z with <z, y> = ||y||_p and ||z||_q = 1 (q the conjugate exponent)
-    norm = np.linalg.norm(y, p)
-    a = np.abs(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(a > 0, y * a ** (p - 2.0), 0.0)
-    return z / norm ** (p - 1.0)
-
-
 def _dual_columns(y: np.ndarray, p: float) -> np.ndarray:
-    # columnwise _dual_vector; callers guarantee nonzero columns
+    # per column y, z with <z, y> = ||y||_p and ||z||_q = 1 (q the conjugate
+    # exponent); callers guarantee nonzero columns
     norms = np.sum(np.abs(y) ** p, axis=0) ** (1.0 / p)
     a = np.abs(y)
     with np.errstate(divide="ignore", invalid="ignore"):

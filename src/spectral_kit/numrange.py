@@ -357,12 +357,10 @@ class _CsKernel:
     otherwise.
     """
 
-    def __init__(self, a: np.ndarray, s: float, grid=_CS_GRID):
+    def __init__(self, a: np.ndarray, s: float):
         if s <= 0:
             raise ValueError("class parameter s must be positive")
-        n_theta, n_r = grid
-        if n_theta < 90 or n_r < 50:
-            raise ValueError("membership grid must be at least 90 x 50")
+        n_theta, n_r = _CS_GRID
         s = float(s)
         self.a = a
         self.ca = (2.0 - s) / s
@@ -480,19 +478,18 @@ class _CsKernel:
         return float(centres[k]), float(values[k])
 
 
-def cs_membership(a, s: float, grid=_CS_GRID) -> CsMembership:
+def cs_membership(a, s: float) -> CsMembership:
     """Decide A in C_s on a grid over the unit disk.
 
     H(r, theta) = ((2-s)/s) r^2 A*A + ((s-1)/s) r (e^{i theta} A + e^{-i theta} A*) - I;
     membership holds iff the maximum of lambda_max(H), over the grid sharpened
     by zooms around its leading peaks (see ``_CsKernel.max_margin``), stays
     <= 1e-8, the membership tolerance ``ws_radius`` certifies with.
-    ``grid`` = (n_theta, n_r), at least (90, 50).  For s <= 2, where the
-    supremum over r sits at r = 1, the grid is the n_theta angles on the
-    circle r = 1 and n_r is not read; for s > 2, where (2-s)/s < 0 and the
-    supremum may be interior, it is n_theta x n_r points over [0, 1].
+    For s <= 2, where the supremum over r sits at r = 1, the grid is 90
+    angles on the circle r = 1; for s > 2, where (2-s)/s < 0 and the
+    supremum may be interior, it is 90 angles x 50 radii over [0, 1].
     """
-    kernel = _CsKernel(as_matrix(a), s, grid)
+    kernel = _CsKernel(as_matrix(a), s)
     margin, theta, r = kernel.max_margin(1.0)
     _, vecs = np.linalg.eigh(kernel.test_matrices(1.0, [theta], [r])[0, 0])
     return CsMembership(member=margin <= _MEMBERSHIP_TOL, margin=margin, theta=theta,

@@ -105,7 +105,7 @@ def test_boundary_sample_annulus_split():
 def test_boundary_sample_half_plane_truncated():
     hp = HalfPlane(0.3, 2.0)
     with pytest.warns(TruncatedBoundary):
-        pts = boundary_sample(hp, 64, half_plane_range=50.0)
+        pts = boundary_sample(hp, 64)
     assert len(pts) == 64
     assert np.allclose(np.real(pts * np.exp(-0.3j)), 2.0, atol=1e-12)
 

@@ -73,11 +73,6 @@ def test_disk_consistency_against_contour_oracle():
         assert abs(model.coeffs[m] - taylor[m] * r ** m) < 1e-9
 
 
-def test_quadrature_size_floor():
-    with pytest.raises(ValueError):
-        faber_coeffs(np.exp, Disk(0.0, 1.0), order=8, n=32)
-
-
 def test_analyticity_margin_warning():
     # pole at 1.1 just outside the unit disk: slow decay must be flagged
     with pytest.warns(UserWarning, match="analyticity margin"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spectral_kit.gallery import (build, egervary_block_residual,
+from spectral_kit.gallery import (_mv_eval, build, egervary_block_residual,
                                   egervary_first_failure, egervary_imbed,
                                   halmos_dilation, jordan_block,
                                   mv_polynomial_matrix, names,
@@ -50,11 +50,20 @@ def test_build_rejects_bad_requests():
     with pytest.raises(ValueError):
         build("hoelder1(3)")  # takes no parameter
     with pytest.raises(ValueError):
+        build("parrott(1)")  # its pair (u, v) is keyword-only
+    with pytest.raises(ValueError):
         build("annulus(0.5)")  # outer radius must exceed 1
     with pytest.raises(ValueError):
         build("ellipse_2x2(1.0)")  # rho must exceed 1
     with pytest.raises(ValueError):
         build("jordan_nilpotent(1)")
+
+
+def test_recompute_answers_exactly_the_expected_rows():
+    for name in names() + ("bergman(4)", "jordan_nilpotent(3)",
+                           "annulus(3)", "ellipse_2x2(5)"):
+        fx = build(name)
+        assert set(fx.recompute(fx)) == {e.quantity for e in fx.expected}, name
 
 
 def test_builds_are_bit_reproducible():
@@ -244,6 +253,39 @@ def test_torus_sup_dominates_brute_grid():
                 * (z ** e2)[None, :, None] * (z ** e3)[None, None, :]
         brute = float(np.max(np.abs(acc)))
         assert torus_sup(terms) >= brute - 1e-9
+
+
+def test_torus_sup_between_grid_max_and_coefficient_sum():
+    rng = np.random.default_rng(20)
+    random_terms = {}
+    for _ in range(5):
+        exps = tuple(int(e) for e in rng.integers(0, 4, size=3))
+        random_terms[exps] = complex(rng.standard_normal(),
+                                     rng.standard_normal())
+    th = 2.0 * np.pi * np.arange(48) / 48
+    for terms in (build("varopoulos").payload["terms"],
+                  build("crabb_davie").payload["terms"], random_terms):
+        # broadcast evaluation against the per-point scalar evaluation; an
+        # array and a scalar complex power may differ in the last bit, so
+        # the tolerance is relative to the bound sum |coeff| on |p|
+        mass = sum(abs(c) for c in terms.values())
+        t = rng.uniform(0.0, 2.0 * np.pi, size=(3, 40))
+        got = _mv_eval(terms, (t[0][:, None], t[1][None, :], t[2][0]))
+        for i in range(40):
+            for j in range(40):
+                z = np.exp(1j * np.array([t[0, i], t[1, j], t[2, 0]]))
+                val = 0.0 + 0.0j
+                for (e1, e2, e3), c in terms.items():
+                    val += c * z[0] ** e1 * z[1] ** e2 * z[2] ** e3
+                assert abs(got[i, j] - abs(val)) <= 1e-15 * mass
+        z = np.exp(1j * th)
+        acc = np.zeros((48, 48, 48), dtype=complex)
+        for (e1, e2, e3), c in terms.items():
+            acc += c * (z ** e1)[:, None, None] \
+                * (z ** e2)[None, :, None] * (z ** e3)[None, None, :]
+        sup = torus_sup(terms)
+        assert sup >= float(np.max(np.abs(acc))) - 1e-15 * mass
+        assert sup <= mass
 
 
 # ---------------------------------------------------------------------------

@@ -328,11 +328,6 @@ def test_cs_membership_norm_violation_witness():
     assert res.margin == pytest.approx(3.0, abs=1e-6)  # lambda_max(A*A - I) = 3
 
 
-def test_cs_membership_grid_floor():
-    with pytest.raises(ValueError):
-        cs_membership(np.eye(2), 1.0, grid=(40, 50))
-
-
 def test_ws_radius_s1_is_norm():
     rng = np.random.default_rng(6)
     for _ in range(5):
