@@ -17,8 +17,8 @@ from .domains import (_CONTAINMENT_TOL, _K_UNIVERSAL, Disk, Ellipse, Interval, S
                       exterior_map, signed_margin)
 from .faber import FaberModel, _support_inside, faber_coeffs, faber_polynomials
 from .matrixcore import RationalFunction, as_matrix, eval_rational, matfun_reference
-from .numrange import _angular_extremes, _golden_max, _polish_peaks, \
-    numerical_radius, support_profile
+from .numrange import _angular_extremes, _golden_max, _herm_parts, _polish_peaks, \
+    hermitian_eigmax, numerical_radius, outer_gauge_bracket, support_profile
 from .spectraltest import sup_on_boundary
 
 _BREAKDOWN_TOL = 1e-12
@@ -149,15 +149,31 @@ def rational_krylov(a, b, poles: Sequence) -> KrylovDecomposition:
 def fit_ellipse(a) -> Shape:
     """Small-area ellipse (or interval) containing W(A).
 
-    Boundary samples of W(A) are enclosed by an axis-aligned bounding
-    ellipse after a rotation search over 180 angles and a golden-section
-    aspect-ratio optimization (run in lockstep across the angles); the
-    result is then inflated so the support function dominates that of W(A)
-    on a 512-angle grid (containment guarantee).  The 256 fitted points and
-    that profile come from one top-eigenpair sweep of W(A).
+    The 256 boundary points of one top-eigenpair sweep of W(A) are enclosed
+    by an ellipse E0, axis-aligned after a rotation search over 180 angles
+    and a golden-section aspect-ratio optimization (run in lockstep across
+    the angles).  Where that fit is thinner than 1e-10, the exact bounding
+    box of W(A) in the fitted frame decides (the support values p at t,
+    t + pi/2, t + pi and t + 3 pi/2): if its width is at
+    most 64 eps ||A||_F, W(A) is a segment to rounding and E0 the fitted
+    interval; otherwise E0 is the thin ellipse about the box's center with
+    the box's half-length as long semi-axis and, as short one, the
+    geometric mean of the box's half-length and half-width.
+
+    Both semi-axes of E0 are then scaled by lambda (1 + 1e-9), floored at
+    1 + 1e-12, where lambda is the largest gauge of E0 over the vertices of
+    the outer polygon of W(A) (``numrange.outer_gauge_bracket``).  W(A)
+    lies in that polygon, so the result contains W(A) between the sampled
+    angles too, not only at them.  The polygon is bisected until lambda is
+    within 1e-9 (relative) of the largest gauge of a Rayleigh point, which
+    no containing scaling can undercut, or, where W(A) hugs E0 along an
+    arc, until the angles would pass 512 (lambda then stays up to 1.9e-5
+    above it).  The factor 1 + 1e-9 is the rounding allowance: it covers
+    the eigensolver's rounding of the support values, about n eps ||A||,
+    wherever that is below 1e-9 of the scaled short semi-axis.  An interval
+    holds W(A) only up to its rounding width.
     """
     mat = as_matrix(a)
-    fine = support_profile(mat, 512)
     pts = support_profile(mat, 256).points
 
     ts = np.linspace(0.0, np.pi, 180, endpoint=False)
@@ -189,22 +205,41 @@ def fit_ellipse(a) -> Shape:
         # W(A) is a single point (normal A with one eigenvalue, or 1x1)
         ax = ay = 1e-9 * (1.0 + abs(center))
     u = np.exp(1j * t)
+    segment = False
+    if not point and ay <= 1e-10 * ax:
+        # W(A) is a segment to rounding, or a thin set that the 256 points
+        # may cross only near its ends: take its exact bounding box in the
+        # fitted frame, from the support values along and across the axis,
+        # and around it the thin ellipse whose long semi-axis exceeds the
+        # box's by about half the box's half-width
+        right, top, left, bottom = hermitian_eigmax(
+            _herm_parts(mat, t + np.pi / 2.0 * np.arange(4))).tolist()
+        segment = top + bottom <= 64.0 * np.finfo(float).eps * float(np.linalg.norm(mat))
+        if not segment:
+            center = complex(u * complex(right - left, top - bottom) / 2.0)
+            ax = (right + left) / 2.0
+            ay = float(np.sqrt(ax * (top + bottom) / 2.0))
 
     def fitted(scale):
         # the fitted shape with both axes scaled by `scale`
         if point:
             return Disk(center, scale * ax)
-        if ay <= 1e-10 * ax:
+        if segment:
             return Interval(center - scale * ax * u, center + scale * ax * u)
         return Ellipse(center, scale * ax, scale * ay, rotation=t)
 
-    # containment guarantee: scale axes so h_E >= p_A everywhere
-    emap = exterior_map(fitted(1.0))
-    radial = fine.values - np.real(np.exp(-1j * fine.thetas) * emap.c0)
-    s = emap.support_about_center(fine.thetas)
-    lam = float(np.max(radial / np.maximum(s, 1e-300))) * (1.0 + 1e-9)
-    lam = max(lam, 1.0 + 1e-12)
-    return fitted(lam)
+    def gauge(z):
+        # gauge of the fitted shape about its center, in real arithmetic; a
+        # segment's width is rounding, so only the coordinate along it counts
+        dx, dy = z.real - center.real, z.imag - center.imag
+        x = (dx * u.real + dy * u.imag) / ax
+        if segment:
+            return np.abs(x)
+        y = (dy * u.real - dx * u.imag) / ay
+        return np.sqrt(x * x + y * y)
+
+    lam = outer_gauge_bracket(mat, gauge)[1] * (1.0 + 1e-9)
+    return fitted(max(lam, 1.0 + 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +541,9 @@ class GmresFomResult:
     """Iterates, residual/error norms, and bound curves (index = iteration).
 
     residual_ratios[j] = ||b - A x_j|| / ||r_0||.  fom_errors[j] =
-    ||x_j^FOM - A^{-1}b|| / ||b|| with NaN at skipped (singular H_j) steps.
+    ||x_j^FOM - A^{-1}b|| / ||b|| with NaN at skipped (singular H_j) steps,
+    and NaN throughout when A is singular.  For b = 0 both lists hold x_0 = 0
+    alone, with ratio and error 0.
     Curves: gmres_faber[j] = min(1, 2/|F_j(0)|), gmres_asym[j] =
     (2 + 1/|phi(0)|)/|phi(0)|^j, fom_curve[j] = 4 |phi(0)|^{-j}/dist(0,E);
     all None when 0 lies in the shape.  lens_factor = 2 sin(beta/(4-2beta/pi))
@@ -538,7 +575,7 @@ def lens_asymptotic_factor(a) -> float:
     herm = (mat + mat.conj().T) / 2.0
     if np.linalg.eigvalsh(herm).min() <= 0:
         raise ValueError("lens factor requires A + A* positive definite")
-    # inside gmres_fom these are the even rows of fit_ellipse's 512-angle sweep
+    # when gmres_fom auto-fits its shape, fit_ellipse has swept this profile
     w, neg_dist = _angular_extremes(mat, [1.0, -1.0], support_profile(mat, 256).values)
     cos_beta = max(0.0, neg_dist) / w
     beta = float(np.arccos(np.clip(cos_beta, -1.0, 1.0)))
@@ -551,7 +588,8 @@ def gmres_fom(a, b, m: int = None, e: Shape = None) -> GmresFomResult:
     Textbook implementations from x_0 = 0 on one shared Arnoldi
     decomposition of (A, b); bound curves use a caller-chosen or
     auto-fitted shape containing W(A) and require 0 outside it (curves are
-    None otherwise).
+    None otherwise).  A singular A still gets its GMRES data; FOM errors
+    are then undefined, reported as NaN with a RuntimeWarning.
     """
     mat = as_matrix(a)
     n = mat.shape[0]
@@ -559,13 +597,20 @@ def gmres_fom(a, b, m: int = None, e: Shape = None) -> GmresFomResult:
     if m is None:
         m = n
     b_norm = float(np.linalg.norm(bv))
-    x_true = np.linalg.solve(mat, bv)
-
     x_zero = np.zeros(n, dtype=complex)
+    x_true = x_zero
+    if b_norm:
+        try:
+            x_true = np.linalg.solve(mat, bv)
+        except np.linalg.LinAlgError:
+            x_true = np.full(n, np.nan + 0j)
+            warnings.warn("A is singular, so A^{-1} b is undefined; fom_errors are NaN",
+                          RuntimeWarning, stacklevel=2)
+
     gmres_x = [x_zero]
     fom_x = [x_zero]
     resid = [1.0 if b_norm else 0.0]
-    fom_err = [float(np.linalg.norm(x_true)) / b_norm]
+    fom_err = [float(np.linalg.norm(x_true)) / b_norm if b_norm else 0.0]
     skipped = []
     if b_norm == 0.0:
         dec = None

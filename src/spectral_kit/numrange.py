@@ -11,7 +11,10 @@ takes it from a stacked ``eigh`` below, where per-call overhead dominates.  It
 memoizes the samples of the last 8 matrices, keyed by matrix content (an
 in-place edit makes a new key), so the callers that sample W(A) of one matrix
 share one sweep; a coarser grid whose angles are every k-th angle of a
-memoized one is served as those rows.  Memoized arrays are read-only.
+memoized one is served as those rows.  Memoized arrays are read-only.  The
+support lines at the sampled angles cut out an outer polygon that contains
+W(A) (``_outer_vertices``); ``outer_gauge_bracket`` bisects it where it
+decides how far a convex set must grow to hold W(A).
 
 Class membership for the Sz.-Nagy--Foias families C_s is a grid decision on
 the test matrix H(r, theta) = ca r^2 A*A + cb r M(theta) - I over the unit
@@ -48,6 +51,7 @@ __all__ = [
     "BisectionError",
     "support_profile",
     "support_value",
+    "outer_gauge_bracket",
     "numerical_radius",
     "dist_origin",
     "cs_membership",
@@ -67,6 +71,11 @@ _PROFILE_MEMO: OrderedDict = OrderedDict()
 _PROFILE_MEMO_SIZE = 8
 # from this n on, one top-eigenpair heevr call per angle beats a stacked eigh
 _HEEVR_MIN_N = 10
+# outer_gauge_bracket bisects an angular interval while its outer vertex
+# exceeds the Rayleigh points by more than this, relative, and stops before
+# the angles would pass twice those of the 256-angle profile it starts from
+_OUTER_GAP = 1e-9
+_OUTER_MAX_ANGLES = 512
 
 
 class BisectionError(RuntimeError):
@@ -206,6 +215,92 @@ def support_profile(a, n_grid: int = 256) -> SupportProfile:
     if len(_PROFILE_MEMO) > _PROFILE_MEMO_SIZE:
         _PROFILE_MEMO.popitem(last=False)
     return prof
+
+
+def _outer_vertices(t1, p1, z1, t2, p2, z2) -> np.ndarray:
+    """Vertices of the outer polygon of W(A), one per pair of support samples.
+
+    A pair is two samples, at angles t1 < t2 (mod 2 pi, at most pi/2
+    apart), of the support value p and its contact point z on the boundary
+    of W(A).  Its vertex is where the support lines Re(e^{-i t} z) = p(t) of
+    the two meet.  Every point of W(A) lies in all those half-planes, so
+    W(A) lies in the convex hull of the vertices of consecutive samples
+    around one turn (Johnson 1978).  The exact vertex lies on the line at t1
+    no farther than |z2 - z1| ahead of z1 (the triangle of the two contact
+    points and the vertex has the angle pi - (t2 - t1) at the vertex, so
+    neither side is longer than the base), and the solve is clipped to that
+    stretch: for a tiny gap, the rounding of p divided by the sine of the
+    gap could otherwise throw it anywhere.
+    """
+    turn = np.exp(1j * t1)
+    c, s = turn.real, turn.imag
+    gap = np.exp(1j * np.mod(t2 - t1, 2.0 * np.pi))
+    along = (p2 - p1 * gap.real) / gap.imag
+    # in real arithmetic only, which rounds alike in numpy's array loops and
+    # in scalar code: the line at t1 is along -> turn (p1 + i along)
+    dx, dy = z2.real - z1.real, z2.imag - z1.imag
+    start = z1.imag * c - z1.real * s
+    along = np.clip(along, start, start + np.sqrt(dx * dx + dy * dy))
+    return (p1 * c - along * s) + 1j * (p1 * s + along * c)
+
+
+def outer_gauge_bracket(a, gauge) -> tuple[float, float]:
+    """Bracket the largest value over W(A) of a convex gauge, where above 1.
+
+    gauge maps an array of points to an array of values, and is meant as
+    the gauge of a convex set X about an interior point, so that W(A) lies
+    in X scaled by the largest value.  The lower end is the largest gauge
+    of a Rayleigh point, which lies in W(A); the upper end the largest
+    gauge of an outer-polygon vertex (``_outer_vertices``), which bounds it
+    on W(A) by convexity, or the lower end if that is larger.  Both start
+    from the 256-angle ``support_profile``.  Each round bisects, with one
+    ``_top_eigenpairs`` call, every angular interval whose vertex gauge
+    exceeds 1 (X holds the vertex), exceeds the lower end by more than
+    ``_OUTER_GAP`` relative, and lies in the upper half of the excess of
+    the worst vertex over the lower end.  It stops when no interval
+    qualifies or can be split in floating point, or before a round would
+    take the angles past ``_OUTER_MAX_ANGLES``.  That last stop is reached
+    only where W(A) hugs a level set of gauge along an arc (the numerical
+    range of a 2 x 2 or Jordan matrix against its own fitted ellipse):
+    every vertex there overshoots by about the same relative amount,
+    1/cos(delta/2) - 1 at angular spacing delta for a circle, and the
+    bracket is left that wide (1.9e-5 at 512 angles) instead of sweeping
+    ~70,000 angles.  Splitting the upper half first spends the angles where
+    the overshoot is largest, near the flat sides of an eccentric ellipse.
+    Returns (lower, upper).
+    """
+    m = as_matrix(a)
+    prof = support_profile(m, 256)
+    # the open intervals [t1, t2), with the support value p and contact
+    # point z at either end, and the gauge g of their vertices; the rest
+    # are settled, and only the largest of their gauges is kept
+    t1, p1, z1 = prof.thetas, prof.values, prof.points
+    t2, p2, z2 = np.append(t1[1:], 2.0 * np.pi + t1[0]), np.roll(p1, -1), np.roll(z1, -1)
+    lower = float(np.max(gauge(z1)))
+    g = gauge(_outer_vertices(t1, p1, z1, t2, p2, z2))
+    settled, count = -np.inf, len(t1)
+    while True:
+        worst = max(settled, float(np.max(g, initial=-np.inf)))
+        mid = (t1 + t2) / 2.0
+        open_ = (g > max(1.0, lower * (1.0 + _OUTER_GAP))) & (t1 < mid) & (mid < t2)
+        split = open_ & (g - lower >= (worst - lower) / 2.0)
+        if not split.any() or count + np.count_nonzero(split) > _OUTER_MAX_ANGLES:
+            return lower, max(lower, worst)
+        settled = max(settled, float(np.max(g[~open_], initial=-np.inf)))
+        keep = open_ & ~split
+        tm = mid[split]
+        pm, vecs = _top_eigenpairs(m, tm)
+        zm = np.einsum("ki,ij,kj->k", np.conj(vecs), m, vecs)
+        count += len(tm)
+        # a split interval gives way to its halves [t1, tm) and [tm, t2)
+        halves = (np.concatenate([t1[split], tm]), np.concatenate([p1[split], pm]),
+                  np.concatenate([z1[split], zm]), np.concatenate([tm, t2[split]]),
+                  np.concatenate([pm, p2[split]]), np.concatenate([zm, z2[split]]))
+        gm = gauge(np.concatenate([zm, _outer_vertices(*halves)]))
+        lower = max(lower, float(np.max(gm[:len(tm)])))
+        t1, p1, z1, t2, p2, z2 = (np.concatenate([old[keep], new]) for old, new
+                                  in zip((t1, p1, z1, t2, p2, z2), halves))
+        g = np.concatenate([g[keep], gm[len(tm):]])
 
 
 def _golden_max(fun, lo, hi, tol: float = 1e-12):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,11 @@ from spectral_kit.krylov import (MarkovFunction, arnoldi, fab_poly,
                                  lens_asymptotic_factor, markov_discretize,
                                  markov_eval, markov_matfun, pade_markov,
                                  pade_matrix_bound, rational_krylov)
+from spectral_kit import numrange
 from spectral_kit.matrixcore import eval_poly, eval_rational, \
     matfun_reference, op_norm
-from spectral_kit.numrange import _top_eigenpairs, numerical_radius, \
-    support_profile
+from spectral_kit.numrange import _herm_parts, _top_eigenpairs, hermitian_eigmax, \
+    numerical_radius, support_profile
 
 
 def _random(n, rng, scale=1.0):
@@ -159,14 +162,66 @@ def test_fit_ellipse_not_wasteful():
     assert e.a <= 1.02 and e.b <= 1.02
 
 
+def _support_excess(a, e, count=8192):
+    # max over `count` angles of p_A - h_E, the support of W(A) above E's
+    thetas = 2.0 * np.pi * np.arange(count) / count
+    p, _ = _top_eigenpairs(np.asarray(a, dtype=complex), thetas)
+    emap = exterior_map(e)
+    h = np.real(np.exp(-1j * thetas) * emap.c0) + emap.support_about_center(thetas)
+    return float(np.max(p - h))
+
+
+def test_fit_ellipse_contains_numerical_range_between_grid_angles():
+    # W(A) may bulge past a sampled inflation between its angles; the
+    # outer polygon covers those arcs too
+    rng = np.random.default_rng(7)
+    for n in (4, 6, 12, 30):
+        a = _random(n, rng)
+        assert _support_excess(a, fit_ellipse(a)) <= 0.0
+
+
+def test_fit_ellipse_sweeps_at_most_256_plus_64_angles(monkeypatch):
+    rng = np.random.default_rng(7)
+    for n in (4, 6, 12, 30):  # the n = 30 matrix of the test above
+        a = _random(n, rng)
+    requests = []
+
+    def counting(m, thetas):
+        requests.append(len(thetas))
+        return _top_eigenpairs(m, thetas)
+
+    monkeypatch.setattr(numrange, "_top_eigenpairs", counting)
+    numrange._PROFILE_MEMO.clear()
+    fit_ellipse(a)
+    assert requests[0] == 256
+    assert sum(requests) <= 256 + 64
+
+
+@pytest.mark.parametrize("eps", [1e-13, 1e-11])
+def test_fit_ellipse_nearly_hermitian_stays_thin(eps):
+    # W(A) is a sliver of width ~eps around [0, 3]: neither an interval,
+    # which misses its width, nor thousands of times longer
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    skew = eps * (g + g.conj().T)
+    a = np.diag([0.0, 1.0, 3.0]) + 1j * skew
+    e = fit_ellipse(a)
+    assert _support_excess(a, e) <= 0.0
+    ev = np.linalg.eigvalsh(skew)
+    emap = exterior_map(e)
+    assert abs(emap.c1) + abs(emap.cm1) <= 1.5 * (1.0 + 1e-6) + (ev[-1] - ev[0])
+
+
 def _fit_ellipse_reference(a, n_grid=256):
     # the scalar fit: fresh profiles from the library's top-eigenpair kernel
-    # (no memo) and one golden-section search per rotation angle, the
-    # arithmetic fit_ellipse runs in lockstep
-    def profile(count):
-        thetas = 2.0 * np.pi * np.arange(count) / count
-        vals, w = _top_eigenpairs(np.asarray(a, dtype=complex), thetas)
-        return thetas, vals, np.einsum("ki,ij,kj->k", np.conj(w), a, w)
+    # (no memo), one golden-section search per rotation angle (the
+    # arithmetic fit_ellipse runs in lockstep), and the outer-polygon
+    # inflation one vertex at a time
+    mat = np.asarray(a, dtype=complex)
+
+    def sweep(thetas):
+        vals, w = _top_eigenpairs(mat, thetas)
+        return vals, np.einsum("ki,ij,kj->k", np.conj(w), mat, w)
 
     def golden_max(fun, lo, hi, tol):
         g = (np.sqrt(5.0) - 1.0) / 2.0
@@ -184,7 +239,8 @@ def _fit_ellipse_reference(a, n_grid=256):
         x = (lo + hi) / 2.0
         return x, fun(x)
 
-    pts = profile(n_grid)[2]
+    grid = 2.0 * np.pi * np.arange(n_grid) / n_grid
+    grid_values, pts = sweep(grid)
     best = None
     for t in np.linspace(0.0, np.pi, 180, endpoint=False):
         q = pts * np.exp(-1j * t)
@@ -208,26 +264,71 @@ def _fit_ellipse_reference(a, n_grid=256):
         ax, ay = ay, ax
         t += np.pi / 2.0
     t = float(np.mod(t, np.pi))
+    u = np.exp(1j * t)
+    kind = "ellipse"
     if ax <= 1e-12 * (1.0 + abs(center)):
         ax = ay = 1e-9 * (1.0 + abs(center))
-        shape = Disk(center, ax)
+        kind = "disk"
     elif ay <= 1e-10 * ax:
-        shape = Interval(center - ax * np.exp(1j * t), center + ax * np.exp(1j * t))
-    else:
-        shape = Ellipse(center, ax, ay, rotation=t)
-    emap = exterior_map(shape)
-    thetas, values, _ = profile(512)
-    radial = values - np.real(np.exp(-1j * thetas) * emap.c0)
-    amaj = abs(emap.c1) + abs(emap.cm1)
-    bmin = abs(emap.c1) - abs(emap.cm1)
-    tt = thetas - 0.5 * (np.angle(emap.c1) + np.angle(emap.cm1))
-    s = np.sqrt((amaj * np.cos(tt)) ** 2 + (bmin * np.sin(tt)) ** 2)
-    lam = max(float(np.max(radial / np.maximum(s, 1e-300))) * (1.0 + 1e-9),
-              1.0 + 1e-12)
-    if isinstance(shape, Disk):
+        # the bounding box of W(A) in the fitted frame
+        right, top, left, bottom = hermitian_eigmax(
+            _herm_parts(mat, t + np.pi / 2.0 * np.arange(4))).tolist()
+        if top + bottom <= 64.0 * np.finfo(float).eps * float(np.linalg.norm(mat)):
+            kind = "interval"
+        else:
+            center = complex(u * complex(right - left, top - bottom) / 2.0)
+            ax = (right + left) / 2.0
+            ay = float(np.sqrt(ax * (top + bottom) / 2.0))
+
+    def gauge(z):
+        dx, dy = z.real - center.real, z.imag - center.imag
+        x = (dx * u.real + dy * u.imag) / ax
+        if kind == "interval":
+            return abs(x)
+        y = (dy * u.real - dx * u.imag) / ay
+        return math.sqrt(x * x + y * y)
+
+    # outer polygon: vertex k is where the support lines at thetas[k] and
+    # thetas[k + 1] meet, clipped to lie on line k at most |z_{k+1} - z_k|
+    # ahead of the contact point z_k; bisect each interval whose vertex
+    # gauge exceeds 1 and the best Rayleigh point's by 1e-9 relative and
+    # is in the upper half of the excess, while the angles stay within 512
+    thetas, values, points = list(grid), list(grid_values), list(pts)
+    lower = max(gauge(z) for z in points)
+    while True:
+        count = len(thetas)
+        gauges = []
+        for k in range(count):
+            j = (k + 1) % count
+            turn = np.exp(1j * thetas[k])
+            gap = np.exp(1j * np.mod(thetas[j] - thetas[k], 2.0 * np.pi))
+            along = (values[j] - values[k] * gap.real) / gap.imag
+            start = points[k].imag * turn.real - points[k].real * turn.imag
+            dx = points[j].real - points[k].real
+            dy = points[j].imag - points[k].imag
+            along = min(max(along, start), start + math.sqrt(dx * dx + dy * dy))
+            gauges.append(gauge(complex(values[k] * turn.real - along * turn.imag,
+                                        values[k] * turn.imag + along * turn.real)))
+        upper = max(gauges)
+        mids = []
+        for k, g in enumerate(gauges):
+            end = thetas[k + 1] if k + 1 < count else 2.0 * np.pi + thetas[0]
+            mid = (thetas[k] + end) / 2.0
+            if g > max(1.0, lower * (1.0 + 1e-9)) and g - lower >= (upper - lower) / 2.0 \
+                    and thetas[k] < mid < end:
+                mids.append((k, mid))
+        if not mids or count + len(mids) > 512:
+            break
+        new_values, new_points = sweep(np.array([mid for _, mid in mids]))
+        lower = max([lower] + [gauge(z) for z in new_points])
+        for (k, mid), v, z in reversed(list(zip(mids, new_values, new_points))):
+            thetas.insert(k + 1, mid)
+            values.insert(k + 1, v)
+            points.insert(k + 1, z)
+    lam = max(max(upper, lower) * (1.0 + 1e-9), 1.0 + 1e-12)
+    if kind == "disk":
         return Disk(center, lam * ax)
-    if isinstance(shape, Interval):
-        u = np.exp(1j * t)
+    if kind == "interval":
         return Interval(center - lam * ax * u, center + lam * ax * u)
     return Ellipse(center, lam * ax, lam * ay, rotation=t)
 
@@ -572,6 +673,21 @@ def test_fom_breakdown_skipped_and_flagged():
     assert 1 in res.fom_skipped
     assert np.isnan(res.fom_errors[1])
     assert res.fom_errors[2] <= 1e-12
+
+
+def test_gmres_zero_rhs_returns_trivial_solution():
+    res = gmres_fom(2.0 * np.eye(3), np.zeros(3))
+    assert len(res.gmres_iterates) == 1 and not res.gmres_iterates[0].any()
+    assert list(res.residual_ratios) == [0.0]
+    assert list(res.fom_errors) == [0.0]
+
+
+def test_gmres_singular_matrix_keeps_gmres_data():
+    with pytest.warns(RuntimeWarning, match="singular"):
+        res = gmres_fom(np.diag([1.0, 0.0]), np.ones(2))
+    # A x = (x_1, 0) leaves the second entry of b unmatched
+    assert np.allclose(res.residual_ratios, [1.0, np.sqrt(0.5), np.sqrt(0.5)], atol=1e-14)
+    assert np.isnan(res.fom_errors).all()
 
 
 def test_gmres_curves_none_when_zero_inside():
