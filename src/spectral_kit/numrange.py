@@ -16,21 +16,24 @@ support lines at the sampled angles cut out an outer polygon that contains
 W(A) (``_outer_vertices``); ``outer_gauge_bracket`` bisects it where it
 decides how far a convex set must grow to hold W(A).
 
-Class membership for the Sz.-Nagy--Foias families C_s is a grid decision on
-the test matrix H(r, theta) = ca r^2 A*A + cb r M(theta) - I over the unit
-disk zeta = r e^{i theta}, sharpened by zooms around the grid's leading local
-maxima; here ca = (2-s)/s, cb = (s-1)/s and M(theta) = e^{i theta} A +
-e^{-i theta} A*.  For s <= 2, ca >= 0 and A*A is positive semidefinite, so
-r -> H is matrix-convex and lambda_max(H) is convex in r.  H(0) = -I, and the
-maximum over theta at r = 1 is at least -1 (M(theta) has angular mean 0), so
-the supremum over r in [0, 1] sits at r = 1: the grid is that circle alone.
-For s > 2 it is a (theta, r) lattice.  The operator radius w_s is computed
-directly as the maximum over angles of the largest positive real eigenvalue
-of a 2n x 2n companion matrix, then bracketed: ``lo`` carries a violation
-witness of the membership test (or is the a-priori bound max(rho(A),
-||A||/s)), and ``hi`` passed the grid membership test.  Bisection with that
-test runs only as a fallback when either check fails, and ``iterations``
-counts its steps.
+Class membership for the Sz.-Nagy--Foias families C_s is decided on the test
+matrix H(r, theta) = ca r^2 A*A + cb r M(theta) - I over the unit disk
+zeta = r e^{i theta}; here ca = (2-s)/s, cb = (s-1)/s and M(theta) =
+e^{i theta} A + e^{-i theta} A*.  For s <= 2, ca >= 0 and A*A is positive
+semidefinite, so r -> H is matrix-convex and lambda_max(H) is convex in r.
+H(0) = -I, and the maximum over theta at r = 1 is at least -1 (M(theta) has
+angular mean 0), so the supremum over r in [0, 1] sits at r = 1: the test is
+a grid of angles on that circle, sharpened by zooms around its leading local
+maxima.  For s > 2 the test is exact in r: along an angle, H is singular
+exactly where 1/r is a real eigenvalue of a 2n x 2n companion matrix, and its
+inertia is constant in between, so one lambda_max per sub-interval decides
+every r at once.  The operator radius w_s is computed directly as the
+maximum over angles of the largest positive real eigenvalue of that
+companion, then bracketed: ``lo`` carries a violation witness of the
+membership test (or is the a-priori bound max(rho(A), ||A||/s)), and ``hi``
+passed the membership test, which for s > 2 reads the companion eigenvalues
+the maximum search solved.  Bisection with that test runs only as a fallback
+when either check fails, and ``iterations`` counts its steps.
 """
 
 from __future__ import annotations
@@ -64,8 +67,11 @@ _PEAK_ZOOMS = 8
 _PEAK_CANDIDATES = 4
 # lambda_max(H) at or below this passes the C_s membership test
 _MEMBERSHIP_TOL = 1e-8
-# (angles, radii) of the C_s membership grid; the radii are read only for s > 2
-_CS_GRID = (90, 50)
+# angles of the C_s membership grid
+_CS_GRID = 90
+# a companion eigenvalue within this of the real axis, relative to its
+# modulus, cuts the r-range of the s > 2 membership test
+_ROOT_IMAG = 1e-3
 # support profiles of the most recently sampled matrices: key -> {n_grid: profile}
 _PROFILE_MEMO: OrderedDict = OrderedDict()
 _PROFILE_MEMO_SIZE = 8
@@ -432,7 +438,7 @@ class CsMembership:
     """Decision for A in C_s, with the worst point found as witness."""
 
     member: bool
-    margin: float  # max of lambda_max(H(r, theta)) over the zoomed grid; <= tol means member
+    margin: float  # largest lambda_max(H(r, theta)) the test evaluated; <= tol means member
     theta: float
     r: float
     vector: np.ndarray
@@ -445,75 +451,135 @@ class _CsKernel:
     With B = A*A, M(theta) = e^{i theta} A + e^{-i theta} A*, ca = (2-s)/s and
     cb = (s-1)/s, the test matrix at zeta = r e^{i theta} is
     H = ca u^2 B + cb u M(theta) - I with u = r/t.  ``test_matrices`` builds
-    H on (theta, r) lattices and ``margins_at`` its lambda_max; ``peak``
+    H at (theta, u) points and ``margins_at`` its lambda_max; ``peak``
     finds the scaling t at which the test first fails from the companion
-    eigenproblem per angle.  The r-grid is the single row r = 1 when
-    ca >= 0 (s <= 2, see the module docstring), n_r points over [0, 1]
-    otherwise.
+    eigenproblem per angle.  ``crossing`` keeps the companion eigenvalues of
+    every angle it solves (``root_thetas``, ``roots``), so the membership
+    test for s > 2 reads them instead of solving them again.  A kernel
+    serves one matrix and one s.
     """
 
     def __init__(self, a: np.ndarray, s: float):
         if s <= 0:
             raise ValueError("class parameter s must be positive")
-        n_theta, n_r = _CS_GRID
         s = float(s)
         self.a = a
         self.ca = (2.0 - s) / s
         self.cb = (s - 1.0) / s
         self.n = a.shape[0]
-        self.thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        self.rs = np.ones(1) if self.ca >= 0 else np.linspace(0.0, 1.0, n_r)
+        self.thetas = 2.0 * np.pi * np.arange(_CS_GRID) / _CS_GRID
         self.aha = a.conj().T @ a
+        self.root_thetas = np.empty(0)
+        self.roots = np.empty((0, 2 * self.n), dtype=complex)
 
     def _mstack(self, thetas) -> np.ndarray:
         ph = np.exp(1j * np.asarray(thetas, dtype=float))[..., None, None]
         return ph * self.a + np.conj(ph) * self.a.conj().T
 
-    def test_matrices(self, t: float, thetas, rs) -> np.ndarray:
-        # H(r, theta) for A/t on (theta, r) lattices: thetas of shape
-        # (..., T) and rs of shape (..., R) give shape (..., T, R, n, n)
-        u = (np.asarray(rs, dtype=float) / t)[..., None, :, None, None]
-        mst = self._mstack(thetas)[..., :, None, :, :]
-        h = self.ca * u ** 2 * self.aha + self.cb * u * mst
+    def test_matrices(self, thetas, us) -> np.ndarray:
+        # H at the (theta, u) points of the broadcast of thetas and us,
+        # shape (..., n, n)
+        thetas, us = np.broadcast_arrays(np.asarray(thetas, dtype=float),
+                                         np.asarray(us, dtype=float))
+        u = us[..., None, None]
+        h = self.ca * u ** 2 * self.aha + self.cb * u * self._mstack(thetas)
         idx = np.arange(self.n)
         h[..., idx, idx] -= 1.0
         return h
 
-    def margins_at(self, t: float, thetas, rs) -> np.ndarray:
-        # lambda_max(H(r, theta)) for A/t on (theta, r) lattices, shape (..., T, R)
-        return hermitian_eigmax(self.test_matrices(t, thetas, rs))
+    def margins_at(self, thetas, us) -> np.ndarray:
+        # lambda_max(H) at the (theta, u) points of the broadcast of thetas and us
+        return hermitian_eigmax(self.test_matrices(thetas, us))
 
     def max_margin(self, t: float) -> tuple[float, float, float]:
-        """Sharpened sup of lambda_max(H) for A/t, with its (theta, r).
+        """Largest lambda_max(H) the membership test of A/t finds, with its (theta, r).
 
-        The grid supremum is refined by nested zooms around up to
-        ``_PEAK_CANDIDATES`` theta-local maxima of the grid's row maxima,
-        best first, so a peak between grid angles is not hidden by a near
-        equal one on the grid.  For s > 2, where the r-supremum may be
-        interior, each zoom is a 9x9 (theta, r) lattice; for s <= 2 the
-        r-grid is the one row r = 1 and a zoom is 9 angles.  The candidates
-        zoom in lockstep; four 4x shrinks resolve ~256x below the grid
-        spacing, and re-evaluating the centre keeps the rounds monotone.
+        For s <= 2 the supremum over r sits at r = 1 (see the module
+        docstring): the 90 grid angles on that circle are refined by nested
+        zooms around up to ``_PEAK_CANDIDATES`` local maxima, best first, so
+        a peak between grid angles is not hidden by a near equal one on the
+        grid.  The candidates zoom in lockstep on 9 angles; four 4x shrinks
+        resolve ~256x below the grid spacing, and re-evaluating the centre
+        keeps the rounds monotone.  For s > 2 it is ``exact_margin`` at every
+        angle ``crossing`` has solved, so ``peak`` must have run.
         """
-        grid = self.margins_at(t, self.thetas, self.rs)
-        ks = _peak_indices(grid.max(axis=1))
-        js = np.argmax(grid[ks], axis=1)
+        if self.ca < 0:
+            return self.exact_margin(t, self.root_thetas, self.roots)
+        u = 1.0 / t
+        grid = self.margins_at(self.thetas, u)
+        ks = _peak_indices(grid)
         rows = np.arange(len(ks))
-        values, thetas, rs = grid[ks, js], self.thetas[ks], self.rs[js]
+        values, thetas = grid[ks], self.thetas[ks]
         d_theta = 2.0 * np.pi / len(self.thetas)
-        # one row r = 1 zooms in theta alone: a single r-offset of 0
-        n_zoom_r, d_r = (9, 1.0 / (len(self.rs) - 1)) if len(self.rs) > 1 else (1, 0.0)
         for _ in range(4):
             ths = thetas[:, None] + np.linspace(-d_theta, d_theta, 9)
-            rrs = np.clip(rs[:, None] + np.linspace(-d_r, d_r, n_zoom_r), 0.0, 1.0)
-            sub = self.margins_at(t, ths, rrs).reshape(len(ks), -1)
-            i, j = np.divmod(np.argmax(sub, axis=1), n_zoom_r)
-            thetas, rs = ths[rows, i], rrs[rows, j]
-            values = np.maximum(values, sub[rows, n_zoom_r * i + j])
+            sub = self.margins_at(ths, u)
+            i = np.argmax(sub, axis=1)
+            thetas = ths[rows, i]
+            values = np.maximum(values, sub[rows, i])
             d_theta /= 4.0
-            d_r /= 4.0
         k = int(np.argmax(values))
-        return float(values[k]), float(thetas[k]), float(rs[k])
+        return float(values[k]), float(thetas[k]), 1.0
+
+    def exact_margin(self, t: float, thetas, roots) -> tuple[float, float, float]:
+        """Membership test of A/t at the given angles, exact in r.
+
+        roots holds the companion eigenvalues of each angle, one row per
+        angle.  Along an angle, H(u) is singular exactly at u = 1/mu for
+        the real eigenvalues mu, and H(0) = -I, so the inertia of H is
+        constant between consecutive singular points: lambda_max(H) <= tol
+        on all of (0, 1/t] exactly when it holds at one point of each
+        sub-interval cut by the roots mu >= t, and at u = 1/t.  Every
+        eigenvalue within ``_ROOT_IMAG`` (relative) of the real axis counts
+        as a root, since rounding moves a double root off it by about
+        sqrt(eps); an extra cut only adds a sample.  A sub-interval whose
+        midpoint is positive but within tol is searched over u for its
+        maximum before it passes.  All samples are one stacked
+        ``hermitian_eigmax``.  Returns (lambda_max, theta, r = u t) of the
+        worst sample.
+        """
+        top = 1.0 / t
+        real = (np.abs(roots.imag) <= _ROOT_IMAG * np.abs(roots)) & (roots.real >= t)
+        cuts = np.sort(np.where(real, 1.0 / np.where(real, roots.real, 1.0), np.inf), axis=1)
+        edge = np.full((len(cuts), 1), np.inf)
+        lower = np.concatenate([np.zeros_like(edge), cuts], axis=1)
+        upper = np.minimum(np.concatenate([cuts, edge], axis=1), top)
+        live = np.isfinite(lower)
+        lower, upper = lower[live], upper[live]
+        ths = np.concatenate([np.broadcast_to(thetas[:, None], live.shape)[live], thetas])
+        us = np.concatenate([(lower + upper) / 2.0, np.full(len(thetas), top)])
+        vals = self.margins_at(ths, us)
+        close = np.flatnonzero((vals[:len(lower)] > 0.0) & (vals[:len(lower)] <= _MEMBERSHIP_TOL))
+        if close.size:
+            # to 1e-3 of the width: between two roots that leaves the
+            # maximum found within about 1e-6 of the bump's height
+            width = upper[close] - lower[close]
+            x, fx = _golden_max(lambda v: self.margins_at(ths[close], v),
+                                lower[close], upper[close], tol=1e-3 * width)
+            better = fx > vals[close]
+            us[close] = np.where(better, x, us[close])
+            vals[close] = np.where(better, fx, vals[close])
+        k = int(np.argmax(vals))
+        return float(vals[k]), float(ths[k]), float(us[k] * t)
+
+    def level_crossing(self, theta: float, mu: float, level: float):
+        """Scaling t = 1/u at which lambda_max(H(theta, u)) reaches level past u = 1/mu.
+
+        Three Newton steps from u = 1/mu, where lambda_max(H) is 0 for a
+        crossing mu, with the derivative x* (2 ca u B + cb M(theta)) x of a
+        simple top eigenvalue with unit eigenvector x.  None where
+        lambda_max does not rise.
+        """
+        u = 1.0 / mu
+        mst = self._mstack(theta)
+        for _ in range(3):
+            w, v = np.linalg.eigh(self.test_matrices(theta, u))
+            x = v[:, -1]
+            slope = float(np.real(np.conj(x) @ (2.0 * self.ca * u * self.aha + self.cb * mst) @ x))
+            if slope <= 0.0:
+                return None
+            u += (level - w[-1]) / slope
+        return 1.0 / u
 
     def crossing(self, thetas) -> np.ndarray:
         # mu*(theta): lambda_max(H) first reaches 0 at u = 1/mu*, the largest
@@ -522,7 +588,8 @@ class _CsKernel:
         # roots (the edge of a real-root window) carry rounding-level
         # imaginary parts, so "real" is decided with a loose tolerance;
         # a spurious root can only raise the estimate, which the witness
-        # check in ws_radius then rejects.  At s = 2 (ca = 0) the companion is
+        # check in ws_radius then rejects.  The eigenvalues are kept in
+        # root_thetas and roots.  At s = 2 (ca = 0) the companion is
         # block-triangular and mu* is the Hermitian lambda_max(cb M), or 0
         n = self.n
         mst = self._mstack(thetas)
@@ -533,6 +600,8 @@ class _CsKernel:
         comp[:, n:, :n] = self.ca * self.aha
         comp[:, n:, n:] = self.cb * mst
         ev = np.linalg.eigvals(comp)
+        self.root_thetas = np.concatenate([self.root_thetas, thetas])
+        self.roots = np.concatenate([self.roots, ev])
         scale = np.abs(ev).max(axis=1, keepdims=True)
         real = (np.abs(ev.imag) <= 1e-6 * scale) & (ev.real > 0)
         return np.where(real, ev.real, 0.0).max(axis=1)
@@ -574,19 +643,24 @@ class _CsKernel:
 
 
 def cs_membership(a, s: float) -> CsMembership:
-    """Decide A in C_s on a grid over the unit disk.
+    """Decide A in C_s over the unit disk.
 
     H(r, theta) = ((2-s)/s) r^2 A*A + ((s-1)/s) r (e^{i theta} A + e^{-i theta} A*) - I;
-    membership holds iff the maximum of lambda_max(H), over the grid sharpened
-    by zooms around its leading peaks (see ``_CsKernel.max_margin``), stays
-    <= 1e-8, the membership tolerance ``ws_radius`` certifies with.
-    For s <= 2, where the supremum over r sits at r = 1, the grid is 90
-    angles on the circle r = 1; for s > 2, where (2-s)/s < 0 and the
-    supremum may be interior, it is 90 angles x 50 radii over [0, 1].
+    membership holds iff the largest lambda_max(H) the test finds (see
+    ``_CsKernel.max_margin``) stays <= 1e-8, the membership tolerance
+    ``ws_radius`` certifies with.  For s <= 2, where the supremum over r
+    sits at r = 1, the test samples 90 angles on the circle r = 1, with
+    zooms around its leading peaks.  For s > 2, where (2-s)/s < 0 and the
+    supremum may be interior, ``_CsKernel.peak`` first solves the
+    companion eigenproblem at its angles, and the test is exact in r at
+    each of them.
     """
-    kernel = _CsKernel(as_matrix(a), s)
+    m = as_matrix(a)
+    kernel = _CsKernel(m, s)
+    if kernel.ca < 0:
+        kernel.peak(-np.angle(np.linalg.eigvals(m)))
     margin, theta, r = kernel.max_margin(1.0)
-    _, vecs = np.linalg.eigh(kernel.test_matrices(1.0, [theta], [r])[0, 0])
+    _, vecs = np.linalg.eigh(kernel.test_matrices(theta, r))
     return CsMembership(member=margin <= _MEMBERSHIP_TOL, margin=margin, theta=theta,
                         r=r, vector=vecs[:, -1], tol=_MEMBERSHIP_TOL)
 
@@ -598,12 +672,14 @@ class OperatorRadiusResult:
     radius is the bracket midpoint.  lo is witness-certified: either the
     a-priori bound max(rho(A), ||A||/s) (shrunk by 1e-9) or a scaling at
     which some tested (theta, r) point's lambda_max exceeds the membership
-    tolerance, so lo < w_s(A).  hi passed the grid membership test (90
-    angles on r = 1 for s <= 2, the 90 x 50 grid for s > 2, with zooms, plus
-    the companion estimate's angle), so scaling by hi is safe downstream.
-    iterations counts the bisection steps of the fallback that runs only
-    when the companion estimate fails either check; it is 0 when the
-    estimate is certified directly.
+    tolerance, so lo < w_s(A).  hi passed the membership test, so scaling by
+    hi is safe downstream.  That test is sampled in theta: 90 angles on
+    r = 1 with zooms for s <= 2, plus the companion estimate's angle; for
+    s > 2 the angles at which the estimate solved the companion (90 grid
+    angles, -arg lambda_k(A) and its zooms), each exact in r.  iterations
+    counts the bisection steps of the fallback that runs only when the
+    companion estimate fails either check; it is 0 when the estimate is
+    certified directly.
     """
 
     s: float
@@ -627,13 +703,18 @@ def ws_radius(a, s: float, tol: float = 1e-6) -> OperatorRadiusResult:
       max(rho(A), ||A||/s) (1 - 1e-9) <= w_s(A); a smaller floor would push
       the scaled Hermitian test matrices into float-cancellation territory;
     * hi = mu-hat + 0.45 tol (kept within [lo, 2 ||A|| max(1, 1/s)]) must
-      pass the grid membership test, extended by the estimate's angle.
+      pass the membership test, extended by the estimate's angle.
 
-    If hi fails, the bracket widens to the a-priori upper bound, and while
-    it is wider than ``tol`` it is bisected with the same membership test;
-    monotonicity in t (scaling by |lambda| <= 1 preserves C_s) is what makes
-    the bisection valid.  An upper bound the test rejects raises
-    :class:`BisectionError`.
+    Where lambda_max rises past the crossing too slowly for that witness
+    (at large s its slope in u is about 2 rho(A)/s), the bracket is centred
+    instead where lambda_max reaches the membership tolerance along the
+    estimate's angle (``_CsKernel.level_crossing``), and both checks run
+    there.  If hi fails, the bracket widens to the a-priori upper bound, and
+    while it is wider than ``tol`` it is bisected with the same membership
+    test; monotonicity in t (scaling by |lambda| <= 1 preserves C_s) is what
+    makes the bisection valid.  For s > 2 no step solves a companion
+    eigenproblem: the test reads the ones the estimate solved.  An upper
+    bound the test rejects raises :class:`BisectionError`.
     """
     m = as_matrix(a)
     norm2 = float(np.linalg.norm(m, 2))
@@ -647,20 +728,38 @@ def ws_radius(a, s: float, tol: float = 1e-6) -> OperatorRadiusResult:
     ceiling = 2.0 * norm2 * max(1.0, 1.0 / s)
     theta, mu = kernel.peak(-np.angle(eigs))
 
-    def witness(t):
+    if kernel.ca < 0:
         # lambda_max along the estimate's angle, where a narrow real-root
-        # window (large s) can hide between grid angles
-        return float(kernel.margins_at(t, [theta], kernel.rs).max())
+        # window (large s) can hide between grid angles; it is one of the
+        # angles the estimate solved, so its roots are kept
+        at = kernel.root_thetas == theta
+
+        def witness(t):
+            return kernel.exact_margin(t, kernel.root_thetas[at], kernel.roots[at])[0]
+    else:
+        def witness(t):
+            return float(kernel.margins_at([theta], 1.0 / t)[0])
 
     def margin(t):
-        return max(kernel.max_margin(t)[0], witness(t))
+        # for s > 2 the estimate's angle is one the test reads already
+        value = kernel.max_margin(t)[0]
+        return value if kernel.ca < 0 else max(value, witness(t))
 
+    centre = mu
     lo = mu - 0.45 * tol
-    if lo <= floor or witness(lo) <= _MEMBERSHIP_TOL:
+    held = lo > floor and witness(lo) > _MEMBERSHIP_TOL
+    if lo > floor and not held:
+        # lambda_max climbs past u = 1/mu-hat too slowly to clear the
+        # membership tolerance within 0.45 tol (its slope in u is about
+        # 2 rho(A)/s at large s): centre the bracket where it reaches the
+        # tolerance along the estimate's angle instead
+        centre = kernel.level_crossing(theta, mu, _MEMBERSHIP_TOL) or mu
+        lo = centre - 0.45 * tol
+        held = lo > floor and witness(lo) > _MEMBERSHIP_TOL
+    if not held:
         lo = floor
-    # lo >= floor, and for s > 2 the r-grid accepts tiny t, so hi must not
-    # follow an estimate that fell below the floor
-    hi = max(lo, min(ceiling, mu + 0.45 * tol))
+    # lo >= floor, so hi must not follow an estimate that fell below it
+    hi = max(lo, min(ceiling, centre + 0.45 * tol))
     if margin(hi) > _MEMBERSHIP_TOL:
         hi = ceiling
         if margin(hi) > _MEMBERSHIP_TOL:

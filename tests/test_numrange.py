@@ -394,24 +394,33 @@ def test_ws_radius_rejects_zero_matrix():
         ws_radius(np.zeros((2, 2)), 1.0)
 
 
-def _margins_r1(a, s, t, thetas):
-    # lambda_max(H(theta, r = 1)) for A/t, straight from eigvalsh
-    u = 1.0 / t
-    ph = np.exp(1j * thetas)[:, None, None]
+def _margins(a, s, t, thetas, r=1.0):
+    # lambda_max(H(theta, r)) for A/t at the broadcast of thetas and r,
+    # straight from eigvalsh
+    thetas, r = np.broadcast_arrays(np.asarray(thetas, dtype=float), np.asarray(r, dtype=float))
+    u = (r / t)[..., None, None]
+    ph = np.exp(1j * thetas)[..., None, None]
     h = ((2.0 - s) / s * u ** 2 * (a.conj().T @ a)
          + (s - 1.0) / s * u * (ph * a + np.conj(ph) * a.conj().T)
          - np.eye(a.shape[0]))
-    return np.linalg.eigvalsh(h)[:, -1]
+    return np.linalg.eigvalsh(h)[..., -1]
 
 
 def _dense_max_margin(a, s, t, n_theta=20000):
-    # 20k-angle scan, then a 2001-point scan across the best cell, so narrow
-    # large-s violation windows are resolved
+    # 20k-angle scan on r = 1, then a 2001-point scan across the best cell,
+    # so narrow large-s violation windows are resolved.  For s > 2, where the
+    # supremum over r need not sit at r = 1, the four best cells of the scan
+    # are also scanned over r in [0, 1], on a 21 x 201 (theta, r) lattice each
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    vals = _margins_r1(a, s, t, thetas)
+    vals = _margins(a, s, t, thetas)
     step = 2.0 * np.pi / n_theta
     fine = thetas[int(np.argmax(vals))] + np.linspace(-step, step, 2001)
-    return max(float(vals.max()), float(_margins_r1(a, s, t, fine).max()))
+    best = max(float(vals.max()), float(_margins(a, s, t, fine).max()))
+    if s > 2.0:
+        cells = thetas[numrange._peak_indices(vals)]
+        ths = (cells[:, None] + np.linspace(-step, step, 21)).ravel()
+        best = max(best, float(_margins(a, s, t, ths[:, None], np.linspace(0.0, 1.0, 201)).max()))
+    return best
 
 
 def test_ws_radius_large_s_hi_has_no_dense_violation():
@@ -469,7 +478,7 @@ def _lattice_max_margin(kernel, t):
     # the full 90 x 50 (theta, r) lattice with 9 x 9 zooms: max_margin as it
     # ran for every s before the r = 1 row for s <= 2
     rs = np.linspace(0.0, 1.0, 50)
-    grid = kernel.margins_at(t, kernel.thetas, rs)
+    grid = kernel.margins_at(kernel.thetas[:, None], rs / t)
     ks = numrange._peak_indices(grid.max(axis=1))
     js = np.argmax(grid[ks], axis=1)
     rows = np.arange(len(ks))
@@ -478,7 +487,7 @@ def _lattice_max_margin(kernel, t):
     for _ in range(4):
         ths = thetas[:, None] + np.linspace(-d_theta, d_theta, 9)
         rrs = np.clip(rr[:, None] + np.linspace(-d_r, d_r, 9), 0.0, 1.0)
-        sub = kernel.margins_at(t, ths, rrs).reshape(len(ks), -1)
+        sub = kernel.margins_at(ths[:, :, None], rrs[:, None, :] / t).reshape(len(ks), -1)
         i, j = np.divmod(np.argmax(sub, axis=1), 9)
         thetas, rr = ths[rows, i], rrs[rows, j]
         values = np.maximum(values, sub[rows, 9 * i + j])
@@ -559,13 +568,108 @@ def test_peak_at_s1_and_s2_matches_the_companion(n):
             assert mu >= ref.max() * (1.0 - 1e-13)
 
 
-def test_ws_radius_just_above_s2_keeps_the_lattice_and_agrees():
+def test_ws_radius_just_above_s2_takes_the_exact_path_and_agrees():
     rng = np.random.default_rng(18)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     s_up = 2.0 + 1e-9
-    assert len(numrange._CsKernel(a, 2.0).rs) == 1
-    assert len(numrange._CsKernel(a, s_up).rs) == 50
+    # s = 2 solves no companion and tests the circle r = 1; just above, the
+    # test is exact in r at every angle the peak search solved
+    at2_kernel, up_kernel = numrange._CsKernel(a, 2.0), numrange._CsKernel(a, s_up)
+    at2_kernel.peak([])
+    _, mu = up_kernel.peak([])
+    assert len(at2_kernel.root_thetas) == 0
+    assert len(up_kernel.root_thetas) > 90
+    assert up_kernel.max_margin(mu) == up_kernel.exact_margin(
+        mu, up_kernel.root_thetas, up_kernel.roots)
     tol = 1e-6
     at2, above = ws_radius(a, 2.0, tol=tol), ws_radius(a, s_up, tol=tol)
     assert abs(at2.radius - above.radius) <= tol
     assert above.lo <= at2.hi and at2.lo <= above.hi
+
+
+def _lattice_decision(kernel, t, theta):
+    # the s > 2 membership test of A/t as ws_radius ran it on the 90 x 50
+    # lattice: the lattice with its 9 x 9 zooms, plus the 50 radii along the
+    # estimate's angle theta
+    along = kernel.margins_at(theta, np.linspace(0.0, 1.0, 50) / t).max()
+    return max(_lattice_max_margin(kernel, t)[0], float(along)) <= 1e-8
+
+
+def _seeded_matrices():
+    # complex and real n = 2-8, two of each per n, and Jordan blocks
+    rng = np.random.default_rng(70)
+    out = []
+    for n in range(2, 9):
+        for _ in range(2):
+            out.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            out.append(rng.standard_normal((n, n)))
+    return out + [jordan_nilpotent(n) for n in (3, 5, 8)]
+
+
+@pytest.mark.parametrize("s", [3.0, 8.0, 1024.0])
+def test_exact_membership_above_s2_decides_as_the_lattice(s):
+    # at the estimate mu-hat and on either side of it, the test exact in r
+    # at the peak search's angles decides as the 90 x 50 lattice did
+    for a in _seeded_matrices():
+        kernel = numrange._CsKernel(a, s)
+        theta, mu = kernel.peak(-np.angle(np.linalg.eigvals(a)))
+        for t in mu * np.array([1.0 - 1e-6, 1.0 + 1e-6, 0.95, 1.05]):
+            assert (kernel.max_margin(t)[0] <= 1e-8) == _lattice_decision(kernel, t, theta)
+
+
+def test_ws_radius_above_s2_reuses_the_roots_of_its_peak_search(monkeypatch):
+    # a membership decision evaluates at most 2n + 2 test matrices per angle
+    # the peak search solved (the 90 x 50 lattice with its zooms evaluated
+    # 4,500 + 4 * 81 * 4), and after the peak search no companion
+    # eigenproblem is solved again, in the bisection fallback neither
+    eigmax, eigvals, peak = numrange.hermitian_eigmax, np.linalg.eigvals, numrange._CsKernel.peak
+    log = []
+
+    def spy_eigmax(h):
+        log.append(("eigmax", math.prod(h.shape[:-2])))
+        return eigmax(h)
+
+    def spy_eigvals(m):
+        if np.ndim(m) == 3:
+            log.append(("companion", len(m)))
+        return eigvals(m)
+
+    def spy_peak(self, extra_thetas):
+        out = peak(self, extra_thetas)
+        log.append(("peak", 0))
+        return out
+
+    monkeypatch.setattr(numrange, "hermitian_eigmax", spy_eigmax)
+    monkeypatch.setattr(np.linalg, "eigvals", spy_eigvals)
+    monkeypatch.setattr(numrange._CsKernel, "peak", spy_peak)
+    rng = np.random.default_rng(19)
+    cases = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1e-6)
+             for n in range(2, 9)]
+    # the witness cannot clear the membership tolerance this close: bisection
+    cases.append((jordan_nilpotent(3), 1e-9))
+    for a, tol in cases:
+        log.clear()
+        res = ws_radius(a, 1024.0, tol=tol)
+        done = log.index(("peak", 0))
+        solved = sum(k for what, k in log[:done] if what == "companion")
+        after = log[done + 1:]
+        assert all(what == "eigmax" for what, _ in after)
+        assert max(k for _, k in after) <= solved * (2 * a.shape[0] + 2)
+    assert res.iterations > 0
+
+
+def test_ws_radius_at_large_s_and_the_default_tol_needs_no_bisection():
+    # lambda_max climbs past u = 1/mu-hat with a slope of about 2 rho(A)/s,
+    # so 0.45 tol below mu-hat it is still within the membership tolerance;
+    # the bracket is centred where it reaches the tolerance instead, and both
+    # ends hold on the dense scan
+    rng = np.random.default_rng(21)
+    for n in range(2, 9):
+        for k in range(3):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            res = ws_radius(a, 1024.0)
+            assert res.iterations == 0
+            assert res.bracket <= 1e-6
+            if k == 0:
+                assert _dense_max_margin(a, 1024.0, res.lo) > 1e-8
+                assert _dense_max_margin(a, 1024.0, res.hi) <= 1e-8
