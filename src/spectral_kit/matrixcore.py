@@ -156,11 +156,25 @@ def eval_poly(coeffs, a) -> np.ndarray:
     """p(A) for ascending coefficients by the matrix Horner scheme."""
     m = as_matrix(a)
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    n = m.shape[0]
-    out = np.eye(n, dtype=complex) * c[-1]
-    for ck in c[-2::-1]:
-        out = out @ m
-        out += ck * np.eye(n, dtype=complex)
+    return _horner(c[None, :], m)[0]
+
+
+def _horner(coeffs: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # p_b(A) for each row b of ascending coefficients (rows, d + 1), stacked
+    # (rows, n, n).  c_k is added on the diagonal, and a row's products start
+    # at its leading nonzero coefficient, so zero padding on the high side
+    # costs no product and leaves each matrix as the unpadded row gives it
+    (rows, width), n = coeffs.shape, m.shape[0]
+    lead = width - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
+    first, last = int(lead.min()), int(lead.max())
+    out = np.zeros((rows, n, n), dtype=complex)
+    for k in range(last, -1, -1):
+        if k < first:
+            out = out @ m
+        elif k < last:
+            started = lead > k
+            out[started] = out[started] @ m
+        out.reshape(rows, n * n)[:, :: n + 1] += coeffs[:, k, None]
     return out
 
 
@@ -269,7 +283,15 @@ def eval_rational(f: RationalFunction, a) -> np.ndarray:
     Raises ``ValueError`` naming the offending pole if any pole of f is
     within 1e-10 * max(1, ||A||) of an eigenvalue of A.
     """
-    return _eval_rational_guarded(f, as_matrix(a), None)
+    m = as_matrix(a)
+    poles = f.poles()
+    if poles.size:
+        bad = _pole_on_spectrum(poles, _pole_guard(m))
+        if bad is not None:
+            raise ValueError(f"pole {bad} of the rational function lies on the spectrum")
+    pa = eval_poly(f.num_arr, m)
+    qa = eval_poly(f.den_arr, m)
+    return np.linalg.solve(qa, pa)
 
 
 def _pole_guard(m: np.ndarray):
@@ -277,25 +299,13 @@ def _pole_guard(m: np.ndarray):
     return np.linalg.eigvals(m), 1e-10 * max(1.0, float(np.linalg.norm(m, 2)))
 
 
-def _eval_rational_guarded(f: RationalFunction, m: np.ndarray, guard,
-                           poles=None) -> np.ndarray:
-    # eval_rational on a validated matrix; guard is _pole_guard(m), or None
-    # to compute it only if f has poles (callers evaluating many functions
-    # at one matrix pass it once computed); poles is f.poles(), or None to
-    # compute it here
-    if poles is None:
-        poles = f.poles()
-    if poles.size:
-        eigs, radius = guard if guard is not None else _pole_guard(m)
-        dist = np.abs(poles[:, None] - eigs[None, :])
-        bad = np.nonzero(dist.min(axis=1) <= radius)[0]
-        if bad.size:
-            raise ValueError(
-                f"pole {poles[bad[0]]} of the rational function lies on the spectrum"
-            )
-    pa = eval_poly(f.num_arr, m)
-    qa = eval_poly(f.den_arr, m)
-    return np.linalg.solve(qa, pa)
+def _pole_on_spectrum(poles: np.ndarray, guard):
+    # the first of the (non-empty) poles within guard's radius of its
+    # spectrum, or None; guard is _pole_guard(m), computed once by callers
+    # that test many functions at one matrix
+    eigs, radius = guard
+    bad = np.nonzero(np.abs(poles[:, None] - eigs[None, :]).min(axis=1) <= radius)[0]
+    return poles[bad[0]] if bad.size else None
 
 
 def _is_exp(f) -> bool:

@@ -617,9 +617,10 @@ class _CsKernel:
         The margin is 8x the s = 2 bound: there mu* is the support function
         p of the convex set W(A), and p'' >= -p keeps a peak within
         p step^2 / 8 of its nearest sample.  Each candidate gets nested
-        9-point zooms, shrinking 4x per round.  At s = 1 (cb = 0) the
-        companion's eigenvalues +-sqrt(ca lambda(A*A)) do not depend on theta,
-        and the estimate is ||A||_2 at angle 0 with no sweep.
+        9-point zooms, shrinking 4x per round; a zoom solves no angle that
+        is already solved.  At s = 1 (cb = 0) the companion's eigenvalues
+        +-sqrt(ca lambda(A*A)) do not depend on theta, and the estimate is
+        ||A||_2 at angle 0 with no sweep.
         """
         if self.cb == 0.0:
             return 0.0, float(np.linalg.norm(self.a, 2))
@@ -630,9 +631,17 @@ class _CsKernel:
         order = _peak_indices(mu, floor=float(mu.max()) * (1.0 - d_theta ** 2))
         centres, values = thetas[order], mu[order]
         offsets = np.linspace(-1.0, 1.0, 9)
+        # a zoom point equal to an angle already solved (the round's centre,
+        # and its outer points, which the round before also sampled) reads
+        # its mu back; the new angles are solved in first-occurrence order
+        solved = dict(zip(thetas.tolist(), mu.tolist()))
         for _ in range(_PEAK_ZOOMS):
             ths = centres[:, None] + d_theta * offsets[None, :]
-            sub = self.crossing(ths.ravel()).reshape(ths.shape)
+            flat = ths.ravel().tolist()
+            fresh = list(dict.fromkeys(t for t in flat if t not in solved))
+            if fresh:
+                solved.update(zip(fresh, self.crossing(np.array(fresh)).tolist()))
+            sub = np.array([solved[t] for t in flat]).reshape(ths.shape)
             rows, j = np.arange(len(centres)), np.argmax(sub, axis=1)
             better = sub[rows, j] > values
             centres = np.where(better, ths[rows, j], centres)

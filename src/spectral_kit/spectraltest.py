@@ -25,8 +25,9 @@ from .domains import (
 )
 from .matrixcore import (
     RationalFunction,
-    _eval_rational_guarded,
+    _horner,
     _pole_guard,
+    _pole_on_spectrum,
     as_matrix,
     eigenvalues,
     eval_rational,
@@ -36,6 +37,10 @@ from .matrixcore import (
 from .numrange import _herm_parts, _polish_peaks
 
 _CERT_TOL = 1e-9
+# byte cap on one stacked block of kratio_estimate candidates, (rows, n, n)
+# matrices or (rows, points) boundary values: budget 2000 at n = 256 would
+# otherwise stack 2 GB
+_STACK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -176,7 +181,8 @@ class _BoundarySampler:
     4n- and n-point boundary samples of a shape with no parameterization.
     grid(f) samples |f| and returns (grid maximum, per-component peaks);
     refine(f, grid) polishes each peak (see ``numrange._polish_peaks``), so
-    the refined sup is never below the grid maximum.
+    the refined sup is never below the grid maximum.  sub_grid bounds the
+    grid maximum of many candidates from below at once.
     """
 
     def __init__(self, x: Shape, n: int = 4096):
@@ -187,12 +193,17 @@ class _BoundarySampler:
                 warnings.simplefilter("ignore", TruncatedBoundary)
                 self.fine = boundary_sample(x, 4 * n)
                 self.coarse = boundary_sample(x, n)
-            return
-        self.comps = []
-        for lo, hi, mp, periodic in comps:
-            m = max(64, n // len(comps))
-            ts = np.linspace(lo, hi, m, endpoint=not periodic)
-            self.comps.append((mp, periodic, ts, mp(ts)))
+            grids = [self.fine, self.coarse]
+            self.sub = self.coarse[:: max(1, n // 256)].copy()
+        else:
+            self.comps = []
+            for lo, hi, mp, periodic in comps:
+                m = max(64, n // len(comps))
+                ts = np.linspace(lo, hi, m, endpoint=not periodic)
+                self.comps.append((mp, periodic, ts, mp(ts)))
+            grids = [pts for *_, pts in self.comps]
+            self.sub = np.concatenate([pts[:: max(1, len(pts) // 256)] for pts in grids])
+        self.reach = max(1.0, max(float(np.max(np.abs(pts))) for pts in grids))
 
     def grid(self, f):
         if self.comps is None:
@@ -219,6 +230,34 @@ class _BoundarySampler:
                                        periodic)
             best = max(best, float(refined[0]))
         return best, abs(best - grid_best) / max(best, 1e-300)
+
+    def sub_grid(self, num, den) -> np.ndarray:
+        """max |p/q| over about 256 points of each grid, one candidate per row.
+
+        num and den hold each candidate's ascending coefficients, zero-padded
+        on the high side.  The points are every k-th point of each
+        component's grid (of the n-point sample for a shape with no
+        parameterization), evaluated elementwise as f(pts) evaluates them,
+        so a row's maximum never exceeds grid(f)'s unless the grid holds a
+        NaN.  A NaN needs p = q = 0 at a grid point, a pole on the boundary,
+        which kratio_estimate's pole margin excludes, or an overflow: a row
+        whose sum |c_k| R^k (R the largest |z| on the grid, at least 1)
+        reaches 1e300 could overflow, and reads nan.
+        """
+        vals = np.abs(_horner_at(num, self.sub) / _horner_at(den, self.sub)).max(axis=1)
+        powers = self.reach ** np.arange(max(num.shape[1], den.shape[1]))
+        safe = ((np.abs(num) @ powers[:num.shape[1]] < 1e300)
+                & (np.abs(den) @ powers[:den.shape[1]] < 1e300))
+        return np.where(safe, vals, np.nan)
+
+
+def _horner_at(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # np.polyval's Horner steps for each row of ascending coefficients at the
+    # points z, shape (rows, len(z)); high-side zero padding keeps y = +0
+    y = np.zeros((len(coeffs), len(z)), dtype=complex)
+    for ck in coeffs[:, ::-1].T:
+        y = y * z + ck[:, None]
+    return y
 
 
 def sup_on_boundary(f, x: Shape):
@@ -265,7 +304,7 @@ def annulus_extremal_pair(big_r: float):
     return f1, f2
 
 
-def _random_rational(rng, center: complex, scale: float, x: Shape) -> Optional[RationalFunction]:
+def _random_rational(rng, center: complex, scale: float, x: Shape) -> RationalFunction:
     n_poles = int(rng.integers(0, 4))
     poles = []
     for _ in range(n_poles):
@@ -283,6 +322,62 @@ def _random_rational(rng, center: complex, scale: float, x: Shape) -> Optional[R
     return RationalFunction(num=tuple(num), den=tuple(den))
 
 
+def _candidate_stream(x: Shape, budget: int, seed: int, center: complex,
+                      scale: float) -> list:
+    # kratio_estimate's candidates in order: the fixed family, then `budget`
+    # seeded Blaschke products (through the interior Moebius map) and random
+    # rationals
+    fs = [RationalFunction.from_poly([1.0]), RationalFunction.from_poly([0.0, 1.0])]
+    if isinstance(x, Annulus):
+        fs.extend(annulus_extremal_pair(x.big_r))
+    mobius = x.interior_mobius()
+    if mobius is not None:
+        fs.append(_blaschke_through(mobius, [0.0]))
+    rng = np.random.default_rng(seed)
+    for k in range(budget):
+        if mobius is not None and k % 2 == 0:
+            deg = int(rng.integers(1, 7))
+            zeros = 0.95 * np.sqrt(rng.random(deg)) * np.exp(
+                2j * np.pi * rng.random(deg))
+            fs.append(_blaschke_through(mobius, zeros))
+        else:
+            fs.append(_random_rational(rng, center, scale, x))
+    return fs
+
+
+def _padded(rows) -> np.ndarray:
+    # coefficient tuples as one array, zero-padded on the high side
+    out = np.zeros((len(rows), max(map(len, rows))), dtype=complex)
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+    return out
+
+
+def _stacked_norms(num: np.ndarray, den: np.ndarray, m: np.ndarray) -> list:
+    # ||p(A) q(A)^{-1}||_2 for each row of num and den, None where q(A) is
+    # singular; each matrix step is the per-matrix call applied to the stack
+    pa, qa = _horner(num, m), _horner(den, m)
+    try:
+        fa = np.linalg.solve(qa, pa)
+        ok = np.ones(len(fa), dtype=bool)
+    except np.linalg.LinAlgError:
+        # one singular q(A) fails the whole stack: solve one at a time
+        fa, ok = np.empty_like(pa), np.zeros(len(pa), dtype=bool)
+        for i in range(len(pa)):
+            try:
+                fa[i], ok[i] = np.linalg.solve(qa[i], pa[i]), True
+            except np.linalg.LinAlgError:
+                pass
+    fa = fa[ok]
+    finite = np.isfinite(fa).all(axis=(1, 2))
+    if not finite.all():
+        op_norm(fa[np.argmin(finite)])  # raises, as the norm of each f(A) did
+    norms = [None] * len(ok)
+    for i, nrm in zip(np.flatnonzero(ok), np.linalg.svd(fa, compute_uv=False)[:, 0].tolist()):
+        norms[i] = nrm
+    return norms
+
+
 def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate:
     """Best ratio ||f(A)|| / ||f||_X over structured rational families.
 
@@ -294,10 +389,25 @@ def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate
     at infinity enter (numerator degree <= denominator degree, so not the
     identity).  Refuses when the spectrum touches X's boundary.
 
-    The boundary grid is sampled once per call.  A candidate whose ratio
-    against its grid maximum already fails to beat the running lower bound
-    skips the golden refinement of its sup: the refined sup is never below
-    the grid maximum, so the result is the same as refining every
+    The whole candidate stream is drawn first, then filtered in order: the
+    degree rule, the pole margin from X and the pole guard of
+    ``eval_rational``.  p(A) and q(A) of the candidates left are one
+    stacked Horner (coefficients zero-padded on the high side), f(A) one
+    stacked solve and ||f(A)||_2 one stacked SVD, in blocks of at most
+    ``_STACK_BYTES``; a block with a singular q(A) is solved one candidate
+    at a time and the singular ones are skipped.
+
+    The candidates are then taken in stream order against the running
+    lower bound.  The boundary grid is sampled once per call.  A candidate
+    is skipped when its ratio against its maximum on a sub-grid of about
+    256 points per component (``_BoundarySampler.sub_grid``, one stacked
+    evaluation per block) fails to beat the lower bound: those points are
+    a subset of the full grid, evaluated the same way, and division is
+    monotone, so the full grid would skip it too (a candidate that could
+    overflow on the grid always takes the full grid).  Otherwise the full
+    grid is sampled, and a candidate whose ratio against the grid maximum
+    fails skips the golden refinement of its sup: the refined sup is never
+    below the grid maximum.  The result is the same as refining every
     candidate.
     """
     if budget < 1:
@@ -312,55 +422,41 @@ def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate
     center = complex(np.mean(pts))
     scale = float(np.max(np.abs(pts - center))) or 1.0
 
-    sampler = _BoundarySampler(x)
     guard = _pole_guard(m)
+    live = []
+    for f in _candidate_stream(x, budget, seed, center, scale):
+        if not x.is_bounded and len(f.num) > len(f.den):
+            continue
+        poles = f.poles()
+        if poles.size and (min(signed_margin(x, p) for p in poles) <= 1e-9
+                           or _pole_on_spectrum(poles, guard) is not None):
+            continue
+        live.append(f)
+
+    sampler = _BoundarySampler(x)
     lower = 0.0
     best_f: Optional[RationalFunction] = None
     best_acc = 0.0
-
-    def consider(f: RationalFunction):
-        nonlocal lower, best_f, best_acc
-        if f is None or (not x.is_bounded and len(f.num) > len(f.den)):
-            return
-        poles = f.poles()
-        if poles.size and min(signed_margin(x, p) for p in poles) <= 1e-9:
-            return
-        try:
-            fa = _eval_rational_guarded(f, m, guard, poles)
-        except ValueError:
-            return
-        nrm = op_norm(fa)
-        grid = sampler.grid(f)
-        # the refined sup is at least the grid maximum, so a candidate whose
-        # grid ratio cannot beat lower cannot win after refinement either
-        if grid[0] > 1e-300 and nrm / grid[0] <= lower:
-            return
-        sup, acc = sampler.refine(f, grid)
-        if not sup > 1e-300:
-            return
-        ratio = nrm / sup
-        if ratio > lower:
-            lower, best_f, best_acc = float(ratio), f, float(acc)
-
-    consider(RationalFunction.from_poly([1.0]))
-    consider(RationalFunction.from_poly([0.0, 1.0]))
-    if isinstance(x, Annulus):
-        f1, f2 = annulus_extremal_pair(x.big_r)
-        consider(f1)
-        consider(f2)
-    mobius = x.interior_mobius()
-    if mobius is not None:
-        consider(_blaschke_through(mobius, [0.0]))
-
-    rng = np.random.default_rng(seed)
-    for k in range(budget):
-        if mobius is not None and k % 2 == 0:
-            deg = int(rng.integers(1, 7))
-            zeros = 0.95 * np.sqrt(rng.random(deg)) * np.exp(
-                2j * np.pi * rng.random(deg))
-            consider(_blaschke_through(mobius, zeros))
-        else:
-            consider(_random_rational(rng, center, scale, x))
+    n = m.shape[0]
+    step = max(1, _STACK_BYTES // (16 * max(n * n, len(sampler.sub))))
+    for at in range(0, len(live), step):
+        block = live[at:at + step]
+        num, den = _padded([f.num for f in block]), _padded([f.den for f in block])
+        subs = sampler.sub_grid(num, den).tolist()
+        for f, nrm, sub in zip(block, _stacked_norms(num, den, m), subs):
+            # sub never exceeds grid(f)[0] (nan where that is not shown), so
+            # the grid test below would skip f too
+            if nrm is None or (1e-300 < sub < np.inf and nrm / sub <= lower):
+                continue
+            grid = sampler.grid(f)
+            if grid[0] > 1e-300 and nrm / grid[0] <= lower:
+                continue
+            sup, acc = sampler.refine(f, grid)
+            if not sup > 1e-300:
+                continue
+            ratio = nrm / sup
+            if ratio > lower:
+                lower, best_f, best_acc = float(ratio), f, float(acc)
 
     try:
         upper = kbound(x, context=m).value

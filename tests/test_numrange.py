@@ -658,6 +658,27 @@ def test_ws_radius_above_s2_reuses_the_roots_of_its_peak_search(monkeypatch):
     assert res.iterations > 0
 
 
+def test_peak_zooms_solve_no_angle_twice(monkeypatch):
+    # every zoom round's centre was solved by the round before, so the angles
+    # ws_radius keeps for the membership test are all distinct
+    kernels = []
+    init = numrange._CsKernel.__init__
+
+    def spy_init(self, *args):
+        init(self, *args)
+        kernels.append(self)
+
+    monkeypatch.setattr(numrange._CsKernel, "__init__", spy_init)
+    rng = np.random.default_rng(23)
+    for n in (2, 5, 8):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        kernels.clear()
+        ws_radius(a, 1024.0, tol=5e-4)
+        (kernel,) = kernels
+        assert len(kernel.root_thetas) > 90
+        assert len(np.unique(kernel.root_thetas)) == len(kernel.root_thetas)
+
+
 def test_ws_radius_at_large_s_and_the_default_tol_needs_no_bisection():
     # lambda_max climbs past u = 1/mu-hat with a slope of about 2 rho(A)/s,
     # so 0.45 tol below mu-hat it is still within the membership tolerance;

@@ -357,6 +357,102 @@ def test_kratio_estimate_refines_only_candidates_that_can_win(monkeypatch):
     assert len(calls) == 3
 
 
+def test_kratio_estimate_samples_the_full_grid_only_for_candidates_that_can_win(monkeypatch):
+    # the sub-grid maximum already rules out all but a few candidates
+    calls = []
+    grid = spectraltest._BoundarySampler.grid
+
+    def counting(self, f):
+        calls.append(f)
+        return grid(self, f)
+
+    monkeypatch.setattr(spectraltest._BoundarySampler, "grid", counting)
+    rng = np.random.default_rng(31)
+    a = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))) / np.sqrt(5)
+    kratio_estimate(a, fit_ellipse(a), budget=100, seed=7)
+    assert 1 <= len(calls) <= 10  # of 102 candidates
+
+
+@pytest.mark.parametrize("n, budget, cap", [(3, 40, 7 * 16 * 256), (64, 20, None)],
+                         ids=["n3_blocks_of_7", "n64"])
+def test_kratio_estimate_matches_the_reference_across_stacked_blocks(monkeypatch, n, budget,
+                                                                      cap):
+    # under a small byte cap the live candidates at n = 3 span several stacked
+    # blocks (7 rows of 256 sub-grid values each); at n = 64 the stacked
+    # matrix products are the large ones; no block exceeds the cap
+    if cap is not None:
+        monkeypatch.setattr(spectraltest, "_STACK_BYTES", cap)
+    blocks = []
+    horner = spectraltest._horner
+
+    def recording(coeffs, m):
+        out = horner(coeffs, m)
+        blocks.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(spectraltest, "_horner", recording)
+    rng = np.random.default_rng(64 + n)
+    a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+    ev = np.linalg.eigvals(a)
+    c = complex(np.trace(a)) / n
+    for x in (Disk(c, 1.05 * numerical_radius(a - c * np.eye(n)) + 0.1), fit_ellipse(a),
+              HalfPlane(0.0, float(np.max(ev.real)) + 0.5)):
+        blocks.clear()
+        seed = int(rng.integers(1 << 31))
+        est = kratio_estimate(a, x, budget=budget, seed=seed)
+        ref = _kratio_reference(a, x, budget, seed)
+        assert (est.lower, est.upper, est.sup_accuracy, est.best_function) == ref, x
+        assert max(blocks) <= spectraltest._STACK_BYTES
+        if cap is not None and x.is_bounded:
+            assert len(blocks) >= 2 * 6  # p(A) and q(A) per block: 6 blocks or more
+
+
+@pytest.mark.parametrize("x", [
+    Disk(0.3 - 0.2j, 1.7),
+    HalfPlane(0.5, 2.0),
+    Annulus(2.0),
+    Polygon((1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)),
+    Intersection((Disk(0.2j, 1.0), HalfPlane(0.3, 0.4))),
+], ids=["disk", "halfplane", "annulus", "polygon", "disk_halfplane"])
+def test_sub_grid_reads_a_subset_of_the_grid_as_f_does(x):
+    # each row's sub-grid maximum is |f| at grid points, bit for bit as
+    # f(pts) gives it, so it never exceeds grid(f)'s maximum; a row that
+    # could overflow somewhere on the grid reads nan
+    sampler = spectraltest._BoundarySampler(x)
+    rng = np.random.default_rng(3)
+    fs = [_random_rational(rng, 0.5j, 1.5, x) for _ in range(12)]
+    fs.append(RationalFunction(num=(1.0, -0.5j, 0.25), den=(1.0,)))
+    num = spectraltest._padded([f.num for f in fs])
+    den = spectraltest._padded([f.den for f in fs])
+    subs = sampler.sub_grid(num, den)
+    grids = [sampler.fine, sampler.coarse] if sampler.comps is None else [
+        pts for *_, pts in sampler.comps]
+    for f, sub in zip(fs, subs):
+        if sampler.comps is None:
+            vals = np.abs(f(sampler.coarse))[::16]
+        else:
+            vals = np.concatenate([np.abs(f(pts))[::max(1, len(pts) // 256)] for pts in grids])
+        assert sub == np.max(vals)
+        assert sub <= sampler.grid(f)[0]
+    huge = RationalFunction(num=(0.0, 0.0, 1e300), den=(1.0,))
+    assert np.isnan(sampler.sub_grid(spectraltest._padded([huge.num]),
+                                     spectraltest._padded([huge.den]))[0])
+
+
+def test_stacked_norms_skip_only_singular_denominators():
+    # q(A) = A - I is singular: the stacked solve fails, and the block is
+    # solved one candidate at a time
+    a = np.diag([1.0, 2.0]).astype(complex)
+    dens = [(1.0,), (-1.0, 1.0), (-3.0, 1.0), (0.5, 0.0, 1.0)]
+    fs = [RationalFunction(num=(1.0, 2.0), den=d) for d in dens]
+    num = spectraltest._padded([f.num for f in fs])
+    den = spectraltest._padded([f.den for f in fs])
+    norms = spectraltest._stacked_norms(num, den, a)
+    assert norms[1] is None
+    for i in (0, 2, 3):
+        assert norms[i] == op_norm(eval_rational(fs[i], a))
+
+
 def test_kratio_estimate_on_unbounded_shapes_stays_below_k():
     # inner.mtx of tools/cli_reports.py; both shapes are spectral sets
     # (K = 1), and a polynomial of degree >= 1 is unbounded on them, so its
