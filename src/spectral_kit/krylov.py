@@ -154,11 +154,12 @@ def fit_ellipse(a) -> Shape:
     and a golden-section aspect-ratio optimization (run in lockstep across
     the angles).  Where that fit is thinner than 1e-10, the exact bounding
     box of W(A) in the fitted frame decides (the support values p at t,
-    t + pi/2, t + pi and t + 3 pi/2): if its width is at
-    most 64 eps ||A||_F, W(A) is a segment to rounding and E0 the fitted
-    interval; otherwise E0 is the thin ellipse about the box's center with
-    the box's half-length as long semi-axis and, as short one, the
-    geometric mean of the box's half-length and half-width.
+    t + pi/2, t + pi and t + 3 pi/2): if its width is at most
+    64 eps ||A||_F, W(A) is a segment to rounding and E0 the box's long
+    midline, from lambda_min to lambda_max for Hermitian A; otherwise E0 is
+    the thin ellipse about the box's center with the box's half-length as
+    long semi-axis and, as short one, the geometric mean of the box's
+    half-length and half-width.
 
     Both semi-axes of E0 are then scaled by lambda (1 + 1e-9), floored at
     1 + 1e-12, where lambda is the largest gauge of E0 over the vertices of
@@ -209,16 +210,16 @@ def fit_ellipse(a) -> Shape:
     if not point and ay <= 1e-10 * ax:
         # W(A) is a segment to rounding, or a thin set that the 256 points
         # may cross only near its ends: take its exact bounding box in the
-        # fitted frame, from the support values along and across the axis,
-        # and around it the thin ellipse whose long semi-axis exceeds the
-        # box's by about half the box's half-width
+        # fitted frame, from the support values along and across the axis.
+        # A segment is the box's long midline; around a thin set goes the
+        # ellipse whose long semi-axis exceeds the box's by about half the
+        # box's half-width
         right, top, left, bottom = hermitian_eigmax(
             _herm_parts(mat, t + np.pi / 2.0 * np.arange(4))).tolist()
         segment = top + bottom <= 64.0 * np.finfo(float).eps * float(np.linalg.norm(mat))
-        if not segment:
-            center = complex(u * complex(right - left, top - bottom) / 2.0)
-            ax = (right + left) / 2.0
-            ay = float(np.sqrt(ax * (top + bottom) / 2.0))
+        center = complex(u * complex(right - left, top - bottom) / 2.0)
+        ax = (right + left) / 2.0
+        ay = float(np.sqrt(ax * max(top + bottom, 0.0) / 2.0))
 
     def fitted(scale):
         # the fitted shape with both axes scaled by `scale`

@@ -8,32 +8,27 @@ and skew-Hermitian parts of A: the top eigenvalue is p(theta) and the top
 eigenvector x gives the boundary point <A x, x> (Johnson 1978).
 ``support_profile`` asks LAPACK ``heevr`` for that pair alone at n >= 10 and
 takes it from a stacked ``eigh`` below, where per-call overhead dominates.  It
-memoizes the samples of the last 8 matrices, keyed by matrix content (an
-in-place edit makes a new key), so the callers that sample W(A) of one matrix
-share one sweep; a coarser grid whose angles are every k-th angle of a
-memoized one is served as those rows.  Memoized arrays are read-only.  The
-support lines at the sampled angles cut out an outer polygon that contains
-W(A) (``_outer_vertices``); ``outer_gauge_bracket`` bisects it where it
-decides how far a convex set must grow to hold W(A).
+memoizes the last 8 profiles, keyed by grid size and matrix content (an
+in-place edit makes a new key), so the callers that sample W(A) of one
+matrix, all on 256 angles, share one sweep.  Memoized arrays are read-only.
+The support lines at the sampled angles cut out an outer polygon that
+contains W(A) (``_outer_vertices``); ``outer_gauge_bracket`` bisects it where
+it decides how far a convex set must grow to hold W(A).
 
 Class membership for the Sz.-Nagy--Foias families C_s is decided on the test
 matrix H(r, theta) = ca r^2 A*A + cb r M(theta) - I over the unit disk
 zeta = r e^{i theta}; here ca = (2-s)/s, cb = (s-1)/s and M(theta) =
-e^{i theta} A + e^{-i theta} A*.  For s <= 2, ca >= 0 and A*A is positive
-semidefinite, so r -> H is matrix-convex and lambda_max(H) is convex in r.
-H(0) = -I, and the maximum over theta at r = 1 is at least -1 (M(theta) has
-angular mean 0), so the supremum over r in [0, 1] sits at r = 1: the test is
-a grid of angles on that circle, sharpened by zooms around its leading local
-maxima.  For s > 2 the test is exact in r: along an angle, H is singular
-exactly where 1/r is a real eigenvalue of a 2n x 2n companion matrix, and its
-inertia is constant in between, so one lambda_max per sub-interval decides
-every r at once.  The operator radius w_s is computed directly as the
-maximum over angles of the largest positive real eigenvalue of that
-companion, then bracketed: ``lo`` carries a violation witness of the
-membership test (or is the a-priori bound max(rho(A), ||A||/s)), and ``hi``
-passed the membership test, which for s > 2 reads the companion eigenvalues
-the maximum search solved.  Bisection with that test runs only as a fallback
-when either check fails, and ``iterations`` counts its steps.
+e^{i theta} A + e^{-i theta} A*.  The test is exact in r for every s: along
+an angle, H is singular exactly where 1/r is a real eigenvalue of a 2n x 2n
+companion matrix, and its inertia is constant in between, so one lambda_max
+per sub-interval decides every r at once.  The operator radius w_s is
+computed directly as the maximum over angles of the largest positive real
+eigenvalue of that companion, and the membership test reads the companion
+eigenvalues at the angles that maximum search solved.  The result is then
+bracketed: ``lo`` carries a violation witness of the membership test (or is
+the a-priori bound max(rho(A), ||A||/s)), and ``hi`` passed the membership
+test.  Bisection with that test runs only as a fallback when either check
+fails, and ``iterations`` counts its steps.
 """
 
 from __future__ import annotations
@@ -67,12 +62,12 @@ _PEAK_ZOOMS = 8
 _PEAK_CANDIDATES = 4
 # lambda_max(H) at or below this passes the C_s membership test
 _MEMBERSHIP_TOL = 1e-8
-# angles of the C_s membership grid
+# start angles of the C_s peak search; the membership test reads the angles it solves
 _CS_GRID = 90
 # a companion eigenvalue within this of the real axis, relative to its
-# modulus, cuts the r-range of the s > 2 membership test
+# modulus, cuts the r-range of the membership test
 _ROOT_IMAG = 1e-3
-# support profiles of the most recently sampled matrices: key -> {n_grid: profile}
+# the most recently sampled support profiles: (n_grid, shape, bytes) -> profile
 _PROFILE_MEMO: OrderedDict = OrderedDict()
 _PROFILE_MEMO_SIZE = 8
 # from this n on, one top-eigenpair heevr call per angle beats a stacked eigh
@@ -192,32 +187,25 @@ def support_profile(a, n_grid: int = 256) -> SupportProfile:
     SupportProfile with values p(theta_k) and unit eigenvector witnesses.
 
     Each angle costs one top-eigenpair solve: LAPACK ``heevr`` restricted to
-    the largest eigenvalue for n >= 10, a stacked ``eigh`` below.  Profiles
-    of the last 8 matrices are memoized by matrix content, so an in-place
-    edit of ``a`` between calls is sampled afresh.  A request whose
-    angles are every k-th angle of a memoized grid is served as those rows
-    of it.  Either way the arrays are read-only and equal, bit for bit, to a
-    fresh computation.
+    the largest eigenvalue for n >= 10, a stacked ``eigh`` below.  The last
+    8 profiles are memoized by grid size and matrix content, so an in-place
+    edit of ``a`` between calls is sampled afresh.  The arrays are
+    read-only and equal, bit for bit, to a fresh computation.
     """
     m = as_matrix(a)
     if n_grid < 8:
         raise ValueError("support grid must have at least 8 angles")
+    key = (n_grid, m.shape, m.tobytes())
+    if key in _PROFILE_MEMO:
+        _PROFILE_MEMO.move_to_end(key)
+        return _PROFILE_MEMO[key]
     thetas = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    key = (m.shape, m.tobytes())
-    grids = _PROFILE_MEMO.setdefault(key, {})
-    _PROFILE_MEMO.move_to_end(key)
-    for size, prof in grids.items():
-        k = size // n_grid
-        if size % n_grid == 0 and np.array_equal(prof.thetas[::k], thetas):
-            return prof if k == 1 else SupportProfile(
-                thetas=prof.thetas[::k], values=prof.values[::k],
-                witnesses=prof.witnesses[::k], points=prof.points[::k])
     values, witnesses = _top_eigenpairs(m, thetas)
     pts = np.einsum("ki,ij,kj->k", np.conj(witnesses), m, witnesses)
     prof = SupportProfile(thetas=thetas, values=values, witnesses=witnesses, points=pts)
     for arr in (prof.thetas, prof.values, prof.witnesses, prof.points):
         arr.setflags(write=False)
-    grids[n_grid] = prof
+    _PROFILE_MEMO[key] = prof
     if len(_PROFILE_MEMO) > _PROFILE_MEMO_SIZE:
         _PROFILE_MEMO.popitem(last=False)
     return prof
@@ -453,10 +441,10 @@ class _CsKernel:
     H = ca u^2 B + cb u M(theta) - I with u = r/t.  ``test_matrices`` builds
     H at (theta, u) points and ``margins_at`` its lambda_max; ``peak``
     finds the scaling t at which the test first fails from the companion
-    eigenproblem per angle.  ``crossing`` keeps the companion eigenvalues of
+    eigenproblem per angle.  ``peak`` keeps the companion eigenvalues of
     every angle it solves (``root_thetas``, ``roots``), so the membership
-    test for s > 2 reads them instead of solving them again.  A kernel
-    serves one matrix and one s.
+    test reads them instead of solving them again.  A kernel serves one
+    matrix and one s.
     """
 
     def __init__(self, a: np.ndarray, s: float):
@@ -494,32 +482,12 @@ class _CsKernel:
     def max_margin(self, t: float) -> tuple[float, float, float]:
         """Largest lambda_max(H) the membership test of A/t finds, with its (theta, r).
 
-        For s <= 2 the supremum over r sits at r = 1 (see the module
-        docstring): the 90 grid angles on that circle are refined by nested
-        zooms around up to ``_PEAK_CANDIDATES`` local maxima, best first, so
-        a peak between grid angles is not hidden by a near equal one on the
-        grid.  The candidates zoom in lockstep on 9 angles; four 4x shrinks
-        resolve ~256x below the grid spacing, and re-evaluating the centre
-        keeps the rounds monotone.  For s > 2 it is ``exact_margin`` at every
-        angle ``crossing`` has solved, so ``peak`` must have run.
+        ``exact_margin`` at every angle ``peak`` has solved the companion
+        eigenproblem at, so ``peak`` must have run.
         """
-        if self.ca < 0:
-            return self.exact_margin(t, self.root_thetas, self.roots)
-        u = 1.0 / t
-        grid = self.margins_at(self.thetas, u)
-        ks = _peak_indices(grid)
-        rows = np.arange(len(ks))
-        values, thetas = grid[ks], self.thetas[ks]
-        d_theta = 2.0 * np.pi / len(self.thetas)
-        for _ in range(4):
-            ths = thetas[:, None] + np.linspace(-d_theta, d_theta, 9)
-            sub = self.margins_at(ths, u)
-            i = np.argmax(sub, axis=1)
-            thetas = ths[rows, i]
-            values = np.maximum(values, sub[rows, i])
-            d_theta /= 4.0
-        k = int(np.argmax(values))
-        return float(values[k]), float(thetas[k]), 1.0
+        if not len(self.root_thetas):
+            raise RuntimeError("the membership test reads the angles peak solves: run peak first")
+        return self.exact_margin(t, self.root_thetas, self.roots)
 
     def exact_margin(self, t: float, thetas, roots) -> tuple[float, float, float]:
         """Membership test of A/t at the given angles, exact in r.
@@ -552,10 +520,13 @@ class _CsKernel:
         close = np.flatnonzero((vals[:len(lower)] > 0.0) & (vals[:len(lower)] <= _MEMBERSHIP_TOL))
         if close.size:
             # to 1e-3 of the width: between two roots that leaves the
-            # maximum found within about 1e-6 of the bump's height
+            # maximum found within about 1e-6 of the bump's height; a
+            # sub-interval a few ulps wide (a root just above t) cannot
+            # shrink by golden steps, so it stops there
             width = upper[close] - lower[close]
+            tol = np.maximum(1e-3 * width, 8.0 * np.finfo(float).eps * upper[close])
             x, fx = _golden_max(lambda v: self.margins_at(ths[close], v),
-                                lower[close], upper[close], tol=1e-3 * width)
+                                lower[close], upper[close], tol=tol)
             better = fx > vals[close]
             us[close] = np.where(better, x, us[close])
             vals[close] = np.where(better, fx, vals[close])
@@ -590,21 +561,26 @@ class _CsKernel:
         # a spurious root can only raise the estimate, which the witness
         # check in ws_radius then rejects.  The eigenvalues are kept in
         # root_thetas and roots.  At s = 2 (ca = 0) the companion is
-        # block-triangular and mu* is the Hermitian lambda_max(cb M), or 0
+        # block-triangular, with the eigenvalues of cb M and n zeros, and
+        # mu* is the Hermitian lambda_max(cb M), or 0
         n = self.n
         mst = self._mstack(thetas)
         if self.ca == 0.0:
-            return np.maximum(np.linalg.eigvalsh(self.cb * mst)[:, -1], 0.0)
-        comp = np.zeros((len(mst), 2 * n, 2 * n), dtype=complex)
-        comp[:, :n, n:] = np.eye(n)
-        comp[:, n:, :n] = self.ca * self.aha
-        comp[:, n:, n:] = self.cb * mst
-        ev = np.linalg.eigvals(comp)
+            lam = np.linalg.eigvalsh(self.cb * mst)
+            ev = np.concatenate([lam, np.zeros_like(lam)], axis=1)
+            mu = np.maximum(lam[:, -1], 0.0)
+        else:
+            comp = np.zeros((len(mst), 2 * n, 2 * n), dtype=complex)
+            comp[:, :n, n:] = np.eye(n)
+            comp[:, n:, :n] = self.ca * self.aha
+            comp[:, n:, n:] = self.cb * mst
+            ev = np.linalg.eigvals(comp)
+            scale = np.abs(ev).max(axis=1, keepdims=True)
+            real = (np.abs(ev.imag) <= 1e-6 * scale) & (ev.real > 0)
+            mu = np.where(real, ev.real, 0.0).max(axis=1)
         self.root_thetas = np.concatenate([self.root_thetas, thetas])
         self.roots = np.concatenate([self.roots, ev])
-        scale = np.abs(ev).max(axis=1, keepdims=True)
-        real = (np.abs(ev.imag) <= 1e-6 * scale) & (ev.real > 0)
-        return np.where(real, ev.real, 0.0).max(axis=1)
+        return mu
 
     def peak(self, extra_thetas) -> tuple[float, float]:
         """Estimate max_theta mu*(theta) = w_s(A) and its angle.
@@ -619,11 +595,14 @@ class _CsKernel:
         p step^2 / 8 of its nearest sample.  Each candidate gets nested
         9-point zooms, shrinking 4x per round; a zoom solves no angle that
         is already solved.  At s = 1 (cb = 0) the companion's eigenvalues
-        +-sqrt(ca lambda(A*A)) do not depend on theta, and the estimate is
-        ||A||_2 at angle 0 with no sweep.
+        +-sqrt(ca) sigma_i(A) do not depend on theta, and neither does H: the
+        estimate is ||A||_2 at angle 0, the one angle kept, with no sweep.
         """
         if self.cb == 0.0:
-            return 0.0, float(np.linalg.norm(self.a, 2))
+            sigma = np.sqrt(self.ca) * np.linalg.svd(self.a, compute_uv=False)
+            self.root_thetas = np.zeros(1)
+            self.roots = np.concatenate([sigma, -sigma])[None, :].astype(complex)
+            return 0.0, float(sigma[0])
         thetas = np.sort(np.concatenate([
             self.thetas, np.mod(np.asarray(extra_thetas, dtype=float), 2.0 * np.pi)]))
         mu = self.crossing(thetas)
@@ -657,17 +636,13 @@ def cs_membership(a, s: float) -> CsMembership:
     H(r, theta) = ((2-s)/s) r^2 A*A + ((s-1)/s) r (e^{i theta} A + e^{-i theta} A*) - I;
     membership holds iff the largest lambda_max(H) the test finds (see
     ``_CsKernel.max_margin``) stays <= 1e-8, the membership tolerance
-    ``ws_radius`` certifies with.  For s <= 2, where the supremum over r
-    sits at r = 1, the test samples 90 angles on the circle r = 1, with
-    zooms around its leading peaks.  For s > 2, where (2-s)/s < 0 and the
-    supremum may be interior, ``_CsKernel.peak`` first solves the
+    ``ws_radius`` certifies with.  ``_CsKernel.peak`` first solves the
     companion eigenproblem at its angles, and the test is exact in r at
     each of them.
     """
     m = as_matrix(a)
     kernel = _CsKernel(m, s)
-    if kernel.ca < 0:
-        kernel.peak(-np.angle(np.linalg.eigvals(m)))
+    kernel.peak(-np.angle(np.linalg.eigvals(m)))
     margin, theta, r = kernel.max_margin(1.0)
     _, vecs = np.linalg.eigh(kernel.test_matrices(theta, r))
     return CsMembership(member=margin <= _MEMBERSHIP_TOL, margin=margin, theta=theta,
@@ -682,13 +657,12 @@ class OperatorRadiusResult:
     a-priori bound max(rho(A), ||A||/s) (shrunk by 1e-9) or a scaling at
     which some tested (theta, r) point's lambda_max exceeds the membership
     tolerance, so lo < w_s(A).  hi passed the membership test, so scaling by
-    hi is safe downstream.  That test is sampled in theta: 90 angles on
-    r = 1 with zooms for s <= 2, plus the companion estimate's angle; for
-    s > 2 the angles at which the estimate solved the companion (90 grid
-    angles, -arg lambda_k(A) and its zooms), each exact in r.  iterations
-    counts the bisection steps of the fallback that runs only when the
-    companion estimate fails either check; it is 0 when the estimate is
-    certified directly.
+    hi is safe downstream.  That test is sampled in theta, at the angles at
+    which the estimate solved the companion (90 grid angles, -arg
+    lambda_k(A) and its zooms; angle 0 alone at s = 1), and is exact in r
+    at each of them.  iterations counts the bisection steps of the fallback
+    that runs only when the companion estimate fails either check; it is 0
+    when the estimate is certified directly.
     """
 
     s: float
@@ -721,9 +695,9 @@ def ws_radius(a, s: float, tol: float = 1e-6) -> OperatorRadiusResult:
     there.  If hi fails, the bracket widens to the a-priori upper bound, and
     while it is wider than ``tol`` it is bisected with the same membership
     test; monotonicity in t (scaling by |lambda| <= 1 preserves C_s) is what
-    makes the bisection valid.  For s > 2 no step solves a companion
-    eigenproblem: the test reads the ones the estimate solved.  An upper
-    bound the test rejects raises :class:`BisectionError`.
+    makes the bisection valid.  No step solves a companion eigenproblem:
+    the test reads the ones the estimate solved.  An upper bound the test
+    rejects raises :class:`BisectionError`.
     """
     m = as_matrix(a)
     norm2 = float(np.linalg.norm(m, 2))
@@ -737,22 +711,17 @@ def ws_radius(a, s: float, tol: float = 1e-6) -> OperatorRadiusResult:
     ceiling = 2.0 * norm2 * max(1.0, 1.0 / s)
     theta, mu = kernel.peak(-np.angle(eigs))
 
-    if kernel.ca < 0:
-        # lambda_max along the estimate's angle, where a narrow real-root
-        # window (large s) can hide between grid angles; it is one of the
-        # angles the estimate solved, so its roots are kept
-        at = kernel.root_thetas == theta
+    # lambda_max along the estimate's angle, where a narrow real-root window
+    # (large s) can hide between grid angles; it is one of the angles the
+    # estimate solved, so its roots are kept, and the membership test reads
+    # it with all the others
+    at = kernel.root_thetas == theta
 
-        def witness(t):
-            return kernel.exact_margin(t, kernel.root_thetas[at], kernel.roots[at])[0]
-    else:
-        def witness(t):
-            return float(kernel.margins_at([theta], 1.0 / t)[0])
+    def witness(t):
+        return kernel.exact_margin(t, kernel.root_thetas[at], kernel.roots[at])[0]
 
     def margin(t):
-        # for s > 2 the estimate's angle is one the test reads already
-        value = kernel.max_margin(t)[0]
-        return value if kernel.ca < 0 else max(value, witness(t))
+        return kernel.max_margin(t)[0]
 
     centre = mu
     lo = mu - 0.45 * tol

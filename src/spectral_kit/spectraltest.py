@@ -355,7 +355,8 @@ def _padded(rows) -> np.ndarray:
 
 def _stacked_norms(num: np.ndarray, den: np.ndarray, m: np.ndarray) -> list:
     # ||p(A) q(A)^{-1}||_2 for each row of num and den, None where q(A) is
-    # singular; each matrix step is the per-matrix call applied to the stack
+    # singular or f(A) overflows; each matrix step is the per-matrix call
+    # applied to the stack
     pa, qa = _horner(num, m), _horner(den, m)
     try:
         fa = np.linalg.solve(qa, pa)
@@ -368,12 +369,9 @@ def _stacked_norms(num: np.ndarray, den: np.ndarray, m: np.ndarray) -> list:
                 fa[i], ok[i] = np.linalg.solve(qa[i], pa[i]), True
             except np.linalg.LinAlgError:
                 pass
-    fa = fa[ok]
-    finite = np.isfinite(fa).all(axis=(1, 2))
-    if not finite.all():
-        op_norm(fa[np.argmin(finite)])  # raises, as the norm of each f(A) did
+    ok &= np.isfinite(fa).all(axis=(1, 2))
     norms = [None] * len(ok)
-    for i, nrm in zip(np.flatnonzero(ok), np.linalg.svd(fa, compute_uv=False)[:, 0].tolist()):
+    for i, nrm in zip(np.flatnonzero(ok), np.linalg.svd(fa[ok], compute_uv=False)[:, 0].tolist()):
         norms[i] = nrm
     return norms
 
@@ -391,11 +389,12 @@ def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate
 
     The whole candidate stream is drawn first, then filtered in order: the
     degree rule, the pole margin from X and the pole guard of
-    ``eval_rational``.  p(A) and q(A) of the candidates left are one
-    stacked Horner (coefficients zero-padded on the high side), f(A) one
-    stacked solve and ||f(A)||_2 one stacked SVD, in blocks of at most
-    ``_STACK_BYTES``; a block with a singular q(A) is solved one candidate
-    at a time and the singular ones are skipped.
+    ``eval_rational``; a candidate whose coefficients overflowed is
+    skipped.  p(A) and q(A) of the candidates left are one stacked Horner
+    (coefficients zero-padded on the high side), f(A) one stacked solve and
+    ||f(A)||_2 one stacked SVD, in blocks of at most ``_STACK_BYTES``; a
+    block with a singular q(A) is solved one candidate at a time, and the
+    singular ones and those whose f(A) is not finite are skipped.
 
     The candidates are then taken in stream order against the running
     lower bound.  The boundary grid is sampled once per call.  A candidate
@@ -426,6 +425,8 @@ def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate
     live = []
     for f in _candidate_stream(x, budget, seed, center, scale):
         if not x.is_bounded and len(f.num) > len(f.den):
+            continue
+        if not (np.isfinite(f.num).all() and np.isfinite(f.den).all()):
             continue
         poles = f.poles()
         if poles.size and (min(signed_margin(x, p) for p in poles) <= 1e-9

@@ -154,6 +154,24 @@ def test_fit_ellipse_hermitian_gives_interval():
     assert abs(e.z1 - 0.0) < 1e-6 and abs(e.z2 - 3.0) < 1e-6
 
 
+@pytest.mark.parametrize("n", [2, 5, 12, 30])
+def test_fit_ellipse_hermitian_interval_is_the_spectral_hull(n):
+    # W(A) of Hermitian A is [lambda_min, lambda_max], and the fitted
+    # interval is that segment, grown about its midpoint only by the
+    # documented rounding allowance 1 + 1e-9, not a longer one
+    rng = np.random.default_rng(90 + n)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = g + g.conj().T
+    lam = np.linalg.eigvalsh(a)
+    mid, half = (lam[-1] + lam[0]) / 2.0, (lam[-1] - lam[0]) / 2.0 * (1.0 + 1e-9)
+    e = fit_ellipse(a)
+    assert e.kind == "interval"
+    ends = sorted((e.z1, e.z2), key=lambda z: z.real)
+    scale = float(np.abs(lam).max())
+    assert abs(ends[0] - (mid - half)) <= 1e-12 * scale
+    assert abs(ends[1] - (mid + half)) <= 1e-12 * scale
+
+
 def test_fit_ellipse_not_wasteful():
     # a disk-like numerical range should not be enclosed much larger
     a = np.array([[0.0, 2.0], [0.0, 0.0]])  # W(A) = disk(0,1)
@@ -270,15 +288,14 @@ def _fit_ellipse_reference(a, n_grid=256):
         ax = ay = 1e-9 * (1.0 + abs(center))
         kind = "disk"
     elif ay <= 1e-10 * ax:
-        # the bounding box of W(A) in the fitted frame
+        # the bounding box of W(A) in the fitted frame, or its long midline
         right, top, left, bottom = hermitian_eigmax(
             _herm_parts(mat, t + np.pi / 2.0 * np.arange(4))).tolist()
         if top + bottom <= 64.0 * np.finfo(float).eps * float(np.linalg.norm(mat)):
             kind = "interval"
-        else:
-            center = complex(u * complex(right - left, top - bottom) / 2.0)
-            ax = (right + left) / 2.0
-            ay = float(np.sqrt(ax * (top + bottom) / 2.0))
+        center = complex(u * complex(right - left, top - bottom) / 2.0)
+        ax = (right + left) / 2.0
+        ay = float(np.sqrt(ax * max(top + bottom, 0.0) / 2.0))
 
     def gauge(z):
         dx, dy = z.real - center.real, z.imag - center.imag

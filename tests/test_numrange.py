@@ -230,12 +230,16 @@ def _fresh_profile(a, n_grid):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 24])
 def test_support_profile_memo_serves_coarse_grid_bit_for_bit(n):
+    # a repeat request is the memoized profile itself; a coarse grid after a
+    # fine one is swept on its own and equals a fresh sweep
     rng = np.random.default_rng(40 + n)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     fresh = _fresh_profile(a, 256)
     fine = _fresh_profile(a, 512)
     served = support_profile(a, 256)
-    assert np.shares_memory(served.values, fine.values)  # rows of the 512 grid
+    assert support_profile(a, 512) is fine
+    assert support_profile(a, 256) is served
+    assert not np.shares_memory(served.values, fine.values)
     for name in _PROFILE_FIELDS:
         assert np.array_equal(getattr(served, name), getattr(fresh, name))
 
@@ -468,15 +472,17 @@ def test_cs_certificate_refines_every_peak():
     # higher peak, between grid angles, while the grid argmax is the lower one
     a = _two_disks()
     t = 1.0000001
-    assert numrange._CsKernel(a, 2.0).max_margin(t)[0] > 1e-8
+    kernel = numrange._CsKernel(a, 2.0)
+    kernel.peak(-np.angle(np.linalg.eigvals(a)))
+    assert kernel.max_margin(t)[0] > 1e-8
     res = cs_membership(a / t, 2.0)
     assert not res.member
     assert res.margin > 1e-8
 
 
 def _lattice_max_margin(kernel, t):
-    # the full 90 x 50 (theta, r) lattice with 9 x 9 zooms: max_margin as it
-    # ran for every s before the r = 1 row for s <= 2
+    # the full 90 x 50 (theta, r) lattice with 9 x 9 zooms: the membership
+    # test as it ran for every s before the test exact in r
     rs = np.linspace(0.0, 1.0, 50)
     grid = kernel.margins_at(kernel.thetas[:, None], rs / t)
     ks = numrange._peak_indices(grid.max(axis=1))
@@ -497,38 +503,35 @@ def _lattice_max_margin(kernel, t):
     return float(values[k]), float(thetas[k]), float(rr[k])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
-def test_max_margin_on_the_circle_equals_the_full_lattice_for_s_up_to_2(n):
-    # lambda_max(H) is convex in r for s <= 2 and peaks at r = 1, so the one
-    # row r = 1 decides exactly what the 90 x 50 lattice decided
-    rng = np.random.default_rng(40 + n)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    for s in (0.3, 0.5, 1.0, 1.5, 2.0):
-        kernel = numrange._CsKernel(a, s)
-        w = ws_radius(a, s, tol=1e-6).radius
-        for t in (0.9 * w, w, 1.1 * w):
-            got = kernel.max_margin(t)
-            assert got == _lattice_max_margin(kernel, t)
-            assert got[2] == 1.0
+@pytest.mark.parametrize("n, s", [(3, 0.5), (7, 3.0)])
+def test_cs_membership_at_w_s_stops_on_an_ulp_wide_root_interval(monkeypatch, n, s):
+    # at t = w_s a companion root sits a few ulps above t, so the last
+    # sub-interval of u is a few ulps wide and its midpoint within the
+    # tolerance; the golden search over it must stop, not stall (a stall
+    # is cut off here after 1000 test-matrix evaluations)
+    rng = np.random.default_rng(5)
+    mats = {k: rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            for k in range(2, 9)}
+    a = mats[n]
+    w = ws_radius(a, s, tol=1e-6).radius
+    calls = []
+    margins_at = numrange._CsKernel.margins_at
+
+    def bounded(self, *args):
+        calls.append(1)
+        assert len(calls) <= 1000, "the membership test stalled"
+        return margins_at(self, *args)
+
+    monkeypatch.setattr(numrange._CsKernel, "margins_at", bounded)
+    res = cs_membership(a / w, s)
+    assert res.member == (res.margin <= 1e-8)
 
 
-def test_max_margin_on_the_circle_evaluates_one_row(monkeypatch):
-    # s <= 2: 90 angles plus 4 zoom rounds of 9 angles for at most 4 peaks
-    rng = np.random.default_rng(17)
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    t = numerical_radius(a)
-    counted = []
-    eigmax = numrange.hermitian_eigmax
-
-    def spy(h):
-        counted.append(math.prod(h.shape[:-2]))
-        return eigmax(h)
-
-    monkeypatch.setattr(numrange, "hermitian_eigmax", spy)
-    for s in (0.5, 1.0, 2.0):
-        counted.clear()
-        numrange._CsKernel(a, s).max_margin(t)
-        assert sum(counted) <= 90 + 4 * 4 * 9
+def test_max_margin_before_peak_raises():
+    # the membership test reads the angles the peak search solved
+    kernel = numrange._CsKernel(crouzeix_2x2(), 1.5)
+    with pytest.raises(RuntimeError, match="run peak first"):
+        kernel.max_margin(1.0)
 
 
 def _companion_crossing(a, s, thetas):
@@ -572,15 +575,14 @@ def test_ws_radius_just_above_s2_takes_the_exact_path_and_agrees():
     rng = np.random.default_rng(18)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     s_up = 2.0 + 1e-9
-    # s = 2 solves no companion and tests the circle r = 1; just above, the
-    # test is exact in r at every angle the peak search solved
-    at2_kernel, up_kernel = numrange._CsKernel(a, 2.0), numrange._CsKernel(a, s_up)
-    at2_kernel.peak([])
-    _, mu = up_kernel.peak([])
-    assert len(at2_kernel.root_thetas) == 0
-    assert len(up_kernel.root_thetas) > 90
-    assert up_kernel.max_margin(mu) == up_kernel.exact_margin(
-        mu, up_kernel.root_thetas, up_kernel.roots)
+    # s = 2 solves the block-triangular companion with eigvalsh, just above
+    # with eigvals; either way the test is exact in r at every angle the
+    # peak search solved
+    for s in (2.0, s_up):
+        kernel = numrange._CsKernel(a, s)
+        _, mu = kernel.peak([])
+        assert len(kernel.root_thetas) > 90
+        assert kernel.max_margin(mu) == kernel.exact_margin(mu, kernel.root_thetas, kernel.roots)
     tol = 1e-6
     at2, above = ws_radius(a, 2.0, tol=tol), ws_radius(a, s_up, tol=tol)
     assert abs(at2.radius - above.radius) <= tol
@@ -588,8 +590,8 @@ def test_ws_radius_just_above_s2_takes_the_exact_path_and_agrees():
 
 
 def _lattice_decision(kernel, t, theta):
-    # the s > 2 membership test of A/t as ws_radius ran it on the 90 x 50
-    # lattice: the lattice with its 9 x 9 zooms, plus the 50 radii along the
+    # the membership test of A/t as ws_radius ran it on the 90 x 50 lattice:
+    # the lattice with its 9 x 9 zooms, plus the 50 radii along the
     # estimate's angle theta
     along = kernel.margins_at(theta, np.linspace(0.0, 1.0, 50) / t).max()
     return max(_lattice_max_margin(kernel, t)[0], float(along)) <= 1e-8
@@ -606,8 +608,8 @@ def _seeded_matrices():
     return out + [jordan_nilpotent(n) for n in (3, 5, 8)]
 
 
-@pytest.mark.parametrize("s", [3.0, 8.0, 1024.0])
-def test_exact_membership_above_s2_decides_as_the_lattice(s):
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 8.0, 1024.0])
+def test_exact_membership_decides_as_the_lattice(s):
     # at the estimate mu-hat and on either side of it, the test exact in r
     # at the peak search's angles decides as the 90 x 50 lattice did
     for a in _seeded_matrices():
@@ -617,11 +619,13 @@ def test_exact_membership_above_s2_decides_as_the_lattice(s):
             assert (kernel.max_margin(t)[0] <= 1e-8) == _lattice_decision(kernel, t, theta)
 
 
-def test_ws_radius_above_s2_reuses_the_roots_of_its_peak_search(monkeypatch):
+@pytest.mark.parametrize("s", [0.5, 1.5, 2.0, 1024.0])
+def test_ws_radius_reuses_the_roots_of_its_peak_search(monkeypatch, s):
     # a membership decision evaluates at most 2n + 2 test matrices per angle
     # the peak search solved (the 90 x 50 lattice with its zooms evaluated
     # 4,500 + 4 * 81 * 4), and after the peak search no companion
-    # eigenproblem is solved again, in the bisection fallback neither
+    # eigenproblem is solved again, in the bisection fallback neither.  The
+    # angles are counted on the kernel: s = 2 solves them with eigvalsh
     eigmax, eigvals, peak = numrange.hermitian_eigmax, np.linalg.eigvals, numrange._CsKernel.peak
     log = []
 
@@ -636,7 +640,7 @@ def test_ws_radius_above_s2_reuses_the_roots_of_its_peak_search(monkeypatch):
 
     def spy_peak(self, extra_thetas):
         out = peak(self, extra_thetas)
-        log.append(("peak", 0))
+        log.append(("peak", len(self.root_thetas)))
         return out
 
     monkeypatch.setattr(numrange, "hermitian_eigmax", spy_eigmax)
@@ -645,17 +649,19 @@ def test_ws_radius_above_s2_reuses_the_roots_of_its_peak_search(monkeypatch):
     rng = np.random.default_rng(19)
     cases = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1e-6)
              for n in range(2, 9)]
-    # the witness cannot clear the membership tolerance this close: bisection
+    # at s = 1024 the witness cannot clear the membership tolerance this
+    # close: bisection
     cases.append((jordan_nilpotent(3), 1e-9))
     for a, tol in cases:
         log.clear()
-        res = ws_radius(a, 1024.0, tol=tol)
-        done = log.index(("peak", 0))
-        solved = sum(k for what, k in log[:done] if what == "companion")
+        res = ws_radius(a, s, tol=tol)
+        done = next(i for i, (what, _) in enumerate(log) if what == "peak")
+        solved = log[done][1]
         after = log[done + 1:]
         assert all(what == "eigmax" for what, _ in after)
         assert max(k for _, k in after) <= solved * (2 * a.shape[0] + 2)
-    assert res.iterations > 0
+    if s > 2.0:
+        assert res.iterations > 0
 
 
 def test_peak_zooms_solve_no_angle_twice(monkeypatch):

@@ -96,6 +96,8 @@ def commands():
         yield ["gallery", "verify", name]
     yield ["suites", "--seed", "7", "--trials", "3"]
     yield ["kbound", "--shape", "auto", *m]
+    yield ["wradius", *m, "--s", "0.5"]
+    yield ["wradius", *m, "--s", "1.5"]
 
 
 def write_reports(outdir):
