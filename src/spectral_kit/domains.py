@@ -736,15 +736,13 @@ def _ellipse_perimeter(a: float, b: float) -> float:
 
 
 def _annulus_series(big_r: float) -> float:
-    total = 0.0
-    powr = big_r ** 2
-    for _ in range(100000):
-        term = 4.0 / (powr + 1.0)
-        total += term
-        if term < 1e-15:
-            break
-        powr *= big_r ** 2
-    return total
+    # an upper bound on sum_{k >= 1} 4 / (q^k + 1), q = R^2: the first K
+    # terms, K <= 10^6 where the tail falls below 1e-16, plus the tail bound
+    # sum_{k > K} 4 / (q^k + 1) < 4 q^-K / (q - 1)
+    q = big_r * big_r
+    count = max(1, min(10 ** 6, math.ceil(math.log(4e16 / (q - 1.0)) / math.log(q))))
+    terms = 4.0 / (q ** np.arange(1, count + 1) + 1.0)
+    return float(np.sum(terms)) + 4.0 * q ** -float(count) / (q - 1.0)
 
 
 def _annulus_integral(big_r: float) -> float:

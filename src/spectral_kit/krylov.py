@@ -50,13 +50,18 @@ class KrylovDecomposition:
         return self.v.shape[1]
 
 
-def arnoldi(a, b, m: int) -> KrylovDecomposition:
-    """Modified Gram-Schmidt Arnoldi with one reorthogonalization pass.
+def _krylov_basis(mat: np.ndarray, b, poles: Sequence):
+    """One Krylov step per pole from the unit vector b / ||b||.
 
-    Returns the m-step decomposition; a lucky breakdown (invariant subspace
-    found early) returns the reduced decomposition flagged exact.
+    A pole of numpy.inf (or None) applies A to the newest column, a finite z
+    solves with A - zI (condition number above 1e14 raises an error naming
+    the pole).  Each new vector is orthogonalized against every column so
+    far by classical Gram-Schmidt with one reorthogonalization pass; column
+    j of coef holds the summed coefficients of step j and, in row j + 1, the
+    norm left over.  Returns (v, coef, b_norm, exact): on a breakdown (that
+    norm vanishes against the vector's own scale, so span(v) is invariant)
+    v stops at the columns built so far and exact is True.
     """
-    mat = as_matrix(a)
     n = mat.shape[0]
     bv = np.asarray(b, dtype=complex).reshape(-1)
     if bv.shape != (n,):
@@ -64,80 +69,65 @@ def arnoldi(a, b, m: int) -> KrylovDecomposition:
     b_norm = float(np.linalg.norm(bv))
     if b_norm == 0.0:
         raise ValueError("b must be nonzero")
-    if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= n")
-
-    v = np.zeros((n, m), dtype=complex)
-    hess = np.zeros((m + 1, m), dtype=complex)
+    v = np.zeros((n, len(poles) + 1), dtype=complex)
+    coef = np.zeros((len(poles) + 1, len(poles)), dtype=complex)
     v[:, 0] = bv / b_norm
-    next_v = None
-    for j in range(m):
-        w = mat @ v[:, j]
-        w_scale = max(float(np.linalg.norm(w)), 1e-300)
-        for _ in range(2):  # MGS + one reorthogonalization pass
-            for i in range(j + 1):
-                c = np.vdot(v[:, i], w)
-                hess[i, j] += c
-                w = w - c * v[:, i]
-        h_next = float(np.linalg.norm(w))
-        hess[j + 1, j] = h_next
-        if h_next <= _BREAKDOWN_TOL * w_scale:
-            return KrylovDecomposition(
-                v=v[:, : j + 1].copy(), h=hess[: j + 1, : j + 1].copy(),
-                next_h=0.0, next_v=None, b_norm=b_norm, exact=True)
-        if j + 1 < m:
-            v[:, j + 1] = w / h_next
-        else:
-            next_v = w / h_next
-    return KrylovDecomposition(v=v, h=hess[:m, :m],
-                               next_h=float(hess[m, m - 1].real),
-                               next_v=next_v, b_norm=b_norm, exact=(m == n))
-
-
-def rational_krylov(a, b, poles: Sequence) -> KrylovDecomposition:
-    """Orthonormal basis of q(A)^{-1} span{b, Ab, ..., A^{m-1}b}.
-
-    poles lists z_1..z_{m-1}; entries may be numpy.inf (or None) for
-    polynomial steps, so the all-infinite list reproduces arnoldi.  Each
-    finite pole triggers a shifted solve (A - z I)^{-1}; a shifted matrix
-    with condition number above 1e14 raises an error naming the pole.
-    """
-    mat = as_matrix(a)
-    n = mat.shape[0]
-    bv = np.asarray(b, dtype=complex).reshape(-1)
-    if bv.shape != (n,):
-        raise ValueError("b must be a length-n vector")
-    b_norm = float(np.linalg.norm(bv))
-    if b_norm == 0.0:
-        raise ValueError("b must be nonzero")
-    m = len(poles) + 1
-    if m > n:
-        raise ValueError("too many poles: space dimension exceeds n")
-
-    v = np.zeros((n, m), dtype=complex)
-    v[:, 0] = bv / b_norm
-    k = 1
-    exact = False
-    for z in poles:
+    for j, z in enumerate(poles):
         if z is None or np.isinf(z):
-            w = mat @ v[:, k - 1]
+            w = mat @ v[:, j]
         else:
             shifted = mat - complex(z) * np.eye(n)
             sv = np.linalg.svd(shifted, compute_uv=False)
             if sv[-1] <= sv[0] / _SOLVE_COND_MAX:
                 raise RuntimeError(
                     f"shifted solve nearly singular at pole {complex(z)}")
-            w = np.linalg.solve(shifted, v[:, k - 1])
+            w = np.linalg.solve(shifted, v[:, j])
         w_scale = max(float(np.linalg.norm(w)), 1e-300)
+        basis = v[:, : j + 1]
         for _ in range(2):
-            w = w - v[:, :k] @ (v[:, :k].conj().T @ w)
-        nw = float(np.linalg.norm(w))
+            c = basis.conj().T @ w
+            coef[: j + 1, j] += c
+            w = w - basis @ c
+        coef[j + 1, j] = nw = float(np.linalg.norm(w))
         if nw <= _BREAKDOWN_TOL * w_scale:
-            exact = True
-            break
-        v[:, k] = w / nw
-        k += 1
-    v = v[:, :k]
+            return basis, coef, b_norm, True
+        v[:, j + 1] = w / nw
+    return v, coef, b_norm, False
+
+
+def arnoldi(a, b, m: int) -> KrylovDecomposition:
+    """Arnoldi by classical Gram-Schmidt with one reorthogonalization pass.
+
+    Returns the m-step decomposition, H the Hessenberg matrix of the
+    Gram-Schmidt coefficients; a lucky breakdown (invariant subspace found
+    early) returns the reduced decomposition flagged exact.
+    """
+    mat = as_matrix(a)
+    if not 1 <= m <= mat.shape[0]:
+        raise ValueError("need 1 <= m <= n")
+    v, hess, b_norm, exact = _krylov_basis(mat, b, [np.inf] * m)
+    if exact:
+        k = v.shape[1]
+        return KrylovDecomposition(v=v, h=hess[:k, :k], next_h=0.0, next_v=None,
+                                   b_norm=b_norm, exact=True)
+    return KrylovDecomposition(v=v[:, :m], h=hess[:m, :m],
+                               next_h=float(hess[m, m - 1].real), next_v=v[:, m],
+                               b_norm=b_norm, exact=(m == mat.shape[0]))
+
+
+def rational_krylov(a, b, poles: Sequence) -> KrylovDecomposition:
+    """Orthonormal basis of q(A)^{-1} span{b, Ab, ..., A^{m-1}b}, H = V*AV.
+
+    poles lists z_1..z_{m-1}; entries may be numpy.inf (or None) for
+    polynomial steps, so the all-infinite list builds arnoldi's basis (the
+    same classical Gram-Schmidt loop with one reorthogonalization pass).
+    Each finite pole triggers a shifted solve (A - z I)^{-1}; a shifted
+    matrix with condition number above 1e14 raises an error naming the pole.
+    """
+    mat = as_matrix(a)
+    if len(poles) + 1 > mat.shape[0]:
+        raise ValueError("too many poles: space dimension exceeds n")
+    v, _, b_norm, exact = _krylov_basis(mat, b, poles)
     h = v.conj().T @ (mat @ v)
     return KrylovDecomposition(v=v, h=h, next_h=0.0, next_v=None,
                                b_norm=b_norm, poles=tuple(poles), exact=exact)

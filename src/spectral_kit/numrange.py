@@ -108,7 +108,7 @@ def _herm_parts(a: np.ndarray, thetas) -> np.ndarray:
 def hermitian_eigmax(h: np.ndarray) -> np.ndarray:
     """lambda_max for a stack of Hermitian matrices, shape (..., n, n).
 
-    Closed forms for n <= 3 (vectorized), LAPACK otherwise.
+    Closed forms for n <= 2 (vectorized), LAPACK otherwise.
     """
     n = h.shape[-1]
     if n == 1:
@@ -117,35 +117,7 @@ def hermitian_eigmax(h: np.ndarray) -> np.ndarray:
         half_tr = (h[..., 0, 0].real + h[..., 1, 1].real) / 2.0
         gap = (h[..., 0, 0].real - h[..., 1, 1].real) / 2.0
         return half_tr + np.sqrt(gap ** 2 + np.abs(h[..., 0, 1]) ** 2)
-    if n == 3:
-        d0 = h[..., 0, 0].real
-        d1 = h[..., 1, 1].real
-        d2 = h[..., 2, 2].real
-        q = (d0 + d1 + d2) / 3.0
-        p1 = (np.abs(h[..., 0, 1]) ** 2 + np.abs(h[..., 0, 2]) ** 2
-              + np.abs(h[..., 1, 2]) ** 2)
-        p2 = (d0 - q) ** 2 + (d1 - q) ** 2 + (d2 - q) ** 2 + 2.0 * p1
-        p = np.sqrt(np.maximum(p2, 0.0) / 6.0)
-        safe = np.where(p > 0, p, 1.0)
-        b00 = (d0 - q) / safe
-        b11 = (d1 - q) / safe
-        b22 = (d2 - q) / safe
-        b01 = h[..., 0, 1] / safe
-        b02 = h[..., 0, 2] / safe
-        b12 = h[..., 1, 2] / safe
-        det = _det3_hermitian(b00, b11, b22, b01, b02, b12)
-        r = np.clip(det / 2.0, -1.0, 1.0)
-        phi = np.arccos(r) / 3.0
-        lam = q + 2.0 * p * np.cos(phi)
-        return np.where(p2 > 0, lam, q)
     return np.linalg.eigvalsh(h)[..., -1]
-
-
-def _det3_hermitian(d0, d1, d2, h01, h02, h12):
-    # det of Hermitian 3x3 with real diagonal d and off-diagonals h01, h02, h12
-    return (d0 * (d1 * d2 - np.abs(h12) ** 2)
-            - (np.abs(h01) ** 2 * d2 - 2.0 * (h01 * h12 * np.conj(h02)).real)
-            - np.abs(h02) ** 2 * d1)
 
 
 def support_value(a, theta: float) -> float:

@@ -443,8 +443,12 @@ def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate
     for at in range(0, len(live), step):
         block = live[at:at + step]
         num, den = _padded([f.num for f in block]), _padded([f.den for f in block])
-        subs = sampler.sub_grid(num, den).tolist()
-        for f, nrm, sub in zip(block, _stacked_norms(num, den, m), subs):
+        # overflow is expected here: its norm reads None (skipped below) and
+        # its sub-grid maximum nan (the full grid decides)
+        with np.errstate(over="ignore", invalid="ignore"):
+            subs = sampler.sub_grid(num, den).tolist()
+            norms = _stacked_norms(num, den, m)
+        for f, nrm, sub in zip(block, norms, subs):
             # sub never exceeds grid(f)[0] (nan where that is not shown), so
             # the grid test below would skip f too
             if nrm is None or (1e-300 < sub < np.inf and nrm / sub <= lower):

@@ -12,6 +12,7 @@ from spectral_kit.domains import (
     Interval,
     Polygon,
     TruncatedBoundary,
+    _annulus_series,
     boundary_sample,
     contains,
     ellipse,
@@ -302,6 +303,23 @@ def _annulus_candidates(big_r):
 def test_kbound_annulus_near_one():
     _, refined, _, _ = _annulus_candidates(1.0001)
     assert refined == pytest.approx(2 + 2 / math.sqrt(3.0), abs=1e-3)
+
+
+def test_kbound_annulus_series_bound_is_an_upper_bound():
+    # sum_{k >= 1} 4 / (R^{2k} + 1) needs millions of terms near R = 1, and
+    # the entry must still bound it from above (it is about 138,629 here)
+    q = 1.00001 ** 2
+    partial = float(np.sum(4.0 / (q ** np.arange(1, 2_000_001) + 1.0)))
+    _, _, series, _ = _annulus_candidates(1.00001)
+    assert partial <= series - 2.0 <= partial + 1e-3
+    # away from R = 1, the term-by-term sum to 1e-15 as the reference
+    for big_r in (1.2, 2.0, 5.0):
+        total, powr = 0.0, big_r ** 2
+        while 4.0 / (powr + 1.0) >= 1e-15:
+            total += 4.0 / (powr + 1.0)
+            powr *= big_r ** 2
+        total += 4.0 / (powr + 1.0)
+        assert _annulus_series(big_r) == pytest.approx(total, rel=1e-14, abs=0.0)
 
 
 def test_kbound_annulus_values_and_crossovers():

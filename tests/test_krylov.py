@@ -382,7 +382,8 @@ def test_rational_krylov_inf_poles_match_arnoldi():
     b = rng.standard_normal(12)
     dec = rational_krylov(a, b, [np.inf] * 4)
     ref = arnoldi(a, b, 5)
-    assert np.allclose(dec.v, ref.v, atol=1e-8)
+    # one loop builds both bases; H is V*AV here and the recurrence's there
+    assert np.array_equal(dec.v, ref.v)
     assert np.allclose(dec.h, ref.h, atol=1e-8)
     assert np.max(np.abs(np.tril(dec.h, -2))) < 1e-10
 

@@ -31,12 +31,21 @@ def crouzeix_2x2():
 
 def test_hermitian_eigmax_matches_lapack():
     rng = np.random.default_rng(0)
+    stacks = []
     for n in (1, 2, 3, 5):
         h = rng.standard_normal((200, n, n)) + 1j * rng.standard_normal((200, n, n))
-        h = h + np.conj(h.swapaxes(1, 2))
+        stacks.append(h + np.conj(h.swapaxes(1, 2)))
+    # 3 x 3 with a near-double top eigenvalue, where a closed form through
+    # arccos loses half the digits (errors up to 1e-8 at scale 1)
+    q, _ = np.linalg.qr(rng.standard_normal((200, 3, 3)) + 1j * rng.standard_normal((200, 3, 3)))
+    lam = np.stack([np.ones(200), 1.0 - 1e-9 * rng.random(200), rng.uniform(-1.0, 0.5, 200)],
+                   axis=1)
+    h = (q * lam[:, None, :]) @ np.conj(q.swapaxes(1, 2))
+    stacks.append((h + np.conj(h.swapaxes(1, 2))) / 2.0)
+    for h in stacks:
         got = hermitian_eigmax(h)
         ref = np.linalg.eigvalsh(h)[:, -1]
-        assert np.allclose(got, ref, atol=1e-10 * max(1.0, np.abs(h).max()))
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-10 * max(1.0, np.abs(h).max()))
 
 
 def test_hermitian_eigmax_degenerate_multiple_of_identity():
@@ -104,6 +113,8 @@ def test_numerical_radius_disk_and_normal():
     assert numerical_radius(crouzeix_2x2()) == pytest.approx(1.0, abs=1e-10)
     assert numerical_radius(np.diag([1.0, -3.0])) == pytest.approx(3.0, abs=1e-10)
     assert numerical_radius(np.zeros((3, 3))) == 0.0
+    # a double top eigenvalue: w = 1 to rounding
+    assert abs(numerical_radius(np.diag([1.0, 1.0, 0.2])) - 1.0) <= 4 * np.spacing(1.0)
 
 
 def test_numerical_radius_finds_the_higher_of_two_near_equal_peaks():
@@ -646,13 +657,8 @@ def test_ws_radius_reuses_the_roots_of_its_peak_search(monkeypatch, s):
     monkeypatch.setattr(numrange, "hermitian_eigmax", spy_eigmax)
     monkeypatch.setattr(np.linalg, "eigvals", spy_eigvals)
     monkeypatch.setattr(numrange._CsKernel, "peak", spy_peak)
-    rng = np.random.default_rng(19)
-    cases = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1e-6)
-             for n in range(2, 9)]
-    # at s = 1024 the witness cannot clear the membership tolerance this
-    # close: bisection
-    cases.append((jordan_nilpotent(3), 1e-9))
-    for a, tol in cases:
+
+    def check(a, tol):
         log.clear()
         res = ws_radius(a, s, tol=tol)
         done = next(i for i, (what, _) in enumerate(log) if what == "peak")
@@ -660,8 +666,17 @@ def test_ws_radius_reuses_the_roots_of_its_peak_search(monkeypatch, s):
         after = log[done + 1:]
         assert all(what == "eigmax" for what, _ in after)
         assert max(k for _, k in after) <= solved * (2 * a.shape[0] + 2)
-    if s > 2.0:
-        assert res.iterations > 0
+        return res
+
+    rng = np.random.default_rng(19)
+    for n in range(2, 9):
+        check(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1e-6)
+    # the level crossing gives this close bracket its witness ...
+    assert check(jordan_nilpotent(3), 1e-9).iterations == 0
+    # ... and without it the offset witness cannot clear the membership
+    # tolerance, so the bracket starts from the floor: bisection
+    monkeypatch.setattr(numrange._CsKernel, "level_crossing", lambda *args: None)
+    assert check(jordan_nilpotent(3), 1e-9).iterations > 0
 
 
 def test_peak_zooms_solve_no_angle_twice(monkeypatch):

@@ -338,10 +338,12 @@ def test_kratio_estimate_matches_unpruned_reference_exactly():
 
 def test_kratio_estimate_skips_candidates_that_overflow():
     # at this scale the Moebius-composed Blaschke coefficients and some f(A)
-    # overflow to inf; those candidates are skipped, not raised on
+    # overflow to inf; those candidates are skipped, neither raised on nor
+    # warned about
     rng = np.random.default_rng(0)
     a = 1e80 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         est = kratio_estimate(a, Disk(0.0, 1.05 * numerical_radius(a)), budget=50)
     assert np.isfinite(est.lower)
     assert est.upper is not None and est.lower <= est.upper

@@ -98,6 +98,7 @@ def commands():
     yield ["kbound", "--shape", "auto", *m]
     yield ["wradius", *m, "--s", "0.5"]
     yield ["wradius", *m, "--s", "1.5"]
+    yield ["kbound", "--shape", "annulus 1.00001"]
 
 
 def write_reports(outdir):
