@@ -361,14 +361,13 @@ class Annulus(Shape):
                                for curve, m in zip(curves, sizes)])
 
     def kbound_candidates(self, context):
-        big_r = self.big_r
+        x, gap, _ = _inverse_square(self.big_r)
+        p = 1.0 / self.big_r
         return [
-            ("annulus disk-pair bound",
-             2.0 + math.sqrt((big_r ** 2 + 1.0) / (big_r ** 2 - 1.0))),
-            ("annulus refined disk-pair bound",
-             2.0 + (big_r + 1.0) / math.sqrt(big_r ** 2 + big_r + 1.0)),
-            ("annulus series bound", max(3.0, 2.0 + _annulus_series(big_r))),
-            ("annulus integral bound", 2.0 + _annulus_integral(big_r) / math.pi),
+            ("annulus disk-pair bound", 2.0 + math.sqrt((1.0 + x) / gap)),
+            ("annulus refined disk-pair bound", 2.0 + (1.0 + p) / math.sqrt(1.0 + p + p * p)),
+            ("annulus series bound", max(3.0, 2.0 + _annulus_series(self.big_r))),
+            ("annulus integral bound", 2.0 + _annulus_integral(self.big_r) / math.pi),
         ]
 
 
@@ -735,26 +734,38 @@ def _ellipse_perimeter(a: float, b: float) -> float:
     return 4.0 * a * float(special.ellipe(e2))
 
 
+def _inverse_square(big_r: float) -> tuple[float, float, float]:
+    # x = 1/R^2, 1 - x and log x, from log R: the annulus bounds are written
+    # in them, so no power of R can overflow, and 1 - x keeps its digits
+    # near R = 1
+    log_x = -2.0 * math.log(big_r)
+    return math.exp(log_x), -math.expm1(log_x), log_x
+
+
 def _annulus_series(big_r: float) -> float:
-    # an upper bound on sum_{k >= 1} 4 / (q^k + 1), q = R^2: the first K
-    # terms, K <= 10^6 where the tail falls below 1e-16, plus the tail bound
-    # sum_{k > K} 4 / (q^k + 1) < 4 q^-K / (q - 1)
-    q = big_r * big_r
-    count = max(1, min(10 ** 6, math.ceil(math.log(4e16 / (q - 1.0)) / math.log(q))))
-    terms = 4.0 / (q ** np.arange(1, count + 1) + 1.0)
-    return float(np.sum(terms)) + 4.0 * q ** -float(count) / (q - 1.0)
+    # an upper bound on sum_{k >= 1} 4 / (R^2k + 1): the first K terms
+    # 4 x^k / (1 + x^k), K <= 10^6 where the tail falls below 1e-16, plus the
+    # tail bound 4 x^(K+1) / (1 - x)
+    _, gap, log_x = _inverse_square(big_r)
+    count = max(1, min(10 ** 6, math.ceil((math.log(4e16 / gap) + log_x) / -log_x)))
+    powers = np.exp(log_x * np.arange(1, count + 1))
+    terms = 4.0 * powers / (1.0 + powers)
+    return float(np.sum(terms)) + 4.0 * math.exp(log_x * (count + 1)) / gap
 
 
 def _annulus_integral(big_r: float) -> float:
-    r4 = big_r ** 4
-    r2 = big_r ** 2
+    # the integrand sqrt((R^4 + 2 R^2 cos + 1) / (R^4 - 2 R^2 cos + 1)),
+    # divided through by R^4, with 1 + 2 x cos + x^2 = (1 + x)^2 - bend and
+    # 1 - 2 x cos + x^2 = (1 - x)^2 + bend, bend = 4 x sin^2(th/2), which
+    # keep their digits near R = 1
+    x, gap, _ = _inverse_square(big_r)
 
     def g(th):
-        return math.sqrt((r4 + 2.0 * r2 * math.cos(th) + 1.0)
-                         / (r4 - 2.0 * r2 * math.cos(th) + 1.0))
+        bend = 4.0 * x * math.sin(th / 2.0) ** 2
+        return math.sqrt(((1.0 + x) ** 2 - bend) / (gap * gap + bend))
 
     # split off the peak at theta = 0, which narrows as R -> 1+
-    cut = min(1.0, max(10.0 * (r2 - 1.0) / r2, 1e-3))
+    cut = min(1.0, max(10.0 * gap, 1e-3))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         head, _ = integrate.quad(g, 0.0, cut, epsabs=1e-12, epsrel=1e-12, limit=400)

@@ -139,10 +139,11 @@ def rational_krylov(a, b, poles: Sequence) -> KrylovDecomposition:
 def fit_ellipse(a) -> Shape:
     """Small-area ellipse (or interval) containing W(A).
 
-    The 256 boundary points of one top-eigenpair sweep of W(A) are enclosed
-    by an ellipse E0, axis-aligned after a rotation search over 180 angles
-    and a golden-section aspect-ratio optimization (run in lockstep across
-    the angles).  Where that fit is thinner than 1e-10, the exact bounding
+    The 256 boundary points of ``support_profile(A, 256)`` (128 Hermitian
+    reductions, each read at both ends of its spectrum for the angles t and
+    t + pi) are enclosed by an ellipse E0, axis-aligned after a rotation
+    search over 180 angles and a golden-section aspect-ratio optimization
+    (run in lockstep across the angles).  Where that fit is thinner than 1e-10, the exact bounding
     box of W(A) in the fitted frame decides (the support values p at t,
     t + pi/2, t + pi and t + 3 pi/2): if its width is at most
     64 eps ||A||_F, W(A) is a segment to rounding and E0 the box's long
@@ -646,10 +647,10 @@ def gmres_fom(a, b, m: int = None, e: Shape = None) -> GmresFomResult:
         fom_curve = 4.0 / (phi0 ** idx) / dist0
         curves = (gmres_faber, gmres_asym, fom_curve)
 
-    herm = (mat + mat.conj().T) / 2.0
-    lens = None
-    if np.linalg.eigvalsh(herm).min() > 0:
+    try:
         lens = lens_asymptotic_factor(mat)
+    except ValueError:  # A + A* is not positive definite
+        lens = None
 
     return GmresFomResult(shape=e, gmres_iterates=gmres_x,
                           residual_ratios=np.asarray(resid),

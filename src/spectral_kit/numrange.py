@@ -5,12 +5,17 @@ p(theta) = lambda_max(re(e^{-i theta} A)); convexity of W(A) is a theorem and
 is not re-verified.  A sample needs only the top eigenpair of
 re(e^{-i theta} A) = cos(theta) H + sin(theta) K, with H and K the Hermitian
 and skew-Hermitian parts of A: the top eigenvalue is p(theta) and the top
-eigenvector x gives the boundary point <A x, x> (Johnson 1978).
-``support_profile`` asks LAPACK ``heevr`` for that pair alone at n >= 10 and
-takes it from a stacked ``eigh`` below, where per-call overhead dominates.  It
-memoizes the last 8 profiles, keyed by grid size and matrix content (an
-in-place edit makes a new key), so the callers that sample W(A) of one
-matrix, all on 256 angles, share one sweep.  Memoized arrays are read-only.
+eigenvector x gives the boundary point <A x, x> (Johnson 1978).  Since
+re(e^{-i (theta + pi)} A) = -re(e^{-i theta} A), the bottom eigenpair of one
+angle is the top eigenpair of the opposite angle, so ``support_profile``
+solves only the first half of an even grid (``_extreme_eigenpairs``: one
+LAPACK ``zhetrd`` reduction per angle, read at both ends of its
+tridiagonal, at n >= 13, and a stacked ``eigh`` below, where per-call
+overhead dominates).  ``numerical_radius`` and ``dist_origin`` start from
+the same halving, on eigenvalues alone.  ``support_profile`` memoizes the
+last 8 profiles, keyed by grid size and matrix content (an in-place edit
+makes a new key), so the callers that sample W(A) of one matrix, all on 256
+angles, share one sweep.  Memoized arrays are read-only.
 The support lines at the sampled angles cut out an outer polygon that
 contains W(A) (``_outer_vertices``); ``outer_gauge_bracket`` bisects it where
 it decides how far a convex set must grow to hold W(A).
@@ -38,7 +43,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zheevr
+from scipy.linalg.lapack import dstemr, zhetrd, zunmqr
 
 from .matrixcore import as_matrix
 
@@ -70,8 +75,13 @@ _ROOT_IMAG = 1e-3
 # the most recently sampled support profiles: (n_grid, shape, bytes) -> profile
 _PROFILE_MEMO: OrderedDict = OrderedDict()
 _PROFILE_MEMO_SIZE = 8
-# from this n on, one top-eigenpair heevr call per angle beats a stacked eigh
-_HEEVR_MIN_N = 10
+# from this n on, one zhetrd reduction per angle, read at both ends of its
+# tridiagonal, beats one stacked eigh over the angles
+_TRIDIAG_MIN_N = 13
+# LAPACK's safe range for the largest entry of a Hermitian matrix (zheevr's
+# rmin and rmax); outside it the extreme-eigenpair kernel scales A first
+_SAFE_MIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+_SAFE_MAX = min(1.0 / _SAFE_MIN, 1.0 / math.sqrt(math.sqrt(np.finfo(float).tiny)))
 # outer_gauge_bracket bisects an angular interval while its outer vertex
 # exceeds the Rayleigh points by more than this, relative, and stops before
 # the angles would pass twice those of the 256-angle profile it starts from
@@ -105,19 +115,27 @@ def _herm_parts(a: np.ndarray, thetas) -> np.ndarray:
     return (ph * a + np.conj(ph * a).swapaxes(-1, -2)) / 2.0
 
 
+def _hermitian_extremes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (lambda_max, lambda_min) for a stack of Hermitian matrices, shape
+    # (..., n, n): closed forms for n <= 2 (vectorized), LAPACK otherwise
+    n = h.shape[-1]
+    if n == 1:
+        return h[..., 0, 0].real, h[..., 0, 0].real
+    if n == 2:
+        half_tr = (h[..., 0, 0].real + h[..., 1, 1].real) / 2.0
+        gap = (h[..., 0, 0].real - h[..., 1, 1].real) / 2.0
+        radius = np.sqrt(gap ** 2 + np.abs(h[..., 0, 1]) ** 2)
+        return half_tr + radius, half_tr - radius
+    lam = np.linalg.eigvalsh(h)
+    return lam[..., -1], lam[..., 0]
+
+
 def hermitian_eigmax(h: np.ndarray) -> np.ndarray:
     """lambda_max for a stack of Hermitian matrices, shape (..., n, n).
 
     Closed forms for n <= 2 (vectorized), LAPACK otherwise.
     """
-    n = h.shape[-1]
-    if n == 1:
-        return h[..., 0, 0].real
-    if n == 2:
-        half_tr = (h[..., 0, 0].real + h[..., 1, 1].real) / 2.0
-        gap = (h[..., 0, 0].real - h[..., 1, 1].real) / 2.0
-        return half_tr + np.sqrt(gap ** 2 + np.abs(h[..., 0, 1]) ** 2)
-    return np.linalg.eigvalsh(h)[..., -1]
+    return _hermitian_extremes(h)[0]
 
 
 def support_value(a, theta: float) -> float:
@@ -125,25 +143,65 @@ def support_value(a, theta: float) -> float:
     return float(hermitian_eigmax(_herm_parts(as_matrix(a), float(theta))))
 
 
-def _top_eigenpairs(m: np.ndarray, thetas: np.ndarray):
-    # (lambda_max, unit eigenvector) of cos(t) H + sin(t) K for each angle t,
-    # with H = (A + A*)/2 and K = (A - A*)/(2i) exactly Hermitian
+def _extreme_eigenpairs(m: np.ndarray, thetas: np.ndarray):
+    """Top eigenpairs of F(t) = cos(t) H + sin(t) K and of F(t + pi) = -F(t).
+
+    H = (A + A*)/2 and K = (A - A*)/(2i) are exactly Hermitian.  One
+    reduction per angle t serves both ends of the spectrum: the top pair of
+    F(t + pi) is (-lambda_min, x_min) of F(t).  Below ``_TRIDIAG_MIN_N`` one
+    stacked ``eigh`` gives both; from it on each F(t) is reduced by LAPACK
+    ``zhetrd`` to a real tridiagonal T = Q* F Q, ``dstemr`` finds the two
+    extreme eigenpairs of T, and one ``zunmqr`` applies Q to both vectors
+    (what ``zunmtr`` does).  Where the largest entry of A lies outside
+    LAPACK's safe range, A is scaled by a power of two first, as ``zheevr``
+    does, so the scaling is exact.  Returns (values, witnesses) of shapes
+    (2, k) and (2, k, n): row 0 holds p(t) and its unit eigenvector, row 1
+    p(t + pi) and its own.
+    """
     n = m.shape[0]
+    big = float(np.abs(m).max())
+    scale = 1.0
+    if 0.0 < big < _SAFE_MIN or big > _SAFE_MAX:
+        scale = math.ldexp(1.0, -math.frexp(big)[1])
+        m = m * scale
     herm = (m + m.conj().T) / 2.0
     skew = (m - m.conj().T) * -0.5j
     cos, sin = np.cos(thetas), np.sin(thetas)
-    if n < _HEEVR_MIN_N:
+    values = np.empty((2, len(thetas)))
+    witnesses = np.empty((2, len(thetas), n), dtype=complex)
+    if n < _TRIDIAG_MIN_N:
         vals, vecs = np.linalg.eigh(cos[:, None, None] * herm + sin[:, None, None] * skew)
-        return vals[:, -1].copy(), vecs[:, :, -1].copy()
-    values = np.empty(len(thetas))
-    witnesses = np.empty((len(thetas), n), dtype=complex)
-    for k in range(len(thetas)):
-        w, z, _, _, info = zheevr(cos[k] * herm + sin[k] * skew, range="I", il=n, iu=n)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"zheevr failed with info = {info}")
-        values[k] = w[0]
-        witnesses[k] = z[:, 0]
-    return values, witnesses
+        values[0], values[1] = vals[:, -1], vals[:, 0]
+        witnesses[0], witnesses[1] = vecs[:, :, -1], vecs[:, :, 0]
+    else:
+        # column-major parts make a column-major F, which zhetrd takes
+        # without a copy; dstemr overwrites its off-diagonal, which has a
+        # spare last entry, so it gets a copy in work
+        herm, skew = np.asfortranarray(herm), np.asfortranarray(skew)
+        work = np.zeros(n)
+        ends = np.empty((n, 2), dtype=complex)
+        for k in range(len(thetas)):
+            refl, diag, off, tau, info = zhetrd(cos[k] * herm + sin[k] * skew, lower=1,
+                                                overwrite_a=1)
+            _check_info("zhetrd", info)
+            for end, index in ((0, n), (1, 1)):
+                work[:-1] = off
+                _, w, z, info = dstemr(diag, work, 2, 0.0, 0.0, index, index)
+                _check_info("dstemr", info)
+                values[end, k] = w[0]
+                ends[:, end] = z[:, 0]
+            # Q = H(1) ... H(n-1) acts on rows 1: with the reflectors stored
+            # below the subdiagonal
+            ends[1:], _, info = zunmqr(b"L", b"N", refl[1:, :n - 1], tau, ends[1:], 2)
+            _check_info("zunmqr", info)
+            witnesses[:, k] = ends.T
+    values[1] *= -1.0
+    return values / scale, witnesses
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine} failed with info = {info}")
 
 
 def support_profile(a, n_grid: int = 256) -> SupportProfile:
@@ -158,10 +216,14 @@ def support_profile(a, n_grid: int = 256) -> SupportProfile:
     -------
     SupportProfile with values p(theta_k) and unit eigenvector witnesses.
 
-    Each angle costs one top-eigenpair solve: LAPACK ``heevr`` restricted to
-    the largest eigenvalue for n >= 10, a stacked ``eigh`` below.  The last
-    8 profiles are memoized by grid size and matrix content, so an in-place
-    edit of ``a`` between calls is sampled afresh.  The arrays are
+    An even grid solves only its first n_grid/2 angles, each for both ends
+    of the spectrum: angle k + n_grid/2 is angle k + pi, whose top
+    eigenpair is (-lambda_min, x_min) at angle k.  An odd grid solves every
+    angle and keeps the top ends.  Each solve is one LAPACK ``zhetrd``
+    reduction read at both ends of its tridiagonal for n >= 13, and a
+    stacked ``eigh`` below (``_extreme_eigenpairs``).  The last 8 profiles
+    are memoized by grid size and matrix content, so an in-place edit of
+    ``a`` between calls is sampled afresh.  The arrays are
     read-only and equal, bit for bit, to a fresh computation.
     """
     m = as_matrix(a)
@@ -172,7 +234,13 @@ def support_profile(a, n_grid: int = 256) -> SupportProfile:
         _PROFILE_MEMO.move_to_end(key)
         return _PROFILE_MEMO[key]
     thetas = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    values, witnesses = _top_eigenpairs(m, thetas)
+    if n_grid % 2:
+        values, witnesses = _extreme_eigenpairs(m, thetas)
+        values, witnesses = values[0], witnesses[0]
+    else:
+        # angle k + n_grid/2 is angle k + pi: the bottom end of angle k
+        values, witnesses = _extreme_eigenpairs(m, thetas[:n_grid // 2])
+        values, witnesses = values.reshape(n_grid), witnesses.reshape(n_grid, -1)
     pts = np.einsum("ki,ij,kj->k", np.conj(witnesses), m, witnesses)
     prof = SupportProfile(thetas=thetas, values=values, witnesses=witnesses, points=pts)
     for arr in (prof.thetas, prof.values, prof.witnesses, prof.points):
@@ -220,10 +288,10 @@ def outer_gauge_bracket(a, gauge) -> tuple[float, float]:
     gauge of an outer-polygon vertex (``_outer_vertices``), which bounds it
     on W(A) by convexity, or the lower end if that is larger.  Both start
     from the 256-angle ``support_profile``.  Each round bisects, with one
-    ``_top_eigenpairs`` call, every angular interval whose vertex gauge
-    exceeds 1 (X holds the vertex), exceeds the lower end by more than
-    ``_OUTER_GAP`` relative, and lies in the upper half of the excess of
-    the worst vertex over the lower end.  It stops when no interval
+    ``_extreme_eigenpairs`` call read at its top ends, every angular
+    interval whose vertex gauge exceeds 1 (X holds the vertex), exceeds the
+    lower end by more than ``_OUTER_GAP`` relative, and lies in the upper
+    half of the excess of the worst vertex over the lower end.  It stops when no interval
     qualifies or can be split in floating point, or before a round would
     take the angles past ``_OUTER_MAX_ANGLES``.  That last stop is reached
     only where W(A) hugs a level set of gauge along an arc (the numerical
@@ -255,7 +323,8 @@ def outer_gauge_bracket(a, gauge) -> tuple[float, float]:
         settled = max(settled, float(np.max(g[~open_], initial=-np.inf)))
         keep = open_ & ~split
         tm = mid[split]
-        pm, vecs = _top_eigenpairs(m, tm)
+        pm, vecs = _extreme_eigenpairs(m, tm)
+        pm, vecs = pm[0], vecs[0]
         zm = np.einsum("ki,ij,kj->k", np.conj(vecs), m, vecs)
         count += len(tm)
         # a split interval gives way to its halves [t1, tm) and [tm, t2)
@@ -349,8 +418,10 @@ def _peak_indices(vals: np.ndarray, floor: float = -np.inf) -> np.ndarray:
 
 
 def _grid_support(a: np.ndarray) -> np.ndarray:
-    # p(theta) on the uniform 256-angle grid from one lambda_max stack
-    return hermitian_eigmax(_herm_parts(a, 2.0 * np.pi * np.arange(256) / 256))
+    # p(theta) on the uniform 256-angle grid from one stack of the 128 angles
+    # in [0, pi): p(theta + pi) = -lambda_min(re(e^{-i theta} A))
+    top, bottom = _hermitian_extremes(_herm_parts(a, 2.0 * np.pi * np.arange(128) / 256))
+    return np.concatenate([top, -bottom])
 
 
 def _angular_extremes(a: np.ndarray, signs, p: np.ndarray) -> list:

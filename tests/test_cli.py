@@ -88,6 +88,14 @@ def test_kbound_reports_candidates():
     assert len(cand) >= 3
 
 
+def test_kbound_annulus_with_a_radius_whose_square_overflows():
+    # every annulus bound tends to 3 as R grows, and none squares R
+    code, text = _run(["kbound", "--shape", "annulus 1e200"])
+    assert code == EXIT_PASS
+    assert "value: 3\n" in text
+    assert "    annulus integral bound: 3\n" in text
+
+
 def test_kbound_auto_fits_the_context_matrix(workdir):
     code, text = _run(["kbound", "--shape", "auto", "--matrix", str(workdir / "a.mtx")])
     assert code == EXIT_PASS

@@ -13,7 +13,7 @@ from spectral_kit.krylov import (MarkovFunction, arnoldi, fab_poly,
 from spectral_kit import numrange
 from spectral_kit.matrixcore import eval_poly, eval_rational, \
     matfun_reference, op_norm
-from spectral_kit.numrange import _herm_parts, _top_eigenpairs, hermitian_eigmax, \
+from spectral_kit.numrange import _extreme_eigenpairs, _herm_parts, hermitian_eigmax, \
     numerical_radius, support_profile
 
 
@@ -181,9 +181,16 @@ def test_fit_ellipse_not_wasteful():
 
 
 def _support_excess(a, e, count=8192):
-    # max over `count` angles of p_A - h_E, the support of W(A) above E's
+    # max over `count` angles of p_A - h_E, the support of W(A) above E's,
+    # with p_A from stacked eigvalsh (in chunks of 512 angles), not from the
+    # library's eigenpair kernel
+    mat = np.asarray(a, dtype=complex)
+    herm, skew = (mat + mat.conj().T) / 2.0, (mat - mat.conj().T) * -0.5j
     thetas = 2.0 * np.pi * np.arange(count) / count
-    p, _ = _top_eigenpairs(np.asarray(a, dtype=complex), thetas)
+    p = np.concatenate([
+        np.linalg.eigvalsh(np.cos(t)[:, None, None] * herm
+                           + np.sin(t)[:, None, None] * skew)[:, -1]
+        for t in np.split(thetas, count // 512)])
     emap = exterior_map(e)
     h = np.real(np.exp(-1j * thetas) * emap.c0) + emap.support_about_center(thetas)
     return float(np.max(p - h))
@@ -205,10 +212,11 @@ def test_fit_ellipse_sweeps_at_most_256_plus_64_angles(monkeypatch):
     requests = []
 
     def counting(m, thetas):
-        requests.append(len(thetas))
-        return _top_eigenpairs(m, thetas)
+        # each angle t is solved at t and t + pi: a pair counts twice
+        requests.append(2 * len(thetas))
+        return _extreme_eigenpairs(m, thetas)
 
-    monkeypatch.setattr(numrange, "_top_eigenpairs", counting)
+    monkeypatch.setattr(numrange, "_extreme_eigenpairs", counting)
     numrange._PROFILE_MEMO.clear()
     fit_ellipse(a)
     assert requests[0] == 256
@@ -231,14 +239,17 @@ def test_fit_ellipse_nearly_hermitian_stays_thin(eps):
 
 
 def _fit_ellipse_reference(a, n_grid=256):
-    # the scalar fit: fresh profiles from the library's top-eigenpair kernel
-    # (no memo), one golden-section search per rotation angle (the
+    # the scalar fit: fresh profiles from the library's extreme-eigenpair
+    # kernel (no memo), one golden-section search per rotation angle (the
     # arithmetic fit_ellipse runs in lockstep), and the outer-polygon
     # inflation one vertex at a time
     mat = np.asarray(a, dtype=complex)
 
-    def sweep(thetas):
-        vals, w = _top_eigenpairs(mat, thetas)
+    def sweep(thetas, ends=1):
+        # the top end of each angle, then with ends=2 the bottom ends, which
+        # are the top ends at the angles + pi
+        vals, w = _extreme_eigenpairs(mat, thetas)
+        vals, w = np.concatenate(vals[:ends]), np.concatenate(w[:ends])
         return vals, np.einsum("ki,ij,kj->k", np.conj(w), mat, w)
 
     def golden_max(fun, lo, hi, tol):
@@ -258,7 +269,7 @@ def _fit_ellipse_reference(a, n_grid=256):
         return x, fun(x)
 
     grid = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    grid_values, pts = sweep(grid)
+    grid_values, pts = sweep(grid[:n_grid // 2], ends=2)
     best = None
     for t in np.linspace(0.0, np.pi, 180, endpoint=False):
         q = pts * np.exp(-1j * t)

@@ -316,6 +316,70 @@ def test_support_profile_top_pair_matches_full_eigh(a):
     assert _support_inside(a, exterior_map(fit_ellipse(a))) <= 1e-8
 
 
+def _extreme_pair_inputs():
+    rng = np.random.default_rng(48)
+
+    def ginibre(n):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    # both sides of the crossover from stacked eigh to one reduction per angle
+    cases = [pytest.param(ginibre(n), id=f"random{n}")
+             for n in (1, 2, 9, 10, 11, 12, 13, 80, 256)]
+    for n in (6, 20):
+        g = ginibre(n)
+        cases += [pytest.param(np.zeros((n, n)), id=f"zero{n}"),
+                  pytest.param(g + g.conj().T, id=f"hermitian{n}"),
+                  pytest.param(g - g.conj().T, id=f"skew{n}"),
+                  pytest.param(1e-170 * g, id=f"tiny{n}"),
+                  pytest.param(1e150 * g, id=f"huge{n}")]
+    cases.append(pytest.param(jordan_block(6), id="jordan6"))
+    return cases
+
+
+@pytest.mark.parametrize("a", _extreme_pair_inputs())
+def test_extreme_eigenpairs_match_eigh_at_both_ends(a):
+    # row 0 is the top pair of F(t), row 1 the top pair of F(t + pi) = -F(t),
+    # each within 8 n eps ||A||_2 of eigh, with unit witnesses of small
+    # residual; checked on F / ||A||_2, which over- or underflows for no A here
+    a = np.asarray(a, dtype=complex)
+    n = len(a)
+    thetas = 2.0 * np.pi * np.arange(97 if n < 256 else 5) / 97
+    values, witnesses = numrange._extreme_eigenpairs(a, thetas)
+    norm = float(np.linalg.norm(a, 2)) or 1.0
+    herm, skew = (a + a.conj().T) / 2.0, (a - a.conj().T) * -0.5j
+    f = (np.cos(thetas)[:, None, None] * herm + np.sin(thetas)[:, None, None] * skew) / norm
+    lam = np.linalg.eigvalsh(f)
+    tol = 8.0 * n * np.finfo(float).eps
+    assert values.shape == (2, len(thetas)) and witnesses.shape == (2, len(thetas), n)
+    assert np.abs(values[0] / norm - lam[:, -1]).max() <= tol
+    assert np.abs(values[1] / norm + lam[:, 0]).max() <= tol
+    assert np.abs(np.linalg.norm(witnesses, axis=2) - 1.0).max() <= tol
+    for sign, vals, x in zip((1.0, -1.0), values, witnesses):
+        resid = sign * np.einsum("kij,kj->ki", f, x) - (vals / norm)[:, None] * x
+        assert np.linalg.norm(resid, axis=1).max() <= tol
+
+
+@pytest.mark.parametrize("n", [5, 24])
+def test_support_profile_reads_the_antipodal_angle_off_the_bottom_end(n):
+    # an even grid solves its first half, and angle k + n_grid/2 is the
+    # bottom end of angle k; an odd grid (97) solves every angle at its top
+    rng = np.random.default_rng(49)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    even = _fresh_profile(a, 256)
+    values, witnesses = numrange._extreme_eigenpairs(a, even.thetas[:128])
+    assert np.array_equal(even.values, values.reshape(256))
+    assert np.array_equal(even.witnesses, witnesses.reshape(256, n))
+    odd = _fresh_profile(a, 97)
+    assert np.array_equal(odd.thetas, 2.0 * np.pi * np.arange(97) / 97)
+    values, witnesses = numrange._extreme_eigenpairs(a, odd.thetas)
+    assert np.array_equal(odd.values, values[0])
+    assert np.array_equal(odd.witnesses, witnesses[0])
+    c, s = np.cos(odd.thetas)[:, None, None], np.sin(odd.thetas)[:, None, None]
+    stack = c * (a + a.conj().T) / 2.0 + s * (a - a.conj().T) * -0.5j
+    top = np.linalg.eigvalsh(stack)[:, -1]
+    assert np.abs(odd.values - top).max() <= 8.0 * n * np.finfo(float).eps * np.linalg.norm(a, 2)
+
+
 def test_support_value_single_angle():
     a = np.diag([2.0, -1.0])
     assert support_value(a, 0.0) == pytest.approx(2.0, abs=1e-12)
