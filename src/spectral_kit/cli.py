@@ -7,6 +7,7 @@ command handlers; keep it that way when adding commands.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -385,6 +386,8 @@ def _cmd_suites(args, out) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# built once per process: parse_args returns a fresh Namespace on every call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="spectral-kit",

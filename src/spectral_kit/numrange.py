@@ -67,7 +67,9 @@ _PEAK_ZOOMS = 8
 _PEAK_CANDIDATES = 4
 # lambda_max(H) at or below this passes the C_s membership test
 _MEMBERSHIP_TOL = 1e-8
-# start angles of the C_s peak search; the membership test reads the angles it solves
+# start angles of the C_s peak search; the membership test reads the angles it
+# solves.  Only the first half, in [0, pi), is solved: the roots at the
+# antipodal grid angle theta + pi are the negated roots at theta
 _CS_GRID = 90
 # a companion eigenvalue within this of the real axis, relative to its
 # modulus, cuts the r-range of the membership test
@@ -484,15 +486,22 @@ class _CsKernel:
     H = ca u^2 B + cb u M(theta) - I with u = r/t.  ``test_matrices`` builds
     H at (theta, u) points and ``margins_at`` its lambda_max; ``peak``
     finds the scaling t at which the test first fails from the companion
-    eigenproblem per angle.  ``peak`` keeps the companion eigenvalues of
-    every angle it solves (``root_thetas``, ``roots``), so the membership
-    test reads them instead of solving them again.  A kernel serves one
-    matrix and one s.
+    eigenproblem per angle.  M(theta + pi) = -M(theta), so the companion
+    eigenvalues at theta + pi are those at theta negated, and ``peak``
+    solves only the half of its grid in [0, pi).  ``peak`` keeps the
+    companion eigenvalues of every grid angle and of every angle it solves
+    (``root_thetas``, ``roots``), so the membership test reads them instead
+    of solving them again.  A kernel serves one matrix and one s.
     """
 
     def __init__(self, a: np.ndarray, s: float):
         if s <= 0:
             raise ValueError("class parameter s must be positive")
+        # peak reads grid angle k + _CS_GRID/2 (theta_k + pi) as the negated
+        # roots of angle k, which needs the antipode of every grid angle on
+        # the grid
+        if _CS_GRID % 2:
+            raise ValueError(f"the C_s start grid needs an even number of angles, not {_CS_GRID}")
         s = float(s)
         self.a = a
         self.ca = (2.0 - s) / s
@@ -596,31 +605,41 @@ class _CsKernel:
         return 1.0 / u
 
     def crossing(self, thetas) -> np.ndarray:
-        # mu*(theta): lambda_max(H) first reaches 0 at u = 1/mu*, the largest
-        # positive real eigenvalue of the companion [[0, I], [ca B, cb M]]
-        # of mu^2 I - cb mu M - ca B; 0 where there is none.  Near-double
-        # roots (the edge of a real-root window) carry rounding-level
-        # imaginary parts, so "real" is decided with a loose tolerance;
-        # a spurious root can only raise the estimate, which the witness
-        # check in ws_radius then rejects.  The eigenvalues are kept in
-        # root_thetas and roots.  At s = 2 (ca = 0) the companion is
-        # block-triangular, with the eigenvalues of cb M and n zeros, and
-        # mu* is the Hermitian lambda_max(cb M), or 0
+        """mu*(theta) at the given angles from one stack of companion eigenproblems.
+
+        lambda_max(H) first reaches 0 at u = 1/mu*, where mu* is the largest
+        positive real eigenvalue of the companion [[0, I], [ca B, cb M]] of
+        mu^2 I - cb mu M - ca B, or 0 where there is none.  The eigenvalues
+        are kept in ``root_thetas`` and ``roots``.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        return self._record(thetas, self._companion_roots(thetas))
+
+    def _companion_roots(self, thetas) -> np.ndarray:
+        # the companion eigenvalues, one row per angle.  At s = 2 (ca = 0)
+        # the companion is block-triangular: the eigenvalues of cb M, then
+        # n zeros
         n = self.n
         mst = self._mstack(thetas)
         if self.ca == 0.0:
             lam = np.linalg.eigvalsh(self.cb * mst)
-            ev = np.concatenate([lam, np.zeros_like(lam)], axis=1)
-            mu = np.maximum(lam[:, -1], 0.0)
-        else:
-            comp = np.zeros((len(mst), 2 * n, 2 * n), dtype=complex)
-            comp[:, :n, n:] = np.eye(n)
-            comp[:, n:, :n] = self.ca * self.aha
-            comp[:, n:, n:] = self.cb * mst
-            ev = np.linalg.eigvals(comp)
-            scale = np.abs(ev).max(axis=1, keepdims=True)
-            real = (np.abs(ev.imag) <= 1e-6 * scale) & (ev.real > 0)
-            mu = np.where(real, ev.real, 0.0).max(axis=1)
+            return np.concatenate([lam, np.zeros_like(lam)], axis=1)
+        comp = np.zeros((len(mst), 2 * n, 2 * n), dtype=complex)
+        comp[:, :n, n:] = np.eye(n)
+        comp[:, n:, :n] = self.ca * self.aha
+        comp[:, n:, n:] = self.cb * mst
+        return np.linalg.eigvals(comp)
+
+    def _record(self, thetas, ev) -> np.ndarray:
+        # keeps the roots of the angles and returns their mu*.  Near-double
+        # roots (the edge of a real-root window) carry rounding-level
+        # imaginary parts, so "real" is decided with a loose tolerance; a
+        # spurious root can only raise the estimate, which the witness check
+        # in ws_radius then rejects.  At s = 2 every root is real, and mu* is
+        # the Hermitian lambda_max(cb M), or 0
+        scale = np.abs(ev).max(axis=1, keepdims=True)
+        real = (np.abs(ev.imag) <= 1e-6 * scale) & (ev.real > 0)
+        mu = np.where(real, ev.real, 0.0).max(axis=1)
         self.root_thetas = np.concatenate([self.root_thetas, thetas])
         self.roots = np.concatenate([self.roots, ev])
         return mu
@@ -630,7 +649,10 @@ class _CsKernel:
 
         Starts from the grid angles plus ``extra_thetas`` (for large s the
         real-root window is a sliver of the circle around -arg lambda_k(A)
-        that the grid misses).  mu* can have several near-equal peaks, so
+        that the grid misses).  One stack solves the grid angles in [0, pi)
+        and ``extra_thetas``; grid angle k + ``_CS_GRID``/2 is kept, under
+        its own grid value, with the negated roots of angle k, which are
+        its companion eigenvalues.  mu* can have several near-equal peaks, so
         every local maximum of the start samples within step^2 (relative)
         of the best one is refined, at most ``_PEAK_CANDIDATES`` of them.
         The margin is 8x the s = 2 bound: there mu* is the support function
@@ -646,9 +668,17 @@ class _CsKernel:
             self.root_thetas = np.zeros(1)
             self.roots = np.concatenate([sigma, -sigma])[None, :].astype(complex)
             return 0.0, float(sigma[0])
-        thetas = np.sort(np.concatenate([
-            self.thetas, np.mod(np.asarray(extra_thetas, dtype=float), 2.0 * np.pi)]))
-        mu = self.crossing(thetas)
+        half = len(self.thetas) // 2
+        solve = np.concatenate([
+            self.thetas[:half], np.mod(np.asarray(extra_thetas, dtype=float), 2.0 * np.pi)])
+        ev = self._companion_roots(solve)
+        # M(theta + pi) = -M(theta), so mu solves the quadratic eigenproblem
+        # at theta exactly when -mu solves it at theta + pi
+        thetas = np.concatenate([solve, self.thetas[half:]])
+        ev = np.concatenate([ev, -ev[:half]])
+        by_angle = np.argsort(thetas, kind="stable")
+        thetas = thetas[by_angle]
+        mu = self._record(thetas, ev[by_angle])
         d_theta = 2.0 * np.pi / len(self.thetas)
         order = _peak_indices(mu, floor=float(mu.max()) * (1.0 - d_theta ** 2))
         centres, values = thetas[order], mu[order]
@@ -701,7 +731,8 @@ class OperatorRadiusResult:
     which some tested (theta, r) point's lambda_max exceeds the membership
     tolerance, so lo < w_s(A).  hi passed the membership test, so scaling by
     hi is safe downstream.  That test is sampled in theta, at the angles at
-    which the estimate solved the companion (90 grid angles, -arg
+    which the estimate has the companion eigenvalues (the 90 grid angles,
+    45 solved and the antipodal 45 read as their negated roots, -arg
     lambda_k(A) and its zooms; angle 0 alone at s = 1), and is exact in r
     at each of them.  iterations counts the bisection steps of the fallback
     that runs only when the companion estimate fails either check; it is 0

@@ -249,6 +249,20 @@ def test_nr_grid_floor_matches_support_profile(workdir, capsys):
     assert len(text.strip().splitlines()) == 9
 
 
+def test_one_parser_serves_successive_calls(workdir, capsys):
+    # the parser is built once per process; each call still parses its own
+    # arguments, and a usage error leaves the next call unaffected
+    from spectral_kit.cli import _build_parser
+    mtx = str(workdir / "a.mtx")
+    assert _run(["nr", "--matrix", mtx, "--n-grid", "8"])[0] == EXIT_PASS
+    code, text = _run(["wradius", "--matrix", mtx, "--s", "4", "--tol", "1e-3"])
+    assert code == EXIT_PASS and "certified:" in text
+    assert _run(["wradius", "--s", "4"])[0] == EXIT_USAGE
+    assert _run(["certify", "--matrix", mtx, "--shape", "disk 0+0i 0.1"])[0] == EXIT_FAIL
+    assert _build_parser() is _build_parser()
+    capsys.readouterr()
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert main(["nosuch"]) == EXIT_USAGE
     capsys.readouterr()

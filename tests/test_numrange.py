@@ -624,6 +624,65 @@ def _companion_crossing(a, s, thetas):
     return np.array(out)
 
 
+@pytest.mark.parametrize("s", [0.5, 1.5, 2.0, 3.0, 1024.0])
+def test_peak_reads_the_antipodal_grid_angles_as_negated_roots(s):
+    # M(theta + pi) = -M(theta): the roots peak keeps at grid angle k + 45,
+    # under the grid's own value, match as a set a fresh solve of the
+    # companion C there, each to 1e-13 kappa ||C||_2 with kappa its
+    # eigenvalue condition number.  Rounding moves a fresh solve by about
+    # eps kappa ||C||: at s = 1024 near-double roots reach kappa ~ 2e4 here,
+    # and a fresh solve moves them by up to 2e-12 of the largest modulus
+    from scipy.linalg import eig
+    from scipy.optimize import linear_sum_assignment
+    rng = np.random.default_rng(80)
+    half = numrange._CS_GRID // 2
+    ca, cb = (2.0 - s) / s, (s - 1.0) / s
+    for n in range(1, 9):
+        for a in (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                  rng.standard_normal((n, n))):
+            kernel = numrange._CsKernel(a, s)
+            kernel.peak(-np.angle(np.linalg.eigvals(a)))
+            assert np.isin(kernel.thetas, kernel.root_thetas).all()
+            # an extra angle of real A can repeat a grid angle (0 or pi)
+            for theta in kernel.thetas[half:]:
+                m = np.exp(1j * theta) * a + np.exp(-1j * theta) * a.conj().T
+                comp = np.block([[np.zeros((n, n)), np.eye(n)], [ca * (a.conj().T @ a), cb * m]])
+                fresh, left, right = eig(comp, left=True, right=True)
+                kappa = 1.0 / np.abs(np.sum(left.conj() * right, axis=0))
+                tol = 1e-13 * kappa * np.linalg.norm(comp, 2)
+                for kept in kernel.roots[kernel.root_thetas == theta]:
+                    dist = np.abs(kept[:, None] - fresh[None, :])
+                    i, j = linear_sum_assignment(dist)
+                    assert (dist[i, j] <= tol[j]).all()
+
+
+@pytest.mark.parametrize("s", [0.5, 2.0, 3.0])
+def test_peak_solves_half_the_grid_in_its_first_stack(monkeypatch, s):
+    # the first companion stack holds the grid angles in [0, pi) and the
+    # extra angles; s = 2 solves it with eigvalsh
+    name = "eigvalsh" if s == 2.0 else "eigvals"
+    solver, stacks = getattr(np.linalg, name), []
+
+    def spy(m):
+        if np.ndim(m) == 3:
+            stacks.append(len(m))
+        return solver(m)
+
+    rng = np.random.default_rng(81)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    extra = -np.angle(np.linalg.eigvals(a))
+    monkeypatch.setattr(np.linalg, name, spy)
+    numrange._CsKernel(a, s).peak(extra)
+    assert stacks[0] == numrange._CS_GRID // 2 + len(extra)
+
+
+def test_cs_kernel_needs_an_even_start_grid(monkeypatch):
+    # an odd grid has no grid angle at theta + pi to read as negated roots
+    monkeypatch.setattr(numrange, "_CS_GRID", 91)
+    with pytest.raises(ValueError, match="even number of angles"):
+        numrange._CsKernel(crouzeix_2x2(), 1.5)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_peak_at_s1_and_s2_matches_the_companion(n):
     # s = 1: the companion's eigenvalues +-sqrt(lambda(A*A)) do not depend on
