@@ -7,6 +7,7 @@ polynomials of a convex set containing the numerical range.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -17,11 +18,13 @@ from .domains import (_CONTAINMENT_TOL, _K_UNIVERSAL, Disk, Ellipse, Interval, S
                       exterior_map, signed_margin)
 from .faber import FaberModel, _support_inside, faber_coeffs, faber_polynomials
 from .matrixcore import RationalFunction, as_matrix, eval_rational, matfun_reference
-from .numrange import _angular_extremes, _golden_max, _herm_parts, _polish_peaks, \
+from .numrange import _angular_extremes, _golden_max, _herm_parts, _polish_peaks, _safe_scale, \
     hermitian_eigmax, numerical_radius, outer_gauge_bracket, support_profile
 from .spectraltest import sup_on_boundary
 
 _BREAKDOWN_TOL = 1e-12
+# fit_ellipse's aspect step scales the point offsets by a power of two past this
+_ASPECT_MAX = 2.0 ** 200
 _SOLVE_COND_MAX = 1e14
 
 
@@ -136,14 +139,88 @@ def rational_krylov(a, b, poles: Sequence) -> KrylovDecomposition:
 # ---------------------------------------------------------------------------
 # auto-fitted enclosure of the numerical range
 
+def _aspect_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rotation angles whose aspect search can still give the least area.
+
+    Row j holds a_k = dx_k^2 and b_k = dy_k^2 of the points in the frame of
+    angle j; its area at s = log r is F_j(s) = max_k (a_k e^s + b_k e^-s),
+    convex in s.  F_j at any s in [-40, 4] is an upper bound U_j on the
+    least area the search can find.  Any convex combination (A, B) of the
+    (a_k, b_k) gives 2 sqrt(A B) <= min_s F_j (minimax duality: the
+    minimum of the maximum is the maximum over convex combinations of each
+    one's minimum), the lower bound L_j.  Its best point lies on an edge
+    between two of the points, so each row keeps a pair and the best point
+    on its segment: each round takes the piece m active at that point's
+    stationary s = log(B/A) / 2, where it also reads U_j, and keeps the
+    best of the pair and its two segments to m (the best point of the
+    triangle lies on its boundary).  That is exact in a few rounds, like
+    the simplex method; five are taken, on the rows not yet ruled out.
+    The golden search reports, for row j, an area >= L_j, and for the
+    least row one within about 1e-10 (its tolerance in log r) of min U, so
+    a row with L_j > (1 + 1e-7) min U cannot come first.  Every row is
+    kept if a bound is not finite or no row passes.  Returns the kept rows
+    in ascending order.
+    """
+    every = np.arange(len(a))
+
+    def segment(rows, k, l):
+        # the largest sqrt(A) sqrt(B) on the segment from point k to point
+        # l of each row, with its (A, B) and the pair: (A + t da)(B + t db)
+        # peaks at t = -(da B + db A) / (2 da db), else at t = 1 (the caller
+        # holds a value at least point k's)
+        ak, bk = a[rows, k], b[rows, k]
+        da, db = a[rows, l] - ak, b[rows, l] - bk
+        t = np.clip(np.nan_to_num(-(da * bk + db * ak) / (2.0 * da * db)), 0.0, 1.0)
+
+        def point(w):
+            return np.sqrt(ak + w * da) * np.sqrt(bk + w * db), ak + w * da, bk + w * db, k, l
+
+        inner, end = point(t), point(1.0)
+        return _pick(end[0] > inner[0], end, inner)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = np.argmax(np.sqrt(a) * np.sqrt(b), axis=1)
+        best = segment(every, k, k)
+        upper = np.full(len(a), np.inf)
+        # a row's L only grows and min U only shrinks, so a row that cannot
+        # come first drops out of the later rounds
+        live = every
+        for _ in range(5):
+            _, big_a, big_b, i, j = cur = tuple(x[live] for x in best)
+            s = np.clip(np.nan_to_num(0.5 * (np.log(big_b) - np.log(big_a))), -40.0, 4.0)
+            area = a[live] * np.exp(s)[:, None] + b[live] * np.exp(-s)[:, None]
+            m = np.argmax(area, axis=1)
+            upper[live] = np.minimum(upper[live], area[np.arange(len(live)), m])
+            for cand in (segment(live, i, m), segment(live, j, m)):
+                cur = _pick(cand[0] > cur[0], cand, cur)
+            for whole, part in zip(best, cur):
+                whole[live] = part
+            live = live[2.0 * cur[0] <= (1.0 + 1e-7) * upper.min()]
+    lower = 2.0 * best[0]
+    kept = np.flatnonzero(lower <= (1.0 + 1e-7) * upper.min())
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all() and kept.size):
+        return every
+    return kept
+
+
+def _pick(mask, first, second):
+    # entrywise choice between two tuples of equal-length arrays
+    return tuple(np.where(mask, x, y) for x, y in zip(first, second))
+
+
 def fit_ellipse(a) -> Shape:
     """Small-area ellipse (or interval) containing W(A).
 
     The 256 boundary points of ``support_profile(A, 256)`` (128 Hermitian
     reductions, each read at both ends of its spectrum for the angles t and
     t + pi) are enclosed by an ellipse E0, axis-aligned after a rotation
-    search over 180 angles and a golden-section aspect-ratio optimization
-    (run in lockstep across the angles).  Where that fit is thinner than 1e-10, the exact bounding
+    search over 180 angles and a golden-section aspect-ratio optimization.
+    That search runs in lockstep, and only on the angles whose area bounds
+    let them come first (``_aspect_rows``); the result is the one all 180
+    give, bit for bit.  Where the points' offsets in a rotated frame
+    exceed 2^200, the rotation and aspect step runs on them scaled by a
+    power of two, and its axes are scaled back, so a huge ||A|| cannot
+    overflow it.  Where that fit is thinner than 1e-10, the exact bounding
     box of W(A) in the fitted frame decides (the support values p at t,
     t + pi/2, t + pi and t + 3 pi/2): if its width is at most
     64 eps ||A||_F, W(A) is a segment to rounding and E0 the box's long
@@ -172,19 +249,27 @@ def fit_ellipse(a) -> Shape:
     q = pts[None, :] * np.exp(-1j * ts)[:, None]
     cxs = (q.real.max(axis=1) + q.real.min(axis=1)) / 2.0
     cys = (q.imag.max(axis=1) + q.imag.min(axis=1)) / 2.0
-    dx2 = (q.real - cxs[:, None]) ** 2
-    dy = q.imag - cys[:, None]
+    dx, dy = q.real - cxs[:, None], q.imag - cys[:, None]
+    # the aspect step squares the offsets, divides them by r down to e^-40
+    # and multiplies their squares; past _ASPECT_MAX it runs on them scaled
+    # by a power of two, which is exact, so no fit below it changes
+    spread = float(max(np.abs(dx).max(), np.abs(dy).max()))
+    sc = math.ldexp(1.0, -math.frexp(spread)[1]) if spread > _ASPECT_MAX else 1.0
+    dx2, dy = (dx * sc) ** 2, dy * sc
+    rows = _aspect_rows(dx2, dy * dy)
+    dx2_rows, dy_rows = dx2[rows], dy[rows]
 
     def neg_area(log_r):
         r = np.exp(log_r)
-        return -(r * np.max(dx2 + (dy / r[:, None]) ** 2, axis=1))
+        return -(r * np.max(dx2_rows + (dy_rows / r[:, None]) ** 2, axis=1))
 
-    log_r, neg = _golden_max(neg_area, np.full(len(ts), -40.0),
-                             np.full(len(ts), 4.0), tol=1e-10)
-    k = int(np.argmax(neg))  # the first angle of least area
-    t, cx, cy, r = ts[k], cxs[k], cys[k], float(np.exp(log_r[k]))
+    log_r, neg = _golden_max(neg_area, np.full(len(rows), -40.0),
+                             np.full(len(rows), 4.0), tol=1e-10)
+    j = int(np.argmax(neg))  # the first angle of least area
+    k = rows[j]
+    t, cx, cy, r = ts[k], cxs[k], cys[k], float(np.exp(log_r[j]))
     q = pts * np.exp(-1j * t)
-    ax = float(np.sqrt(np.max((q.real - cx) ** 2 + ((q.imag - cy) / r) ** 2)))
+    ax = float(np.sqrt(np.max(((q.real - cx) * sc) ** 2 + ((q.imag - cy) * sc / r) ** 2))) / sc
     ay = r * ax
     center = complex(np.exp(1j * t) * (cx + 1j * cy))
     if ay > ax:
@@ -205,12 +290,15 @@ def fit_ellipse(a) -> Shape:
         # A segment is the box's long midline; around a thin set goes the
         # ellipse whose long semi-axis exceeds the box's by about half the
         # box's half-width
-        right, top, left, bottom = hermitian_eigmax(
-            _herm_parts(mat, t + np.pi / 2.0 * np.arange(4))).tolist()
-        segment = top + bottom <= 64.0 * np.finfo(float).eps * float(np.linalg.norm(mat))
+        # (the n = 2 closed form squares entries: past LAPACK's safe range
+        # it runs on A scaled by a power of two)
+        box = _safe_scale(mat)
+        right, top, left, bottom = (hermitian_eigmax(
+            _herm_parts(mat * box, t + np.pi / 2.0 * np.arange(4))) / box).tolist()
+        segment = top + bottom <= 64.0 * np.finfo(float).eps * float(np.linalg.norm(mat * sc)) / sc
         center = complex(u * complex(right - left, top - bottom) / 2.0)
         ax = (right + left) / 2.0
-        ay = float(np.sqrt(ax * max(top + bottom, 0.0) / 2.0))
+        ay = float(np.sqrt((ax * sc) * (max(top + bottom, 0.0) * sc) / 2.0)) / sc
 
     def fitted(scale):
         # the fitted shape with both axes scaled by `scale`
@@ -560,8 +648,9 @@ def lens_asymptotic_factor(a) -> float:
     The GMRES asymptotic convergence factor 1/|phi(0)| of the lens
     {re z >= dist(0, W(A)), |z| <= w(A)}; requires A + A* positive definite.
     Both extremes start from the 256-angle support profile of A (served
-    from the memo when ``fit_ellipse`` has sampled A) and are refined by
-    golden-section search.
+    from the memo when ``fit_ellipse`` has sampled A), and their peaks are
+    polished together by safeguarded Newton steps on the support function
+    (``numrange._angular_extremes``).
     """
     mat = as_matrix(a)
     herm = (mat + mat.conj().T) / 2.0

@@ -8,6 +8,7 @@ of a matrix.  Matrices are square ``numpy.ndarray`` objects of complex128;
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -79,51 +80,67 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-def _dual_columns(y: np.ndarray, p: float) -> np.ndarray:
+def _pnorms(y: np.ndarray, p: float) -> np.ndarray:
+    # the p-norm of each column of y
+    return np.sum(np.abs(y) ** p, axis=0) ** (1.0 / p)
+
+
+def _dual_columns(y: np.ndarray, p: float, norms: np.ndarray) -> np.ndarray:
     # per column y, z with <z, y> = ||y||_p and ||z||_q = 1 (q the conjugate
-    # exponent); callers guarantee nonzero columns
-    norms = np.sum(np.abs(y) ** p, axis=0) ** (1.0 / p)
+    # exponent), given the columns' _pnorms; callers guarantee nonzero columns
     a = np.abs(y)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(a > 0, y * a ** (p - 2.0), 0.0)
     return z / norms ** (p - 1.0)
 
 
-def _pnorm_ascent(m: np.ndarray, p: float) -> tuple[float, np.ndarray]:
-    # Boyd/Higham power method for the induced Hoelder p-norm, 32 random
-    # starts.  Ascent is monotone: a certified lower bound with witness x.
-    # All starts advance together as columns; converged or annihilated
-    # columns freeze while the rest keep iterating.
-    n = m.shape[0]
-    q = p / (p - 1.0)
-    mh = m.conj().T
+@functools.lru_cache(maxsize=32)
+def _ascent_starts(n: int, p: float) -> np.ndarray:
+    # the start block of _pnorm_ascent, columns of unit p-norm: the ones
+    # vector, the unit vectors and 32 complex Gaussian draws from seed 0;
+    # read-only, since every call shares it
     rng = np.random.default_rng(0)
     cols = [np.ones(n, dtype=complex)]
     cols += [e for e in np.eye(n, dtype=complex)]
     for _ in range(32):
         cols.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     x = np.stack(cols, axis=1)
-    x = x / np.sum(np.abs(x) ** p, axis=0) ** (1.0 / p)
+    x = x / _pnorms(x, p)
+    x.setflags(write=False)
+    return x
+
+
+def _pnorm_ascent(m: np.ndarray, p: float) -> tuple[float, np.ndarray]:
+    # Boyd/Higham power method for the induced Hoelder p-norm, 32 random
+    # starts.  Ascent is monotone: a certified lower bound with witness x.
+    # All starts advance together as columns; converged or annihilated
+    # columns freeze while the rest keep iterating.  A column block's norms
+    # are reused only for that same block: numpy's summation order depends
+    # on the column count, so a subset gets its norms summed afresh.
+    q = p / (p - 1.0)
+    mh = m.conj().T
+    x = _ascent_starts(m.shape[0], p).copy()
     gamma = np.zeros(x.shape[1])
     active = np.ones(x.shape[1], dtype=bool)
     for _ in range(100):
         idx = np.flatnonzero(active)
         y = m @ x[:, idx]
-        ny = np.sum(np.abs(y) ** p, axis=0) ** (1.0 / p)
+        ny = norms = _pnorms(y, p)
         alive = ny > 0.0
         if not alive.all():
             active[idx[~alive]] = False  # annihilated: keep previous gamma
             idx, y, ny = idx[alive], y[:, alive], ny[alive]
             if idx.size == 0:
                 break
+            norms = _pnorms(y, p)
         gamma[idx] = ny
-        z = mh @ _dual_columns(y, p)
-        nz = np.sum(np.abs(z) ** q, axis=0) ** (1.0 / q)
+        z = mh @ _dual_columns(y, p, norms)
+        nz = _pnorms(z, q)
         done = nz <= ny * (1.0 + 1e-12)
         active[idx[done]] = False
         cont = ~done
         if cont.any():
-            x[:, idx[cont]] = _dual_columns(z[:, cont], q)
+            x[:, idx[cont]] = _dual_columns(z[:, cont], q, _pnorms(z[:, cont], q))
         if not active.any():
             break
     j = int(np.argmax(gamma))

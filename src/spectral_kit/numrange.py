@@ -12,7 +12,11 @@ solves only the first half of an even grid (``_extreme_eigenpairs``: one
 LAPACK ``zhetrd`` reduction per angle, read at both ends of its
 tridiagonal, at n >= 13, and a stacked ``eigh`` below, where per-call
 overhead dominates).  ``numerical_radius`` and ``dist_origin`` start from
-the same halving, on eigenvalues alone.  ``support_profile`` memoizes the
+the same halving, on eigenvalues alone, and polish the grid peaks by
+safeguarded Newton steps: the derivatives p' = x* B x and
+p'' = -p + 2 sum_j |v_j* B x|^2 / (p - lambda_j), B = cos(theta) K -
+sin(theta) H, come from the eigenpairs of one stacked ``eigh`` per round
+(``_newton_peaks``).  ``support_profile`` memoizes the
 last 8 profiles, keyed by grid size and matrix content (an in-place edit
 makes a new key), so the callers that sample W(A) of one matrix, all on 256
 angles, share one sweep.  Memoized arrays are read-only.
@@ -81,7 +85,7 @@ _PROFILE_MEMO_SIZE = 8
 # tridiagonal, beats one stacked eigh over the angles
 _TRIDIAG_MIN_N = 13
 # LAPACK's safe range for the largest entry of a Hermitian matrix (zheevr's
-# rmin and rmax); outside it the extreme-eigenpair kernel scales A first
+# rmin and rmax); outside it ``_safe_scale`` scales A first
 _SAFE_MIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
 _SAFE_MAX = min(1.0 / _SAFE_MIN, 1.0 / math.sqrt(math.sqrt(np.finfo(float).tiny)))
 # outer_gauge_bracket bisects an angular interval while its outer vertex
@@ -89,6 +93,9 @@ _SAFE_MAX = min(1.0 / _SAFE_MIN, 1.0 / math.sqrt(math.sqrt(np.finfo(float).tiny)
 # the angles would pass twice those of the 256-angle profile it starts from
 _OUTER_GAP = 1e-9
 _OUTER_MAX_ANGLES = 512
+# a Newton step on a support-function peak whose predicted gain is below
+# this, relative to the spectral scale, cannot move the reported value
+_NEWTON_GAIN = 1e-3 * np.finfo(float).eps
 
 
 class BisectionError(RuntimeError):
@@ -140,6 +147,17 @@ def hermitian_eigmax(h: np.ndarray) -> np.ndarray:
     return _hermitian_extremes(h)[0]
 
 
+def _safe_scale(m: np.ndarray) -> float:
+    # 1.0 where the largest entry of m lies in LAPACK's safe range (zheevr's
+    # rmin and rmax); outside it the power of two that brings that entry
+    # into [0.5, 1), capped at 2^1023 for subnormal entries.  Scaling by a
+    # power of two is exact
+    big = float(np.abs(m).max())
+    if 0.0 < big < _SAFE_MIN or big > _SAFE_MAX:
+        return math.ldexp(1.0, min(-math.frexp(big)[1], 1023))
+    return 1.0
+
+
 def support_value(a, theta: float) -> float:
     """p(theta) for a single angle."""
     return float(hermitian_eigmax(_herm_parts(as_matrix(a), float(theta))))
@@ -161,10 +179,8 @@ def _extreme_eigenpairs(m: np.ndarray, thetas: np.ndarray):
     p(t + pi) and its own.
     """
     n = m.shape[0]
-    big = float(np.abs(m).max())
-    scale = 1.0
-    if 0.0 < big < _SAFE_MIN or big > _SAFE_MAX:
-        scale = math.ldexp(1.0, -math.frexp(big)[1])
+    scale = _safe_scale(m)
+    if scale != 1.0:
         m = m * scale
     herm = (m + m.conj().T) / 2.0
     skew = (m - m.conj().T) * -0.5j
@@ -386,7 +402,10 @@ def _golden_max(fun, lo, hi, tol: float = 1e-12):
 
 
 def _polish_peaks(fun, grid: np.ndarray, centers, values, periodic: bool):
-    """Golden-section polish of sampled peaks, the finish of every reported sup.
+    """Golden-section polish of sampled peaks.
+
+    It finishes boundary suprema, ``torus_sup`` and ``tv_log_radius``, and
+    the support-function peaks whose top eigenvalue is not simple.
 
     grid is the sample grid (2 pi k / m if periodic, else linspace(lo, hi, m));
     each centre, with its sampled value, is searched over +- one grid
@@ -421,9 +440,74 @@ def _peak_indices(vals: np.ndarray, floor: float = -np.inf) -> np.ndarray:
 
 def _grid_support(a: np.ndarray) -> np.ndarray:
     # p(theta) on the uniform 256-angle grid from one stack of the 128 angles
-    # in [0, pi): p(theta + pi) = -lambda_min(re(e^{-i theta} A))
-    top, bottom = _hermitian_extremes(_herm_parts(a, 2.0 * np.pi * np.arange(128) / 256))
-    return np.concatenate([top, -bottom])
+    # in [0, pi): p(theta + pi) = -lambda_min(re(e^{-i theta} A)).  Outside
+    # LAPACK's safe range A is scaled first, which the n = 2 closed form
+    # needs too: it squares entries
+    scale = _safe_scale(a)
+    top, bottom = _hermitian_extremes(
+        _herm_parts(a * scale, 2.0 * np.pi * np.arange(128) / 256))
+    return np.concatenate([top, -bottom]) / scale
+
+
+def _newton_peaks(herm: np.ndarray, skew: np.ndarray, signs, centres, h: float):
+    """Safeguarded Newton ascent to peaks of sign * p(theta), in lockstep.
+
+    herm and skew are H and K, signs and centres hold one entry per peak,
+    and each peak lies in its bracket [c - h, c + h].  One stacked ``eigh``
+    per round gives, at every live angle t, all eigenpairs (lambda_j, v_j)
+    of F(t) = cos t H + sin t K.  F' = B = cos t K - sin t H and F'' = -F,
+    so the top eigenpair (p, x) gives
+
+        p' = x* B x,   p'' = -p + 2 sum_{j != top} |v_j* B x|^2 / (p - lambda_j).
+
+    Each evaluation shrinks the bracket to the side sign * p' points to.
+    The Newton point t - p'/p'' is taken where sign * p'' < 0, it lies
+    inside the bracket and it is at most half the step before last
+    (``rtsafe``'s rule, which keeps the shrinking at least linear);
+    otherwise the bracket is bisected.  A peak is done when its bracket is
+    within 1e-12, when p' = 0, or when sign * p'' < 0 and the Newton
+    step's predicted gain p'^2 / (2 |p''|) is below ``_NEWTON_GAIN`` of the
+    spectral scale, where the step cannot move the value (it may be below
+    an ulp of t) and rounding in p' would only jitter it.  The formula
+    needs a simple top eigenvalue: a peak whose top gap is within 1e-8 of
+    the spectral scale leaves the ascent and is flagged.
+    Returns (the largest sign * p evaluated per peak, the flags).
+    """
+    signs = np.asarray(signs, dtype=float)
+    theta = np.asarray(centres, dtype=float)
+    lo, hi = theta - h, theta + h
+    step, step_old = np.full(len(theta), 2.0 * h), np.full(len(theta), 2.0 * h)
+    best = np.full(len(theta), -np.inf)
+    multiple = np.zeros(len(theta), dtype=bool)
+    live = np.ones(len(theta), dtype=bool)
+    while live.any():
+        idx = np.flatnonzero(live)
+        t, sign = theta[idx], signs[idx]
+        cos, sin = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
+        lam, vecs = np.linalg.eigh(cos * herm + sin * skew)
+        p = lam[:, -1]
+        best[idx] = np.maximum(best[idx], sign * p)
+        coef = np.einsum("kji,kjl,kl->ki", vecs.conj(), cos * skew - sin * herm, vecs[:, :, -1])
+        spectral = np.maximum(np.abs(lam[:, 0]), np.abs(p))
+        second = lam[:, -2] if lam.shape[1] > 1 else -np.inf
+        simple = p - second > 1e-8 * spectral
+        gaps = np.where(simple[:, None], p[:, None] - lam[:, :-1], 1.0)
+        d1 = sign * coef[:, -1].real
+        d2 = sign * (2.0 * np.sum(np.abs(coef[:, :-1]) ** 2 / gaps, axis=1) - p)
+        lo[idx] = np.where(d1 > 0.0, t, lo[idx])
+        hi[idx] = np.where(d1 < 0.0, t, hi[idx])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = -d1 / d2
+        ok = (d2 < 0.0) & (t + newton > lo[idx]) & (t + newton < hi[idx]) \
+            & (2.0 * np.abs(newton) <= step_old[idx])
+        new = np.where(ok, t + newton, (lo[idx] + hi[idx]) / 2.0)
+        step_old[idx], step[idx] = step[idx], np.abs(new - t)
+        theta[idx] = new
+        # p' = 0 exactly leaves no side to shrink to, so the point stands
+        settled = (d1 == 0.0) | (d2 < 0.0) & (np.abs(d1 * newton) <= 2.0 * _NEWTON_GAIN * spectral)
+        multiple[idx] = ~simple
+        live[idx] = simple & ~settled & (hi[idx] - lo[idx] > 1e-12)
+    return best, multiple
 
 
 def _angular_extremes(a: np.ndarray, signs, p: np.ndarray) -> list:
@@ -434,26 +518,46 @@ def _angular_extremes(a: np.ndarray, signs, p: np.ndarray) -> list:
     # dist(0, W(A)) > 0 only the argmax is one, because the sublevel sets
     # of p are then arcs, so -p has one local maximum.  For real A,
     # p(-theta) = p(theta), so each peak is polished once, at its mirror
-    # image in [0, pi] if it lies in (pi, 2 pi).
+    # image in [0, pi] if it lies in (pi, 2 pi).  The peaks of every sign
+    # are polished together by Newton steps (``_newton_peaks``), on A scaled
+    # as ``_safe_scale`` says, so that the squares in p'' cannot overflow; a
+    # peak whose top eigenvalue is not simple takes the golden-section
+    # polish instead, on the same A.  No result is below its sampled value.
     grid = 2.0 * np.pi * np.arange(len(p)) / len(p)
     h = 2.0 * np.pi / len(p)
     real = not a.imag.any()
-    out = []
+    peaks = []
     for sign in signs:
         vals = sign * p
         best = float(vals.max())
         ks = _peak_indices(vals, floor=best - abs(best) * h * h)
         if real:
             ks = np.unique(np.minimum(ks, -ks % len(p)))
-        _, polished = _polish_peaks(
-            lambda t: sign * hermitian_eigmax(_herm_parts(a, t)),
-            grid, grid[ks], vals[ks], periodic=True)
-        out.append(float(polished.max()))
+        peaks.append((sign, ks, vals[ks]))
+    scale = _safe_scale(a)
+    m = a * scale
+    owner = np.concatenate([np.full(len(ks), i) for i, (_, ks, _) in enumerate(peaks)])
+    polished, multiple = _newton_peaks(
+        (m + m.conj().T) / 2.0, (m - m.conj().T) * -0.5j,
+        np.concatenate([np.full(len(ks), sign) for sign, ks, _ in peaks]),
+        np.concatenate([grid[ks] for _, ks, _ in peaks]), h)
+    polished /= scale
+    out = []
+    for i, (sign, ks, sampled) in enumerate(peaks):
+        mine = owner == i
+        found = max(float(sampled.max()), float(polished[mine].max()))
+        golden = multiple[mine]
+        if golden.any():
+            _, values = _polish_peaks(
+                lambda t: sign * hermitian_eigmax(_herm_parts(m, t)),
+                grid, grid[ks[golden]], sampled[golden] * scale, periodic=True)
+            found = max(found, float(values.max()) / scale)
+        out.append(found)
     return out
 
 
 def numerical_radius(a) -> float:
-    """w(A) = max_theta p(theta): every grid peak that can still win, polished."""
+    """w(A) = max_theta p(theta): every grid peak that can still win, polished by Newton steps."""
     m = as_matrix(a)
     if not m.any():
         return 0.0

@@ -373,6 +373,82 @@ def test_fit_ellipse_matches_scalar_reference_exactly():
         assert got == want
 
 
+def _aspect_audit_cases():
+    # complex and real Ginibre, near-circular W(A) (Jordan blocks nudged by
+    # 1e-3 and 1e-6, where many rotations nearly tie) and Hermitian A
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 16, 20, 24):
+        for _ in range(6):
+            yield _random(n, rng)
+        for _ in range(6):
+            yield rng.standard_normal((n, n))
+        for eps in (1e-3, 1e-6):
+            for _ in range(4):
+                yield np.exp(2j * rng.random()) * np.eye(n, k=1) + eps * _random(n, rng)
+        h = _random(n, rng)
+        yield h + h.conj().T
+
+
+def test_fit_ellipse_pruned_aspect_search_is_bit_identical(monkeypatch):
+    # the aspect search runs only on the rotations whose area bounds let
+    # them come first; against every one of the 180, each fit is == the same
+    from spectral_kit import krylov
+    cases = list(_aspect_audit_cases())
+    assert len(cases) >= 300
+    pruned = [fit_ellipse(a) for a in cases]
+    monkeypatch.setattr(krylov, "_aspect_rows", lambda dx2, dy2: np.arange(len(dx2)))
+    for a, got in zip(cases, pruned):
+        want = fit_ellipse(a)
+        assert type(got) is type(want)
+        assert got == want
+
+
+def test_fit_ellipse_golden_search_runs_on_few_rotations(monkeypatch):
+    from spectral_kit import krylov
+    rows = []
+    golden = krylov._golden_max
+
+    def spy(fun, lo, hi, tol=1e-12):
+        rows.append(np.size(lo))
+        return golden(fun, lo, hi, tol)
+
+    monkeypatch.setattr(krylov, "_golden_max", spy)
+    rng = np.random.default_rng(33)
+    for n in (3, 8, 24):
+        rows.clear()
+        fit_ellipse(_random(n, rng))
+        assert len(rows) == 1 and rows[0] < 180
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200])
+def test_fit_ellipse_at_huge_scale_is_the_scaled_fit(scale):
+    # the aspect step squares the point offsets and divides them by r down
+    # to e^-40, which overflowed: 1e150 G raised "ellipse needs a >= b > 0"
+    # and 1e200 G came back as an interval around a W(A) with interior
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    unit = fit_ellipse(g)
+    e = fit_ellipse(scale * g)
+    assert type(e) is Ellipse
+    assert e.a == pytest.approx(scale * unit.a, rel=1e-12)
+    assert e.b == pytest.approx(scale * unit.b, rel=1e-12)
+    assert abs(e.center - scale * unit.center) <= 1e-12 * scale * unit.a
+    assert e.rotation == unit.rotation
+    if scale == 1e150:
+        assert _support_excess(scale * g, e) <= 0.0
+
+
+def test_fit_ellipse_hermitian_interval_at_huge_scale():
+    # the interval branch reads the exact bounding box from 2 x 2 closed
+    # forms, which squared entries: at 1e160 its ends were nan
+    h = np.array([[1.0, 0.3], [0.3, -2.0]])
+    unit = fit_ellipse(h)
+    e = fit_ellipse(1e160 * h)
+    assert type(unit) is type(e) is Interval
+    for got, want in ((e.z1, unit.z1), (e.z2, unit.z2)):
+        assert abs(got - 1e160 * want) <= 1e-14 * 1e160 * abs(want)
+
+
 # ---------------------------------------------------------------------------
 # rational_krylov
 

@@ -111,6 +111,72 @@ def test_unit_vector_inequality_sampled():
             assert np.all(np.linalg.norm(a @ x, p, axis=0) <= bound + 1e-9)
 
 
+def _pnorm_ascent_reference(m, p):
+    # the ascent with its start block drawn afresh and every column norm
+    # summed afresh, one call at a time
+    def dual(y, r):
+        norms = np.sum(np.abs(y) ** r, axis=0) ** (1.0 / r)
+        a = np.abs(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(a > 0, y * a ** (r - 2.0), 0.0)
+        return z / norms ** (r - 1.0)
+
+    n = m.shape[0]
+    q = p / (p - 1.0)
+    rng = np.random.default_rng(0)
+    cols = [np.ones(n, dtype=complex)] + [e for e in np.eye(n, dtype=complex)]
+    for _ in range(32):
+        cols.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    x = np.stack(cols, axis=1)
+    x = x / np.sum(np.abs(x) ** p, axis=0) ** (1.0 / p)
+    gamma = np.zeros(x.shape[1])
+    active = np.ones(x.shape[1], dtype=bool)
+    for _ in range(100):
+        idx = np.flatnonzero(active)
+        y = m @ x[:, idx]
+        ny = np.sum(np.abs(y) ** p, axis=0) ** (1.0 / p)
+        alive = ny > 0.0
+        if not alive.all():
+            active[idx[~alive]] = False
+            idx, y, ny = idx[alive], y[:, alive], ny[alive]
+            if idx.size == 0:
+                break
+        gamma[idx] = ny
+        z = m.conj().T @ dual(y, p)
+        nz = np.sum(np.abs(z) ** q, axis=0) ** (1.0 / q)
+        done = nz <= ny * (1.0 + 1e-12)
+        active[idx[done]] = False
+        cont = ~done
+        if cont.any():
+            x[:, idx[cont]] = dual(z[:, cont], q)
+        if not active.any():
+            break
+    j = int(np.argmax(gamma))
+    return float(gamma[j]), x[:, j]
+
+
+def test_pnorm_ascent_with_cached_starts_matches_the_fresh_loop():
+    # bit for bit, with the start block cached per (n, p) and the column
+    # norms reused; singular and nilpotent inputs annihilate start columns
+    from spectral_kit.matrixcore import _pnorm_ascent
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 2, 3, 5, 8, 12):
+        for kind in ("complex", "real", "singular", "nilpotent"):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            if kind == "real":
+                m = m.real.astype(complex)
+            elif kind == "singular":
+                m[:, 0] = 0.0
+            elif kind == "nilpotent":
+                m = np.eye(n, k=1, dtype=complex)
+            for p in (1.5, 3.0, 4.0):
+                for _ in range(2):  # the second call reads the cache
+                    val, x = _pnorm_ascent(m, p)
+                    ref_val, ref_x = _pnorm_ascent_reference(m, p)
+                    assert val == ref_val
+                    assert np.array_equal(x, ref_x)
+
+
 def test_spectral_radius_below_two_norm():
     rng = np.random.default_rng(7)
     for _ in range(50):

@@ -131,13 +131,13 @@ def test_numerical_radius_polishes_one_of_each_mirror_pair_for_real_a(monkeypatc
     # one in [0, pi] is polished
     a = np.random.default_rng(5).standard_normal((5, 5))
     centres = []
-    polish = numrange._polish_peaks
+    polish = numrange._newton_peaks
 
-    def spy(fun, grid, cs, values, periodic):
+    def spy(herm, skew, signs, cs, h):
         centres.append(np.array(cs))
-        return polish(fun, grid, cs, values, periodic)
+        return polish(herm, skew, signs, cs, h)
 
-    monkeypatch.setattr(numrange, "_polish_peaks", spy)
+    monkeypatch.setattr(numrange, "_newton_peaks", spy)
     w = numerical_radius(a)
     assert len(centres) == 1 and len(centres[0]) == 1
     assert 0.0 <= centres[0][0] <= math.pi
@@ -146,10 +146,97 @@ def test_numerical_radius_polishes_one_of_each_mirror_pair_for_real_a(monkeypatc
     m = a.astype(complex)
     grid = 2.0 * np.pi * np.arange(256) / 256
     k = int(round(centres[0][0] / (2.0 * np.pi / 256)))
-    _, mirror = polish(lambda t: hermitian_eigmax(numrange._herm_parts(m, t)),
-                       grid, grid[[-k % 256]], [support_value(m, grid[-k % 256])],
-                       periodic=True)
+    mirror, _ = polish((m + m.conj().T) / 2.0, (m - m.conj().T) * -0.5j, [1.0],
+                       grid[[-k % 256]], 2.0 * np.pi / 256)
     assert mirror[0] == pytest.approx(w, rel=1e-15, abs=0)
+
+
+def _golden_extremes(a, signs):
+    # the golden-section polish of the peaks _angular_extremes selects, the
+    # reference for its Newton steps: [max_theta sign * p(theta) per sign]
+    m = np.asarray(a, dtype=complex)
+    p = numrange._grid_support(m)
+    grid = 2.0 * np.pi * np.arange(len(p)) / len(p)
+    h = 2.0 * np.pi / len(p)
+    out = []
+    for sign in signs:
+        vals = sign * p
+        best = float(vals.max())
+        ks = numrange._peak_indices(vals, floor=best - abs(best) * h * h)
+        if not m.imag.any():
+            ks = np.unique(np.minimum(ks, -ks % len(p)))
+        _, polished = numrange._polish_peaks(
+            lambda t: sign * hermitian_eigmax(numrange._herm_parts(m, t)),
+            grid, grid[ks], vals[ks], periodic=True)
+        out.append(float(polished.max()))
+    return out
+
+
+def _newton_cases():
+    rng = np.random.default_rng(17)
+    h = 2.0 * np.pi / 256
+    cases = [np.array([[0.3 - 0.7j]]), np.zeros((1, 1)), np.zeros((4, 4)),
+             np.diag([1.0, 1.0, 0.2]),  # a double top eigenvalue
+             np.diag([np.exp(10j * h), (1.0 + 1e-6) * np.exp(1j * (100 * h + h / 2))]),
+             np.eye(3) + 0.2 * jordan_nilpotent(3), jordan_nilpotent(5)]
+    for n in (1, 2, 3, 4, 6, 9, 16, 30):
+        cases.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        cases.append(rng.standard_normal((n, n)))
+        cases.append(2.0 * np.eye(n) + rng.standard_normal((n, n)) / (2.0 * n))
+    return cases
+
+
+def test_newton_polish_matches_the_golden_polish():
+    # w(A) and dist(0, W(A)) within 1e-14 of w(A) (about 45 ulps) of the
+    # golden-section polish of the same peaks, never below the grid samples,
+    # and homogeneous under scaling by 1e+-150 and 1e+-200 (the n = 2 closed
+    # form of the grid samples squares entries)
+    for a in _newton_cases():
+        m = np.asarray(a, dtype=complex)
+        w, d = numerical_radius(m), dist_origin(m)
+        ref_w, ref_neg_d = _golden_extremes(m, [1.0, -1.0])
+        scale = max(ref_w, 1e-300)
+        assert abs(w - (ref_w if m.any() else 0.0)) <= 1e-14 * scale
+        assert abs(d - max(0.0, ref_neg_d)) <= 1e-14 * scale
+        p = numrange._grid_support(m)
+        assert w >= p.max() and d >= max(0.0, -p.min())
+        for c in (1e150, 1e-150, 1e200, 1e-200):
+            assert numerical_radius(c * m) == pytest.approx(c * w, rel=1e-14, abs=0)
+            assert dist_origin(c * m) == pytest.approx(c * d, rel=1e-14, abs=1e-14 * c * w)
+        # subnormal entries carry about 13 digits
+        assert numerical_radius(1e-310 * m) == pytest.approx(1e-310 * w, rel=1e-9, abs=0)
+
+
+def test_numerical_radius_of_jordan_blocks_to_rounding():
+    # W(J_n) is the disk of radius cos(pi / (n + 1)), where every angle is a
+    # peak and p'' = 0: the polish bisects, and stays within 3 eps
+    for n in range(2, 13):
+        w = numerical_radius(jordan_block(n))
+        assert abs(w - math.cos(math.pi / (n + 1))) <= 3 * np.finfo(float).eps
+
+
+def test_newton_polish_takes_few_stacked_eigh_calls(monkeypatch):
+    # one stacked eigh per lockstep round; the golden search it replaces
+    # makes about 50 lambda_max evaluations per peak
+    rng = np.random.default_rng(23)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(h):
+        calls.append(h.shape)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    counts = []
+    for n in (2, 3, 5, 8, 12, 20, 40):
+        for real in (False, True):
+            a = rng.standard_normal((n, n)) + (0 if real else 1j) * rng.standard_normal((n, n))
+            for fun in (numerical_radius, dist_origin):
+                calls.clear()
+                fun(a)
+                counts.append(len(calls))
+                assert 1 <= len(calls) <= 8
+    assert np.mean(counts) <= 4.0
 
 
 def test_polish_peaks_recovers_an_off_grid_periodic_peak():
