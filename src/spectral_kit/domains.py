@@ -24,7 +24,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .matrixcore import as_matrix, format_complex, parse_complex
-from .numrange import _polish_peaks, numerical_radius
+from .numrange import _polish_peaks, _safe_scale, numerical_radius
 
 _BOUNDARY_TOL = 1e-12
 _HALF_PLANE_RANGE = 100.0
@@ -616,11 +616,17 @@ class ExteriorMap:
         return abs(self.c1)
 
     def support_about_center(self, thetas) -> np.ndarray:
-        """max of Re(e^{-i theta} (z - c0)) over the shape, semi-axes |c1| +- |cm1|."""
+        """max of Re(e^{-i theta} (z - c0)) over the shape, semi-axes |c1| +- |cm1|.
+
+        Semi-axes outside the safe range of ``numrange._safe_scale`` are
+        scaled by a power of two first, so their squares neither overflow
+        nor underflow; inside it the scale is 1 and changes no bit.
+        """
         amaj = abs(self.c1) + abs(self.cm1)
         bmin = abs(self.c1) - abs(self.cm1)
         t = thetas - 0.5 * (np.angle(self.c1) + np.angle(self.cm1))
-        return np.sqrt((amaj * np.cos(t)) ** 2 + (bmin * np.sin(t)) ** 2)
+        s = _safe_scale(np.array([amaj]))
+        return np.sqrt((s * amaj * np.cos(t)) ** 2 + (s * bmin * np.sin(t)) ** 2) / s
 
     def psi(self, w):
         w = np.asarray(w, dtype=complex)

@@ -200,11 +200,17 @@ class RationalFunction:
     """Rational function p/q with ascending complex coefficient arrays.
 
     A polynomial is ``den == [1]``.  Instances are immutable; evaluation is
-    vectorized over numpy arrays.
+    vectorized over numpy arrays.  The constructors that know their poles
+    (``blaschke``, ``scale`` of such a function, and the candidate families
+    of ``spectraltest``) keep them beside the coefficients; the store is not
+    part of the value: ``==``, ``hash`` and ``repr`` read num and den only.
     """
 
     num: tuple = field(default=(0.0,))
     den: tuple = field(default=(1.0,))
+    # the roots of den with multiplicity, as the constructor knew them, or
+    # None; read-only, and set only by _with_poles
+    _poles: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         num = _trim(np.atleast_1d(np.asarray(self.num, dtype=complex)))
@@ -215,6 +221,18 @@ class RationalFunction:
         object.__setattr__(self, "den", tuple(den))
 
     @classmethod
+    def _with_poles(cls, num, den, poles) -> "RationalFunction":
+        # p/q with q's roots stored: kept only when they are finite and as
+        # many as the trimmed den has (an underflowed leading coefficient
+        # drops the store, and poles() roots den instead)
+        f = cls(num=num, den=den)
+        poles = np.array(poles, dtype=complex).reshape(-1)
+        if len(poles) == len(f.den) - 1 and np.isfinite(poles).all():
+            poles.setflags(write=False)
+            object.__setattr__(f, "_poles", poles)
+        return f
+
+    @classmethod
     def from_poly(cls, coeffs) -> "RationalFunction":
         return cls(num=tuple(np.atleast_1d(np.asarray(coeffs, dtype=complex))), den=(1.0,))
 
@@ -223,12 +241,14 @@ class RationalFunction:
         """Finite Blaschke product phase * prod (z - a)/(1 - conj(a) z)."""
         num = np.array([complex(phase)])
         den = np.array([1.0 + 0j])
-        for a in np.atleast_1d(np.asarray(zeros, dtype=complex)):
+        zeros = np.atleast_1d(np.asarray(zeros, dtype=complex))
+        for a in zeros:
             if abs(a) >= 1.0:
                 raise ValueError(f"Blaschke zero {a} outside the open unit disk")
             num = np.convolve(num, np.array([-a, 1.0]))
             den = np.convolve(den, np.array([1.0, -np.conj(a)]))
-        return cls(num=tuple(num), den=tuple(den))
+        # a zero at 0 contributes the factor 1 to den, and no pole
+        return cls._with_poles(tuple(num), tuple(den), 1.0 / np.conj(zeros[zeros != 0]))
 
     @property
     def num_arr(self) -> np.ndarray:
@@ -249,6 +269,18 @@ class RationalFunction:
         return pn / pd
 
     def poles(self) -> np.ndarray:
+        """The roots of den, with multiplicity.
+
+        The poles a constructor stored are returned as built (read-only,
+        one per root of the trimmed den, in the constructor's order):
+        rooting the expanded den can move them by its condition number
+        times the rounding unit, which on a small shape away from 0
+        reaches the shape's own size.  Functions parsed from text, built
+        by Pade or by ``compose_affine`` carry no store, and their den is
+        rooted by ``np.roots``.
+        """
+        if self._poles is not None:
+            return self._poles
         den = self.den_arr
         if len(den) == 1:
             return np.empty(0, dtype=complex)
@@ -268,7 +300,9 @@ class RationalFunction:
         )
 
     def scale(self, c: complex) -> "RationalFunction":
-        return RationalFunction(num=tuple(c * self.num_arr), den=self.den)
+        if self._poles is None:
+            return RationalFunction(num=tuple(c * self.num_arr), den=self.den)
+        return RationalFunction._with_poles(tuple(c * self.num_arr), self.den, self._poles)
 
     def to_text(self) -> str:
         num = " ".join(format_complex(c) for c in self.num)

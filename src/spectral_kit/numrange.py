@@ -159,8 +159,17 @@ def _safe_scale(m: np.ndarray) -> float:
 
 
 def support_value(a, theta: float) -> float:
-    """p(theta) for a single angle."""
-    return float(hermitian_eigmax(_herm_parts(as_matrix(a), float(theta))))
+    """p(theta) for a single angle.
+
+    Outside LAPACK's safe range A is scaled by a power of two first (see
+    ``_safe_scale``), so the n = 2 closed form cannot overflow; inside it
+    nothing changes.
+    """
+    m = as_matrix(a)
+    scale = _safe_scale(m)
+    if scale != 1.0:
+        m = m * scale
+    return float(hermitian_eigmax(_herm_parts(m, float(theta)))) / scale
 
 
 def _extreme_eigenpairs(m: np.ndarray, thetas: np.ndarray):
@@ -292,7 +301,11 @@ def _outer_vertices(t1, p1, z1, t2, p2, z2) -> np.ndarray:
     # in scalar code: the line at t1 is along -> turn (p1 + i along)
     dx, dy = z2.real - z1.real, z2.imag - z1.imag
     start = z1.imag * c - z1.real * s
-    along = np.clip(along, start, start + np.sqrt(dx * dx + dy * dy))
+    with np.errstate(over="ignore"):
+        sq = dx * dx + dy * dy
+    # np.hypot only where the squares overflow: it rounds differently
+    reach = np.where(np.isfinite(sq), np.sqrt(sq), np.hypot(dx, dy))
+    along = np.clip(along, start, start + reach)
     return (p1 * c - along * s) + 1j * (p1 * s + along * c)
 
 

@@ -27,7 +27,6 @@ from .matrixcore import (
     RationalFunction,
     _horner,
     _pole_guard,
-    _pole_on_spectrum,
     as_matrix,
     eigenvalues,
     eval_rational,
@@ -37,6 +36,10 @@ from .matrixcore import (
 from .numrange import _herm_parts, _polish_peaks
 
 _CERT_TOL = 1e-9
+# kratio_estimate admits a candidate's ratio only when its estimated
+# relative rounding error (_ratio_error) is at most this
+_RATIO_TOL = 1e-8
+_UNIT = np.finfo(float).eps / 2.0
 # byte cap on one stacked block of kratio_estimate candidates, (rows, n, n)
 # matrices or (rows, points) boundary values: budget 2000 at n = 256 would
 # otherwise stack 2 GB
@@ -58,7 +61,8 @@ class Certificate:
 class KEstimate:
     """Lower bound for the K-spectral constant of a shape.
 
-    lower is the best ratio ||f(A)|| / ||f||_X found; upper, when present,
+    lower is the best ratio ||f(A)|| / ||f||_X found among the candidates
+    whose ratio is trusted to ``_RATIO_TOL``; upper, when present,
     is the catalog bound; sup_accuracy is the estimated relative error of
     the boundary-sup evaluation for the winning function.
     """
@@ -204,6 +208,7 @@ class _BoundarySampler:
             grids = [pts for *_, pts in self.comps]
             self.sub = np.concatenate([pts[:: max(1, len(pts) // 256)] for pts in grids])
         self.reach = max(1.0, max(float(np.max(np.abs(pts))) for pts in grids))
+        self.points = np.concatenate(grids)  # every point grid(f) samples
 
     def grid(self, f):
         if self.comps is None:
@@ -220,16 +225,19 @@ class _BoundarySampler:
         return grid_best, peaks
 
     def refine(self, f, grid):
+        """(sup, accuracy estimate, the refined peak points)."""
         grid_best, peaks = grid
         if self.comps is None:
             fine, coarse = peaks
-            return grid_best, abs(fine - coarse) / max(grid_best, 1e-300)
+            return grid_best, abs(fine - coarse) / max(grid_best, 1e-300), np.empty(0, complex)
         best = 0.0
+        points = []
         for (mp, periodic, ts, _), (k, peak) in zip(self.comps, peaks):
-            _, refined = _polish_peaks(lambda t: np.abs(f(mp(t))), ts, [ts[k]], [peak],
+            t, refined = _polish_peaks(lambda t: np.abs(f(mp(t))), ts, [ts[k]], [peak],
                                        periodic)
             best = max(best, float(refined[0]))
-        return best, abs(best - grid_best) / max(best, 1e-300)
+            points.append(mp(t))
+        return best, abs(best - grid_best) / max(best, 1e-300), np.concatenate(points)
 
     def sub_grid(self, num, den) -> np.ndarray:
         """max |p/q| over about 256 points of each grid, one candidate per row.
@@ -260,6 +268,63 @@ def _horner_at(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return y
 
 
+def _horner_error(coeffs, z: np.ndarray):
+    # (p(z), a bound on its rounding error) for ascending coefficients by
+    # Horner's rule with its running error bound (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., section 5.1), taken twice
+    # for complex data: a complex product errs by up to sqrt(2) gamma_2
+    # where a real one errs by u (section 3.6)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    az = np.abs(z)
+    y = np.full(z.shape, coeffs[-1])
+    ay = np.abs(y)
+    mu = ay / 2.0
+    for ck in coeffs[-2::-1]:
+        y *= z
+        y += ck
+        ay = np.abs(y)
+        mu *= az
+        mu += ay
+    return y, 2.0 * _UNIT * (2.0 * mu - ay)
+
+
+def _tilde_at(coeffs, t: float) -> float:
+    # sum |c_k| t^k by Horner's rule (the inf of an overflow is kept)
+    acc = 0.0
+    for ck in np.abs(np.asarray(coeffs, dtype=complex))[::-1]:
+        acc = acc * t + ck
+    return float(acc)
+
+
+def _ratio_error(f, m: np.ndarray, a_norm: float, nrm: float, sup: float,
+                 points: np.ndarray) -> float:
+    """Estimated relative rounding error of ``nrm / sup`` for f = p/q.
+
+    nrm is ||f(A)||_2 from the stacked Horner and solve, and sup the
+    boundary maximum of |f| over points (every grid point and refined peak
+    it was taken over).  The sup errs by at most the largest error of |f|
+    over those points, each from the running error bounds e_p, e_q of
+    Horner's rule: (e_p + |f| e_q) / |q|.  ||f(A)|| errs relatively by at
+    most ||q(A)^-1|| (e_P / ||f(A)|| + e_Q + gamma ||q(A)||), with the
+    normwise Horner bounds e_P = gamma p~(||A||), e_Q = gamma q~(||A||)
+    (Higham, Functions of Matrices, section 4.2; p~ has coefficients |c_k|)
+    and gamma = 2 (d + 1) n u, the last term the LU solve's backward error.
+    A non-finite estimate reads inf.
+    """
+    n = m.shape[0]
+    with np.errstate(all="ignore"):
+        p, e_p = _horner_error(f.num, points)
+        q, e_q = _horner_error(f.den, points)
+        aq = np.abs(q)
+        sup_err = float(np.max((e_p + np.abs(p) / aq * e_q) / aq)) / sup
+        gamma = 2.0 * max(len(f.num), len(f.den)) * n * _UNIT
+        sv = np.linalg.svd(_horner(np.asarray([f.den], dtype=complex), m)[0], compute_uv=False)
+        mat_err = gamma * (_tilde_at(f.num, a_norm) / nrm + _tilde_at(f.den, a_norm)
+                           + float(sv[0])) / float(sv[-1])
+        err = sup_err + mat_err
+    return err if np.isfinite(err) else np.inf
+
+
 def sup_on_boundary(f, x: Shape):
     """sup |f| over the boundary of a shape: dense grid + golden refinement.
 
@@ -268,7 +333,8 @@ def sup_on_boundary(f, x: Shape):
     points; the accuracy estimate then compares against 4096 points.
     """
     sampler = _BoundarySampler(x)
-    return sampler.refine(f, sampler.grid(f))
+    sup, acc, _ = sampler.refine(f, sampler.grid(f))
+    return sup, acc
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +346,20 @@ def _interior_mobius(x: Shape):
 
 
 def _blaschke_through(mobius, zeros) -> RationalFunction:
-    # B(M(z)) assembled factor by factor: (M - z0)/(1 - conj(z0) M)
+    # B(M(z)) assembled factor by factor: (M - z0)/(1 - conj(z0) M); each
+    # factor's pole M^{-1}(1/conj(z0)) is the root of its den factor, kept
+    # where that factor is linear (a constant one adds no root to den)
     a, b, c, d = mobius
     num = np.array([1.0 + 0j])
     den = np.array([1.0 + 0j])
+    poles = []
     for z0 in np.atleast_1d(np.asarray(zeros, dtype=complex)):
         num = np.convolve(num, np.array([b - z0 * d, a - z0 * c]))
-        den = np.convolve(den, np.array([d - np.conj(z0) * b, c - np.conj(z0) * a]))
-    return RationalFunction(num=tuple(num), den=tuple(den))
+        lin = np.array([d - np.conj(z0) * b, c - np.conj(z0) * a])
+        den = np.convolve(den, lin)
+        if lin[1] != 0:
+            poles.append(-lin[0] / lin[1])
+    return RationalFunction._with_poles(tuple(num), tuple(den), poles)
 
 
 def annulus_extremal_pair(big_r: float):
@@ -297,10 +369,10 @@ def annulus_extremal_pair(big_r: float):
     R(R^2-1)(z^2-1) / (-R^2 z^2 + (R^4+1) z - R^2), poles R^2 and 1/R^2.
     """
     r = float(big_r)
-    f1 = RationalFunction(num=(-1.0, 0.0, 1.0), den=(0.0, 1.0))
+    f1 = RationalFunction._with_poles((-1.0, 0.0, 1.0), (0.0, 1.0), [0.0])
     lead = r * (r ** 2 - 1.0)
-    f2 = RationalFunction(num=(-lead, 0.0, lead),
-                          den=(-r ** 2, r ** 4 + 1.0, -r ** 2))
+    f2 = RationalFunction._with_poles((-lead, 0.0, lead), (-r ** 2, r ** 4 + 1.0, -r ** 2),
+                                      [r ** 2, 1.0 / r ** 2])
     return f1, f2
 
 
@@ -319,7 +391,7 @@ def _random_rational(rng, center: complex, scale: float, x: Shape) -> RationalFu
     den = np.array([1.0 + 0j])
     for p in poles:
         den = np.convolve(den, np.array([-p, 1.0]))
-    return RationalFunction(num=tuple(num), den=tuple(den))
+    return RationalFunction._with_poles(tuple(num), tuple(den), poles)
 
 
 def _candidate_stream(x: Shape, budget: int, seed: int, center: complex,
@@ -376,6 +448,26 @@ def _stacked_norms(num: np.ndarray, den: np.ndarray, m: np.ndarray) -> list:
     return norms
 
 
+def _poles_clear(x: Shape, poles: list, guard) -> np.ndarray:
+    # per candidate (its poles one array of the list): True unless a pole
+    # lies within 1e-9 of X by signed margin, or on the spectrum by
+    # eval_rational's guard; one margin call over all the poles, and the
+    # pole-to-eigenvalue distances in blocks of at most _STACK_BYTES
+    counts = np.array([len(p) for p in poles], dtype=int)
+    clear = np.ones(len(poles), dtype=bool)
+    if not counts.sum():
+        return clear
+    flat = np.concatenate(poles)
+    bad = x.margin(flat) <= 1e-9
+    eigs, radius = guard
+    step = max(1, _STACK_BYTES // (16 * len(eigs)))
+    for at in range(0, len(flat), step):
+        block = flat[at:at + step]
+        bad[at:at + step] |= np.abs(block[:, None] - eigs[None, :]).min(axis=1) <= radius
+    clear[np.repeat(np.arange(len(poles)), counts)[bad]] = False
+    return clear
+
+
 def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate:
     """Best ratio ||f(A)|| / ||f||_X over structured rational families.
 
@@ -387,10 +479,14 @@ def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate
     at infinity enter (numerator degree <= denominator degree, so not the
     identity).  Refuses when the spectrum touches X's boundary.
 
-    The whole candidate stream is drawn first, then filtered in order: the
-    degree rule, the pole margin from X and the pole guard of
-    ``eval_rational``; a candidate whose coefficients overflowed is
-    skipped.  p(A) and q(A) of the candidates left are one stacked Horner
+    The whole candidate stream is drawn first, then filtered: the degree
+    rule, finite coefficients, and one stacked test of every candidate's
+    poles (``_poles_clear``): each pole's signed margin from X must exceed
+    1e-9, and no pole may lie within ``eval_rational``'s guard radius of
+    the spectrum.  The candidates carry the poles they were built with
+    (``RationalFunction.poles``), so no denominator is rooted; they are
+    still evaluated from their coefficients.  p(A) and q(A) of the
+    candidates left are one stacked Horner
     (coefficients zero-padded on the high side), f(A) one stacked solve and
     ||f(A)||_2 one stacked SVD, in blocks of at most ``_STACK_BYTES``; a
     block with a singular q(A) is solved one candidate at a time, and the
@@ -408,6 +504,14 @@ def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate
     fails skips the golden refinement of its sup: the refined sup is never
     below the grid maximum.  The result is the same as refining every
     candidate.
+
+    A candidate whose ratio beats the lower bound raises it only when the
+    ratio can be trusted: its estimated relative rounding error
+    (``_ratio_error``: running error bounds of Horner's rule for p and q
+    on every grid point and refined peak, and normwise bounds for p(A),
+    q(A) and the solve) must be at most ``_RATIO_TOL`` = 1e-8.  On a
+    small shape away from 0 the expanded den can be so ill-conditioned
+    that both ||f(A)|| and the sup are noise; such a candidate is skipped.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -421,47 +525,44 @@ def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate
     center = complex(np.mean(pts))
     scale = float(np.max(np.abs(pts - center))) or 1.0
 
-    guard = _pole_guard(m)
-    live = []
-    for f in _candidate_stream(x, budget, seed, center, scale):
-        if not x.is_bounded and len(f.num) > len(f.den):
-            continue
-        if not (np.isfinite(f.num).all() and np.isfinite(f.den).all()):
-            continue
-        poles = f.poles()
-        if poles.size and (min(signed_margin(x, p) for p in poles) <= 1e-9
-                           or _pole_on_spectrum(poles, guard) is not None):
-            continue
-        live.append(f)
+    fs = [f for f in _candidate_stream(x, budget, seed, center, scale)
+          if (x.is_bounded or len(f.num) <= len(f.den))
+          and np.isfinite(f.num).all() and np.isfinite(f.den).all()]
+    live = [f for f, ok in zip(fs, _poles_clear(x, [f.poles() for f in fs], _pole_guard(m)))
+            if ok]
 
     sampler = _BoundarySampler(x)
+    a_norm = float(np.linalg.norm(m, 2))
     lower = 0.0
     best_f: Optional[RationalFunction] = None
     best_acc = 0.0
     n = m.shape[0]
     step = max(1, _STACK_BYTES // (16 * max(n * n, len(sampler.sub))))
-    for at in range(0, len(live), step):
-        block = live[at:at + step]
-        num, den = _padded([f.num for f in block]), _padded([f.den for f in block])
-        # overflow is expected here: its norm reads None (skipped below) and
-        # its sub-grid maximum nan (the full grid decides)
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow is expected here: its norm reads None (skipped below) and its
+    # sub-grid maximum nan (the full grid decides); so is a den that rounds
+    # to 0 at a grid point of a small shape away from 0, whose sup then
+    # reads inf or nan and is skipped
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for at in range(0, len(live), step):
+            block = live[at:at + step]
+            num, den = _padded([f.num for f in block]), _padded([f.den for f in block])
             subs = sampler.sub_grid(num, den).tolist()
             norms = _stacked_norms(num, den, m)
-        for f, nrm, sub in zip(block, norms, subs):
-            # sub never exceeds grid(f)[0] (nan where that is not shown), so
-            # the grid test below would skip f too
-            if nrm is None or (1e-300 < sub < np.inf and nrm / sub <= lower):
-                continue
-            grid = sampler.grid(f)
-            if grid[0] > 1e-300 and nrm / grid[0] <= lower:
-                continue
-            sup, acc = sampler.refine(f, grid)
-            if not sup > 1e-300:
-                continue
-            ratio = nrm / sup
-            if ratio > lower:
-                lower, best_f, best_acc = float(ratio), f, float(acc)
+            for f, nrm, sub in zip(block, norms, subs):
+                # sub never exceeds grid(f)[0] (nan where that is not shown), so
+                # the grid test below would skip f too
+                if nrm is None or (1e-300 < sub < np.inf and nrm / sub <= lower):
+                    continue
+                grid = sampler.grid(f)
+                if grid[0] > 1e-300 and nrm / grid[0] <= lower:
+                    continue
+                sup, acc, peaks = sampler.refine(f, grid)
+                if not sup > 1e-300:
+                    continue
+                ratio = nrm / sup
+                if ratio > lower and _ratio_error(f, m, a_norm, nrm, sup, np.concatenate(
+                        [sampler.points, peaks])) <= _RATIO_TOL:
+                    lower, best_f, best_acc = float(ratio), f, float(acc)
 
     try:
         upper = kbound(x, context=m).value

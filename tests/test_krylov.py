@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -428,7 +429,9 @@ def test_fit_ellipse_at_huge_scale_is_the_scaled_fit(scale):
     rng = np.random.default_rng(0)
     g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     unit = fit_ellipse(g)
-    e = fit_ellipse(scale * g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the outer vertices' clip overflowed
+        e = fit_ellipse(scale * g)
     assert type(e) is Ellipse
     assert e.a == pytest.approx(scale * unit.a, rel=1e-12)
     assert e.b == pytest.approx(scale * unit.b, rel=1e-12)
@@ -443,7 +446,9 @@ def test_fit_ellipse_hermitian_interval_at_huge_scale():
     # forms, which squared entries: at 1e160 its ends were nan
     h = np.array([[1.0, 0.3], [0.3, -2.0]])
     unit = fit_ellipse(h)
-    e = fit_ellipse(1e160 * h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = fit_ellipse(1e160 * h)
     assert type(unit) is type(e) is Interval
     for got, want in ((e.z1, unit.z1), (e.z2, unit.z2)):
         assert abs(got - 1e160 * want) <= 1e-14 * 1e160 * abs(want)

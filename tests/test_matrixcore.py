@@ -262,6 +262,46 @@ def test_blaschke_rejects_outside_zero():
         RationalFunction.blaschke([1.5])
 
 
+def test_blaschke_stores_its_poles_at_the_reflected_zeros():
+    zeros = [0.3 + 0.2j, 0.0, -0.5j, 0.9]
+    f = RationalFunction.blaschke(zeros, phase=1j)
+    want = [1.0 / np.conj(a) for a in zeros if a != 0]
+    assert np.array_equal(f.poles(), want)
+    assert len(f.poles()) == len(f.den) - 1
+    roots = np.roots(np.asarray(f.den)[::-1])
+    assert np.abs(np.sort_complex(roots) - np.sort_complex(f.poles())).max() <= 1e-12
+    assert not f.poles().flags.writeable
+    assert RationalFunction.blaschke([0.0, 0.0]).poles().size == 0
+
+
+def test_stored_poles_are_not_part_of_the_value():
+    f = RationalFunction.blaschke([0.3 + 0.2j, -0.5j])
+    plain = RationalFunction(num=f.num, den=f.den)
+    assert f._poles is not None and plain._poles is None
+    assert f == plain and hash(f) == hash(plain)
+    assert repr(f) == repr(plain)
+    assert {f: 1}[plain] == 1
+    # both answer poles(): the plain copy by rooting den
+    assert np.allclose(np.sort_complex(plain.poles()), np.sort_complex(f.poles()), atol=1e-12)
+
+
+def test_scale_keeps_the_stored_poles():
+    f = RationalFunction.blaschke([0.3 + 0.2j, -0.5j])
+    g = f.scale(2.0 - 1j)
+    assert g._poles is not None and np.array_equal(g.poles(), f.poles())
+    assert g == RationalFunction(num=tuple(np.asarray(f.num) * (2.0 - 1j)), den=f.den)
+    plain = RationalFunction(num=(1.0, 2.0), den=(1.0, 0.5, 0.25))
+    assert plain.scale(3.0)._poles is None
+
+
+def test_a_store_that_does_not_match_den_is_dropped():
+    # an underflowed leading coefficient trims den below the store's count
+    f = RationalFunction._with_poles((1.0,), (1.0, 0.0), [2.0])
+    assert f._poles is None and f.poles().size == 0
+    g = RationalFunction._with_poles((1.0,), (-2.0, 1.0), [np.inf])
+    assert g._poles is None and np.allclose(g.poles(), [2.0])
+
+
 def test_compose_affine():
     f = RationalFunction(num=(1.0, 0.0, 2.0), den=(1.0, 1.0))
     g = f.compose_affine(2.0, 1.0 + 1j)

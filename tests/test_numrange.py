@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from spectral_kit import numrange
-from spectral_kit.domains import exterior_map
+from spectral_kit.domains import Ellipse, ExteriorMap, exterior_map
 from spectral_kit.faber import _support_inside
 from spectral_kit.gallery import jordan_block
 from spectral_kit.krylov import fit_ellipse
@@ -471,6 +472,69 @@ def test_support_value_single_angle():
     a = np.diag([2.0, -1.0])
     assert support_value(a, 0.0) == pytest.approx(2.0, abs=1e-12)
     assert support_value(a, math.pi) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300])
+def test_support_value_at_extreme_scale_is_the_scaled_value(scale):
+    # the n = 2 closed form squares entries: at 1e160 it read inf
+    a = np.array([[1.0, 2.0], [0.5, -1j]])
+    unit = support_value(a, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = support_value(scale * a, 0.3)
+    assert got == pytest.approx(scale * unit, rel=1e-15)
+    assert unit == pytest.approx(1.696, abs=1e-3)
+
+
+def test_support_value_in_the_safe_range_is_unscaled():
+    rng = np.random.default_rng(71)
+    for n in (1, 2, 3, 6):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for theta in (0.0, 0.3, 2.0):
+            h = numrange._herm_parts(a, theta)
+            assert support_value(a, theta) == float(hermitian_eigmax(h))
+
+
+def test_outer_vertices_clip_length_does_not_overflow():
+    # the clip length |z2 - z1| squared its parts, which overflowed past
+    # about 1e154 and left the vertex unclipped
+    t1, t2 = np.array([0.1, 1.0]), np.array([0.3, 1.5])
+    z1 = np.array([1.0 + 2.0j, -0.5 + 1.0j])
+    z2 = np.array([0.7 + 2.4j, -1.5 + 0.6j])
+    p1 = np.real(np.exp(-1j * t1) * z1) + 0.25
+    p2 = np.real(np.exp(-1j * t2) * z2) + 0.25
+    unit = numrange._outer_vertices(t1, p1, z1, t2, p2, z2)
+    for scale in (1e160, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = numrange._outer_vertices(t1, scale * p1, scale * z1, t2, scale * p2, scale * z2)
+        assert np.abs(got - scale * unit).max() <= 1e-14 * scale * np.abs(unit).max()
+
+
+def test_support_inside_at_huge_scale_sees_w_a_outside():
+    # the ellipse's support squared its semi-axes, so at 1e200 it read inf
+    # and W(A) read as inside (-inf) an ellipse it sticks out of
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    w = numerical_radius(g)
+    unit = _support_inside(g, exterior_map(Ellipse(0.0, 0.5 * w, 0.4 * w)))
+    assert unit == pytest.approx(2.359, abs=1e-3)
+    for scale in (1e200, 1e-200):
+        ws = numerical_radius(scale * g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _support_inside(scale * g, exterior_map(Ellipse(0.0, 0.5 * ws, 0.4 * ws)))
+        assert got == pytest.approx(scale * unit, rel=1e-12)
+
+
+def test_support_about_center_in_the_safe_range_is_unscaled():
+    thetas = np.linspace(0.0, 2.0 * np.pi, 64)
+    for c1, cm1 in ((1.5, 0.5j), (2.0 - 1.0j, 0.0), (1e-3, 1e-4 - 2e-4j), (1e60, 3e59)):
+        emap = ExteriorMap(complex(c1), 0.2j, complex(cm1))
+        amaj, bmin = abs(c1) + abs(cm1), abs(c1) - abs(cm1)
+        t = thetas - 0.5 * (np.angle(c1) + np.angle(cm1))
+        want = np.sqrt((amaj * np.cos(t)) ** 2 + (bmin * np.sin(t)) ** 2)
+        assert np.array_equal(emap.support_about_center(thetas), want)
 
 
 def test_cs_membership_contraction():

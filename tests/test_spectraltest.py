@@ -499,6 +499,140 @@ def test_kratio_estimate_computes_each_candidates_poles_once(monkeypatch):
         assert len({id(f) for f in seen}) == len(seen)
 
 
+def _matched(stored, roots, tol):
+    # each stored pole has a root within tol (relative to max(1, |pole|)),
+    # and each root a stored pole
+    d = np.abs(stored[:, None] - roots[None, :])
+    scale = np.maximum(1.0, np.abs(stored))[:, None]
+    return bool((d / scale).min(axis=1).max() <= tol and (d / scale).min(axis=0).max() <= tol)
+
+
+@pytest.mark.parametrize("x", [
+    Disk(0.3 - 0.2j, 1.7),
+    ellipse(0.5j, 2.0, 1.0, 0.3),
+    Annulus(2.0),
+    HalfPlane(0.5, 2.0),
+    ExteriorDisk(1 - 2j, 0.75),
+    Polygon((1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)),
+], ids=["disk", "ellipse", "annulus", "halfplane", "xdisk", "polygon"])
+def test_candidate_constructors_store_the_roots_of_den(x):
+    rng = np.random.default_rng(11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncatedBoundary)
+        pts = boundary_sample(x, 256)
+    center = complex(np.mean(pts))
+    scale = float(np.max(np.abs(pts - center))) or 1.0
+    fs = [_random_rational(rng, center, scale, x) for _ in range(40)]
+    mobius = x.interior_mobius()
+    if mobius is not None:
+        for deg in range(1, 7):
+            zeros = 0.95 * np.sqrt(rng.random(deg)) * np.exp(2j * np.pi * rng.random(deg))
+            fs.append(_blaschke_through(mobius, zeros))
+        fs.append(_blaschke_through(mobius, [0.0, 0.5]))
+    if isinstance(x, Annulus):
+        for big_r in (1.5, 2.0, 4.0):
+            fs.extend(annulus_extremal_pair(big_r))
+    assert sum(len(f.poles()) for f in fs) >= 20
+    for f in fs:
+        assert f._poles is not None
+        roots = np.roots(np.asarray(f.den)[::-1]) if len(f.den) > 1 else np.empty(0)
+        assert len(f.poles()) == len(roots) == len(f.den) - 1
+        assert len(roots) == 0 or _matched(f.poles(), roots, 1e-9), f
+
+
+def test_blaschke_poles_on_a_tiny_disk_are_exact():
+    # the fitted disk of a 1 x 1 matrix has radius about 1e-9: the expanded
+    # den is so ill-conditioned that rooting it misses the poles by ~4e-6,
+    # far outside the disk's own size
+    x = fit_ellipse([[0.3 + 0.2j]])
+    assert isinstance(x, Disk) and x.radius < 1e-8
+    zeros = np.array([0.5, -0.3 + 0.6j, 0.8j])
+    f = _blaschke_through(x.interior_mobius(), zeros)
+    want = x.center + x.radius / np.conj(zeros)  # M^{-1}(1 / conj(z0)), M = (z - c)/r
+    assert len(f.poles()) == 3
+    assert np.abs(f.poles() - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_kratio_estimate_never_roots_a_denominator(monkeypatch):
+    calls = []
+    roots = np.roots
+
+    def spy(p):
+        calls.append(p)
+        return roots(p)
+
+    monkeypatch.setattr(np, "roots", spy)
+    rng = np.random.default_rng(12)
+    a = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / 2.0
+    ev = np.linalg.eigvals(a)
+    c = complex(np.trace(a)) / 4
+    shapes = [(a, Disk(c, 1.05 * numerical_radius(a - c * np.eye(4)))),
+              (a, fit_ellipse(a)),
+              (_annulus_matrix(1.3), Annulus(2.0)),
+              (a, HalfPlane(0.0, float(np.max(ev.real)) + 0.5))]
+    for m, x in shapes:
+        est = kratio_estimate(m, x, budget=60, seed=4)
+        assert est.lower >= 1.0
+    assert calls == []
+
+
+def _one_by_one_cases():
+    # 1 x 1 matrices z in small shapes around them: the fitted disk of
+    # [[z]] (radius about 1e-9 |z|), disks and ellipses of radius down to
+    # 1e-8 |z|, at |z| in [0.1, 10]; then the two known cases
+    rng = np.random.default_rng(1)
+    cases = []
+    for _ in range(40):
+        z = 10 ** rng.uniform(-1, 1) * np.exp(2j * np.pi * rng.random())
+        r = 10 ** rng.uniform(-8, -1) * abs(z)
+        cases += [(z, fit_ellipse([[z]])),
+                  (z, Disk(z + 0.3 * r * np.exp(2j * np.pi * rng.random()), r)),
+                  (z, ellipse(z, r, 0.6 * r, rng.uniform(0, np.pi)))]
+    seeds = [int(s) for s in rng.integers(1 << 31, size=len(cases))]
+    z = -1.789803717097259 - 2.2386958258953946j
+    c = 0.14809991959544655 - 1.2490116877668471j
+    return ([(z, x, 40, s) for (z, x), s in zip(cases, seeds)]
+            + [(z, fit_ellipse([[z]]), 100, 1472519070), (c, Disk(c, 1e-3), 100, 581753071)])
+
+
+def test_kratio_estimate_on_a_1x1_matrix_never_exceeds_one():
+    # ||f(A)|| = |f(z)| <= max over the boundary of |f| (maximum principle),
+    # so no ratio exceeds 1; a candidate whose evaluation cannot be trusted
+    # to _RATIO_TOL (an ill-conditioned monomial den on a small shape away
+    # from 0) must not raise the bound, nor warn about the zero or non-finite
+    # values it meets on the grid
+    worst = (0.0,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z, x, budget, seed in _one_by_one_cases():
+            est = kratio_estimate([[z]], x, budget=budget, seed=seed)
+            assert est.lower >= 1.0  # the constant 1
+            worst = max(worst, (est.lower, z, x, seed), key=lambda w: w[0])
+    assert worst[0] <= 1.0 + 1e-8, worst
+
+
+def test_ratio_error_guard_does_not_bind_on_workload_shapes(monkeypatch):
+    # fitted ellipses and disks around Ginibre matrices, n = 2-8: every
+    # candidate that reaches the guard is trusted to far better than
+    # _RATIO_TOL, so the guard changes no result there
+    seen = []
+    guard = spectraltest._ratio_error
+
+    def recording(*args):
+        seen.append(guard(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(spectraltest, "_ratio_error", recording)
+    rng = np.random.default_rng(2024)
+    for n in range(2, 9):
+        a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+        c = complex(np.trace(a)) / n
+        for x in (fit_ellipse(a), Disk(c, 1.05 * numerical_radius(a - c * np.eye(n)))):
+            kratio_estimate(a, x, budget=100, seed=int(rng.integers(1 << 31)))
+    assert len(seen) >= 14
+    assert max(seen) <= 1e-2 * spectraltest._RATIO_TOL
+
+
 # -------------------------------------------------------------------- vn_fuzz
 
 def test_vn_fuzz_no_violations():

@@ -11,9 +11,7 @@ the exit status, the report and anything written to stderr; the files that
 reports are relative to OUTDIR, so the reports of two checkouts compare file
 by file:
 
-    for f in OLD/*; do
-        python3 tools/report_diff.py --rtol 0 "$f" NEW/"${f##*/}"
-    done
+    python3 tools/report_diff.py --rtol 0 OLD NEW
 
 ``kbound``, ``kestimate`` and ``certify`` run on every shape literal of
 tests/test_domains.py::test_shape_literal_roundtrip and on one malformed
