@@ -357,6 +357,15 @@ def _cmd_gallery(args, out) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
+def _fmt_info(val) -> str:
+    # a suite's info entry: a flag, a number or a nested list of numbers
+    if isinstance(val, bool):
+        return "true" if val else "false"
+    if isinstance(val, list):
+        return "[" + ", ".join(_fmt_info(v) for v in val) + "]"
+    return _fmt(val)
+
+
 def _cmd_suites(args, out) -> int:
     _require(args.seed >= 0, "seed must be nonnegative")
     _require(args.trials >= 1, "trials must be positive")
@@ -372,13 +381,7 @@ def _cmd_suites(args, out) -> int:
                   f"{_fmt(res.worst_excess)}\n")
         if res.info is not None:
             for key in sorted(res.info):
-                val = res.info[key]
-                if isinstance(val, bool):
-                    out.write(f"      {key}: {'true' if val else 'false'}\n")
-                elif isinstance(val, float):
-                    out.write(f"      {key}: {_fmt(val)}\n")
-                else:
-                    out.write(f"      {key}: {val}\n")
+                out.write(f"      {key}: {_fmt_info(res.info[key])}\n")
     out.write(f"result: {'PASS' if report.passed else 'FAIL'}\n")
     return EXIT_PASS if report.passed else EXIT_FAIL
 

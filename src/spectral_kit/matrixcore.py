@@ -80,18 +80,29 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-def _pnorms(y: np.ndarray, p: float) -> np.ndarray:
-    # the p-norm of each column of y
-    return np.sum(np.abs(y) ** p, axis=0) ** (1.0 / p)
+_TINY = float(np.finfo(float).tiny)
 
 
-def _dual_columns(y: np.ndarray, p: float, norms: np.ndarray) -> np.ndarray:
-    # per column y, z with <z, y> = ||y||_p and ||z||_q = 1 (q the conjugate
-    # exponent), given the columns' _pnorms; callers guarantee nonzero columns
+def _norms_duals(y: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    # per column of y (axis -2): its Hoelder p-norm and its dual d, with
+    # <d, y> = ||y||_p and ||d||_q = 1 (nan for a zero column).  A nonzero
+    # column whose sum of |y_i|^p is not finite and normal is summed scaled
+    # by a power of two that brings its largest entry into (1/2, 1], so no
+    # power overflows; no other column is touched.  Callers silence the
+    # overflow of the unscaled powers
     a = np.abs(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(a > 0, y * a ** (p - 2.0), 0.0)
-    return z / norms ** (p - 1.0)
+    s = (a ** p).sum(axis=-2)
+    scaled = not (s.min() >= _TINY and s.max() < math.inf)
+    if scaled:
+        amax = a.max(axis=-2)
+        e = np.where(((s < _TINY) | (s == math.inf)) & (amax > 0.0),
+                     np.clip(np.ceil(np.log2(amax)), -1022, 1023), 0.0)
+        f = np.exp2(-e)[..., None, :]
+        y, a = y * f, a * f
+        s = (a ** p).sum(axis=-2)
+    norms = s ** (1.0 / p)
+    d = np.where(a > 0, y * a ** (p - 2.0), 0.0) / (norms ** (p - 1.0))[..., None, :]
+    return (norms * np.exp2(e) if scaled else norms), d
 
 
 @functools.lru_cache(maxsize=32)
@@ -105,55 +116,57 @@ def _ascent_starts(n: int, p: float) -> np.ndarray:
     for _ in range(32):
         cols.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     x = np.stack(cols, axis=1)
-    x = x / _pnorms(x, p)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = x / _norms_duals(x, p)[0]
     x.setflags(write=False)
     return x
 
 
-def _pnorm_ascent(m: np.ndarray, p: float) -> tuple[float, np.ndarray]:
-    # Boyd/Higham power method for the induced Hoelder p-norm, 32 random
-    # starts.  Ascent is monotone: a certified lower bound with witness x.
-    # All starts advance together as columns; converged or annihilated
-    # columns freeze while the rest keep iterating.  A column block's norms
-    # are reused only for that same block: numpy's summation order depends
-    # on the column count, so a subset gets its norms summed afresh.
+def _pnorm_ascent(ms: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    # Boyd/Higham power method for the induced Hoelder p-norm of each matrix
+    # of a (B, n, n) stack, from the starts of _ascent_starts.  Ascent is
+    # monotone: a certified lower bound per matrix, with its witness x
+    # (B, n).  Each round multiplies every start column of each matrix that
+    # still has a live column; a converged or annihilated column is frozen
+    # by mask, never compacted away.  numpy's matmul and column sums round
+    # by the shapes they see, which stay fixed, so a matrix gets the same
+    # value and witness bit for bit alone or in any stack.
     q = p / (p - 1.0)
-    mh = m.conj().T
-    x = _ascent_starts(m.shape[0], p).copy()
-    gamma = np.zeros(x.shape[1])
-    active = np.ones(x.shape[1], dtype=bool)
-    for _ in range(100):
-        idx = np.flatnonzero(active)
-        y = m @ x[:, idx]
-        ny = norms = _pnorms(y, p)
-        alive = ny > 0.0
-        if not alive.all():
-            active[idx[~alive]] = False  # annihilated: keep previous gamma
-            idx, y, ny = idx[alive], y[:, alive], ny[alive]
-            if idx.size == 0:
-                break
-            norms = _pnorms(y, p)
-        gamma[idx] = ny
-        z = mh @ _dual_columns(y, p, norms)
-        nz = _pnorms(z, q)
-        done = nz <= ny * (1.0 + 1e-12)
-        active[idx[done]] = False
-        cont = ~done
-        if cont.any():
-            x[:, idx[cont]] = _dual_columns(z[:, cont], q, _pnorms(z[:, cont], q))
-        if not active.any():
+    mh = np.ascontiguousarray(ms.conj().transpose(0, 2, 1))
+    x = np.repeat(_ascent_starts(ms.shape[-1], p)[None], ms.shape[0], axis=0)
+    gamma = np.zeros((ms.shape[0], x.shape[-1]))
+    live = np.ones(gamma.shape, dtype=bool)
+    for it in range(100):
+        rows = np.flatnonzero(live.any(axis=1))
+        if rows.size == 0:
             break
-    j = int(np.argmax(gamma))
-    return float(gamma[j]), x[:, j]
+        if rows.size == len(live):
+            rows = slice(None)  # a view: the same operands as the copy
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ny, d = _norms_duals(ms[rows] @ x[rows], p)
+            alive = live[rows] & (ny > 0.0)  # annihilated: keep previous gamma
+            gamma[rows] = np.where(alive, ny, gamma[rows])
+            if it == 99:
+                break  # x stays the witness of gamma
+            nz, w = _norms_duals(mh[rows] @ d, q)
+        alive &= ~(nz <= ny * (1.0 + 1e-12))
+        live[rows] = alive
+        x[rows] = np.where(alive[:, None, :], w, x[rows])
+    j = np.argmax(gamma, axis=1)
+    b = np.arange(ms.shape[0])
+    return gamma[b, j], x[b, :, j]
 
 
 def op_norm(a, p=2) -> float:
     """Induced Hoelder p-norm of a square matrix.
 
     p = 1 and p = inf are exact column/row sums, p = 2 is the largest
-    singular value.  Other p in (1, inf) use ascent iteration from 32 random
-    starts plus deterministic corners; the returned value is a certified
-    lower bound only (induced p-norms are not convex to certify exactly).
+    singular value.  Other p in (1, inf) use the Boyd/Higham ascent from
+    the ones vector, the unit vectors and 32 seeded random starts; the
+    returned value is a certified lower bound only (induced p-norms are not
+    convex to certify exactly), the same whether the matrix is alone or in
+    a stack, and homogeneous at every scale (iterates whose p-th powers
+    would overflow or underflow are summed scaled by a power of two).
     """
     m = as_matrix(a)
     if p == 1:
@@ -165,8 +178,8 @@ def op_norm(a, p=2) -> float:
     p = float(p)
     if not 1.0 < p < math.inf:
         raise ValueError(f"norm selector p={p} outside (1, inf)")
-    val, _ = _pnorm_ascent(m, p)
-    return val
+    val, _ = _pnorm_ascent(m[None], p)
+    return float(val[0])
 
 
 def eval_poly(coeffs, a) -> np.ndarray:
@@ -178,10 +191,11 @@ def eval_poly(coeffs, a) -> np.ndarray:
 
 def _horner(coeffs: np.ndarray, m: np.ndarray) -> np.ndarray:
     # p_b(A) for each row b of ascending coefficients (rows, d + 1), stacked
-    # (rows, n, n).  c_k is added on the diagonal, and a row's products start
-    # at its leading nonzero coefficient, so zero padding on the high side
-    # costs no product and leaves each matrix as the unpadded row gives it
-    (rows, width), n = coeffs.shape, m.shape[0]
+    # (rows, n, n); m is one matrix A or a stack (rows, n, n) of A_b.  c_k is
+    # added on the diagonal, and a row's products start at its leading
+    # nonzero coefficient, so zero padding on the high side costs no product
+    # and leaves each matrix as the unpadded row gives it
+    (rows, width), n = coeffs.shape, m.shape[-1]
     lead = width - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
     first, last = int(lead.min()), int(lead.max())
     out = np.zeros((rows, n, n), dtype=complex)
@@ -190,7 +204,7 @@ def _horner(coeffs: np.ndarray, m: np.ndarray) -> np.ndarray:
             out = out @ m
         elif k < last:
             started = lead > k
-            out[started] = out[started] @ m
+            out[started] = out[started] @ (m if m.ndim == 2 else m[started])
         out.reshape(rows, n * n)[:, :: n + 1] += coeffs[:, k, None]
     return out
 

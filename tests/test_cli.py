@@ -135,6 +135,18 @@ def test_suites_cli_small(workdir):
     assert text.count("[PASS]") == 7 and "[info]" in text
 
 
+@pytest.mark.parametrize("seed,trials", [(7, 3), (2, 4), (0, 12)])
+def test_suites_report_prints_plain_numbers(seed, trials):
+    code, text = _run(["suites", "--seed", str(seed), "--trials", str(trials)])
+    assert code == EXIT_PASS
+    assert "np." not in text
+    witness = [line for line in text.splitlines() if line.strip().startswith("witness:")]
+    assert len(witness) == 1
+    entries = witness[0].split(":", 1)[1].replace("[", " ").replace("]", " ").split(",")
+    assert len(entries) == 4
+    assert all(np.isfinite(float(e)) for e in entries)
+
+
 # ---------------------------------------------------------------------------
 # function approximation commands
 

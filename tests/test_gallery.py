@@ -409,6 +409,40 @@ def test_property_suites_deterministic():
         != [r.worst_excess for r in c.results]
 
 
+def _drury_climb_reference(rng, trials):
+    # suite (h) one step at a time, an op_norm call per candidate
+    from spectral_kit import gallery
+    from spectral_kit.matrixcore import eval_poly
+    restarts = max(2, min(8, trials // 100))
+    best_val, best_mat = -math.inf, None
+    for _ in range(restarts):
+        x = rng.standard_normal(4)
+        cur = -math.inf
+        scale = 0.5
+        for _ in range(150):
+            a = (x + scale * rng.standard_normal(4)).reshape(2, 2)
+            a = a * ((1.0 - 1e-9) / op_norm(a, 4))
+            val = op_norm(eval_poly(gallery._DRURY_COEFFS, a), 4)
+            if val > cur:
+                cur, x = val, a.reshape(4)
+            scale *= 0.97
+        if cur > best_val:
+            best_val, best_mat = cur, x.reshape(2, 2)
+    ref = gallery._drury_shift_reference()
+    return {"best_norm": best_val, "shift_norm": ref, "ratio": best_val / ref,
+            "witness": best_mat.tolist(), "exceeds_shift": bool(best_val > ref)}
+
+
+@pytest.mark.parametrize("seed,trials", [(0, 3), (1, 12), (2, 250), (3, 1000)])
+def test_drury_lockstep_climb_is_the_step_at_a_time_climb(seed, trials):
+    # bit for bit, with 2 restarts (trials < 300) and 8 (trials 1000); the
+    # suite's generator is the eighth spawned child, as in property_suites
+    from spectral_kit.gallery import _suite_drury
+    got = _suite_drury(np.random.default_rng(seed).spawn(8)[7], trials).info
+    want = _drury_climb_reference(np.random.default_rng(seed).spawn(8)[7], trials)
+    assert got == want
+
+
 def test_property_suites_rejects_empty_run():
     with pytest.raises(ValueError):
         property_suites(seed=0, trials=0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,17 +113,19 @@ def test_unit_vector_inequality_sampled():
 
 
 def _pnorm_ascent_reference(m, p):
-    # the ascent with its start block drawn afresh and every column norm
-    # summed afresh, one call at a time
-    def dual(y, r):
-        norms = np.sum(np.abs(y) ** r, axis=0) ** (1.0 / r)
+    # the ascent on one matrix, with its start block drawn afresh and each
+    # column's norm and dual summed afresh every round; converged and
+    # annihilated columns are frozen by mask (no column is ever rescaled
+    # on these inputs)
+    def norms_duals(y, r):
         a = np.abs(y)
+        norms = np.sum(a ** r, axis=0) ** (1.0 / r)
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(a > 0, y * a ** (r - 2.0), 0.0)
-        return z / norms ** (r - 1.0)
+            return norms, np.where(a > 0, y * a ** (r - 2.0), 0.0) / norms ** (r - 1.0)
 
     n = m.shape[0]
     q = p / (p - 1.0)
+    mh = np.ascontiguousarray(m.conj().T)
     rng = np.random.default_rng(0)
     cols = [np.ones(n, dtype=complex)] + [e for e in np.eye(n, dtype=complex)]
     for _ in range(32):
@@ -130,27 +133,18 @@ def _pnorm_ascent_reference(m, p):
     x = np.stack(cols, axis=1)
     x = x / np.sum(np.abs(x) ** p, axis=0) ** (1.0 / p)
     gamma = np.zeros(x.shape[1])
-    active = np.ones(x.shape[1], dtype=bool)
-    for _ in range(100):
-        idx = np.flatnonzero(active)
-        y = m @ x[:, idx]
-        ny = np.sum(np.abs(y) ** p, axis=0) ** (1.0 / p)
-        alive = ny > 0.0
-        if not alive.all():
-            active[idx[~alive]] = False
-            idx, y, ny = idx[alive], y[:, alive], ny[alive]
-            if idx.size == 0:
-                break
-        gamma[idx] = ny
-        z = m.conj().T @ dual(y, p)
-        nz = np.sum(np.abs(z) ** q, axis=0) ** (1.0 / q)
-        done = nz <= ny * (1.0 + 1e-12)
-        active[idx[done]] = False
-        cont = ~done
-        if cont.any():
-            x[:, idx[cont]] = dual(z[:, cont], q)
-        if not active.any():
+    live = np.ones(x.shape[1], dtype=bool)
+    for it in range(100):
+        if not live.any():
             break
+        ny, d = norms_duals(m @ x, p)
+        alive = live & (ny > 0.0)
+        gamma[alive] = ny[alive]
+        if it == 99:
+            break
+        nz, w = norms_duals(mh @ d, q)
+        live = alive & ~(nz <= ny * (1.0 + 1e-12))
+        x[:, live] = w[:, live]
     j = int(np.argmax(gamma))
     return float(gamma[j]), x[:, j]
 
@@ -171,10 +165,77 @@ def test_pnorm_ascent_with_cached_starts_matches_the_fresh_loop():
                 m = np.eye(n, k=1, dtype=complex)
             for p in (1.5, 3.0, 4.0):
                 for _ in range(2):  # the second call reads the cache
-                    val, x = _pnorm_ascent(m, p)
+                    val, x = _pnorm_ascent(m[None], p)
                     ref_val, ref_x = _pnorm_ascent_reference(m, p)
-                    assert val == ref_val
-                    assert np.array_equal(x, ref_x)
+                    assert val[0] == ref_val
+                    assert np.array_equal(x[0], ref_x)
+
+
+def _mixed_stack(rng, n, count, scales=(1e-200, 1.0, 1.0, 1e160)):
+    # complex, real, singular and nilpotent matrices, each scaled by a draw
+    # from scales
+    out = []
+    for i in range(count):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        kind = i % 4
+        if kind == 1:
+            m = m.real.astype(complex)
+        elif kind == 2:
+            m[:, int(rng.integers(n))] = 0.0
+        elif kind == 3:
+            m = np.triu(m, 1)
+        out.append(m * float(rng.choice(scales)))
+    return np.array(out)
+
+
+def test_pnorm_ascent_of_a_stack_is_each_matrix_alone():
+    # bit for bit: the value and witness of a matrix do not depend on the
+    # other matrices of the stack, nor on where it sits in it
+    from spectral_kit.matrixcore import _pnorm_ascent
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 8):
+        ms = _mixed_stack(rng, n, 12)
+        for p in (1.5, 4.0, 1000.0):
+            alone = [_pnorm_ascent(m[None], p) for m in ms]
+            for order in (np.arange(len(ms)), rng.permutation(len(ms)),
+                          rng.permutation(len(ms))[:5]):
+                vals, xs = _pnorm_ascent(ms[order], p)
+                for k, b in enumerate(order):
+                    assert vals[k] == alone[b][0][0]
+                    assert np.array_equal(xs[k], alone[b][1][0])
+
+
+def test_pnorm_ascent_witness_reproduces_the_value():
+    from spectral_kit.matrixcore import _pnorm_ascent
+    rng = np.random.default_rng(22)
+    for n in (1, 2, 3, 8):
+        ms = _mixed_stack(rng, n, 8, scales=(1.0,))
+        for p in (1.5, 3.0, 4.0):
+            vals, xs = _pnorm_ascent(ms, p)
+            for m, val, x in zip(ms, vals, xs):
+                if not m.any():  # the 1x1 nilpotent matrix
+                    assert val == 0.0
+                    continue
+                assert 0.0 < val < math.inf
+                ratio = (np.linalg.norm(m @ x / val, p) / np.linalg.norm(x, p))
+                assert ratio == pytest.approx(1.0, rel=1e-14, abs=0.0)
+
+
+def test_op_norm_is_homogeneous_at_extreme_scales():
+    # ||cA||_p = c ||A||_p, under the Riesz-Thorin ceiling
+    # ||A||_1^(1/p) ||A||_inf^(1 - 1/p); the unscaled ascent overflowed to
+    # inf or underflowed to 0 here
+    a = np.array([[1.0, 2.0], [0.5, -1j]])
+    for p in (1.001, 1.5, 4.0, 300.0, 1000.0):
+        ref = op_norm(a, p)
+        ceiling = op_norm(a, 1) ** (1.0 / p) * op_norm(a, np.inf) ** (1.0 - 1.0 / p)
+        for c in (1e-200, 1e-100, 1.0, 1e80, 1e160):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                val = op_norm(c * a, p) / c
+            assert 0.0 < val < math.inf
+            assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert val <= ceiling * (1.0 + 1e-12)
 
 
 def test_spectral_radius_below_two_norm():
