@@ -3,7 +3,9 @@
 Shapes are immutable value objects that answer their own questions.  Each
 class carries its signed margin, the one parameterization of its boundary
 curve(s) and the grid rule boundary_sample places points with, its
-convexity, radial profile, K-spectral catalog entries and literal.  The
+convexity, the exact total variation of log r about its centroid (a disk's
+0, an ellipse's 4 log(a/b), a star polygon's sum over its vertices and the
+feet of its edge normals), K-spectral catalog entries and literal.  The
 module functions are one-line entry points over those methods; a question a
 shape has no answer for raises ValueError from the Shape default.
 
@@ -23,8 +25,8 @@ from typing import Optional
 import numpy as np
 from scipy import integrate, special
 
-from .matrixcore import as_matrix, format_complex, parse_complex
-from .numrange import _polish_peaks, _safe_scale, numerical_radius
+from .matrixcore import _safe_scale, as_matrix, format_complex, parse_complex
+from .numrange import numerical_radius
 
 _BOUNDARY_TOL = 1e-12
 _HALF_PLANE_RANGE = 100.0
@@ -68,8 +70,8 @@ class Shape:
         disk, for the generalized disks; None for every other shape."""
         return None
 
-    def radial_function(self):
-        """(omega, r): the centroid and the boundary radius r(theta) about it."""
+    def tv_log_radius(self) -> float:
+        """Total variation of log r(theta), r the boundary radius about the centroid."""
         raise ValueError(f"no radial profile for kind {self.kind!r}")
 
     def kbound_candidates(self, context) -> list:
@@ -149,8 +151,8 @@ class Disk(_Round):
     def interior_mobius(self):
         return (1.0 + 0j, -complex(self.center), 0j, complex(self.radius))
 
-    def radial_function(self):
-        return complex(self.center), lambda th: np.full(np.shape(th), float(self.radius))
+    def tv_log_radius(self):
+        return 0.0
 
     def kbound_candidates(self, context):
         cands = []
@@ -267,14 +269,8 @@ class Ellipse(Shape):
         return ExteriorMap(c1=rot * (self.a + self.b) / 2.0, c0=complex(self.center),
                            cm1=rot * (self.a - self.b) / 2.0)
 
-    def radial_function(self):
-        a, b, rot = self.a, self.b, self.rotation
-
-        def rad(th):
-            t = np.asarray(th, dtype=float) - rot
-            return a * b / np.sqrt((b * np.cos(t)) ** 2 + (a * np.sin(t)) ** 2)
-
-        return complex(self.center), rad
+    def tv_log_radius(self):
+        return 4.0 * math.log(self.a / self.b)  # r goes b -> a -> b twice per turn
 
     def kbound_candidates(self, context):
         return (_ellipse_candidates(self, self.a, self.b, self.eccentricity)
@@ -419,7 +415,14 @@ class Polygon(Shape):
         return (_arclength_params(fine.real, fine, n)
                 + 1j * _arclength_params(fine.imag, fine, n))
 
-    def radial_function(self):
+    def tv_log_radius(self):
+        # about the centroid, the edge from v to v + e turns the way the sign
+        # of Im(conj(v) e) says: the polygon is star-shaped about it exactly
+        # when every edge turns the same strict way and the turns add up to
+        # one revolution.  Along an edge log r = log d - log cos(theta - phi)
+        # is convex, least at the foot of the normal if that lies inside the
+        # edge, so the variation sums |jumps of log r| around the vertices
+        # and interior feet
         v = np.asarray(self.vertices)
         w = np.roll(v, -1)
         cross = v.real * w.imag - w.real * v.imag
@@ -428,8 +431,17 @@ class Polygon(Shape):
             raise ValueError("degenerate polygon")
         omega = complex(((v.real + w.real) * cross).sum() / (6.0 * area),
                         ((v.imag + w.imag) * cross).sum() / (6.0 * area))
-        return omega, lambda th: _polygon_ray_radii(self, omega, np.atleast_1d(
-            np.asarray(th, dtype=float)))
+        v, e = v - omega, w - v
+        v, e = v[e != 0], e[e != 0]  # a repeated vertex closes no edge
+        turn, along = np.imag(np.conj(v) * e), np.real(np.conj(v) * e)
+        winding = np.arctan2(turn, np.abs(v) ** 2 + along).sum()
+        if abs(np.sign(turn).sum()) < len(turn) or abs(abs(winding) - 2.0 * np.pi) > np.pi:
+            raise ValueError("polygon is not star-shaped about its centroid")
+        at_vertex = np.log(np.abs(v))
+        inside = (along < 0.0) & (-along < np.abs(e) ** 2)
+        at_foot = np.where(inside, np.log(np.abs(turn) / np.abs(e)), at_vertex)
+        logs = np.column_stack([at_vertex, at_foot]).ravel()
+        return float(np.abs(np.diff(np.append(logs, logs[0]))).sum())
 
     def kbound_candidates(self, context):
         if not self.is_convex:
@@ -618,7 +630,7 @@ class ExteriorMap:
     def support_about_center(self, thetas) -> np.ndarray:
         """max of Re(e^{-i theta} (z - c0)) over the shape, semi-axes |c1| +- |cm1|.
 
-        Semi-axes outside the safe range of ``numrange._safe_scale`` are
+        Semi-axes outside the safe range of ``matrixcore._safe_scale`` are
         scaled by a power of two first, so their squares neither overflow
         nor underflow; inside it the scale is 1 and changes no bit.
         """
@@ -665,57 +677,15 @@ def exterior_map(x: Shape) -> ExteriorMap:
     return x.exterior_map()
 
 
-# ---------------------------------------------------------------------------
-# radial profiles and total variation of log r (about the centroid)
-
-def _polygon_ray_radii(x: Polygon, omega: complex, thetas: np.ndarray) -> np.ndarray:
-    v = np.asarray(x.vertices) - omega
-    w = np.roll(v, -1)
-    u = np.exp(1j * thetas)
-    radii = np.full(thetas.shape, np.nan)
-    counts = np.zeros(thetas.shape, dtype=int)
-    for i in range(len(v)):
-        d = w[i] - v[i]
-        den = u.real * d.imag - u.imag * d.real
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (v[i].real * d.imag - v[i].imag * d.real) / den
-            s = (v[i].real * u.imag - v[i].imag * u.real) / den
-        hit = (np.abs(den) > 1e-15) & (t > 1e-12) & (s >= -1e-12) & (s <= 1 + 1e-12)
-        fresh = hit & np.isnan(radii)
-        radii[fresh] = t[fresh]
-        counts[fresh] += 1
-        # a second hit at a genuinely different radius means not star-shaped
-        again = hit & ~fresh & (np.abs(t - radii) > 1e-9 * (1.0 + np.abs(radii)))
-        counts[again] += 1
-    if np.any(counts > 1):
-        raise ValueError("polygon is not star-shaped about its centroid")
-    if np.any(np.isnan(radii)):
-        raise ValueError("centroid ray missed the polygon boundary")
-    return radii
-
-
 def tv_log_radius(x: Shape) -> float:
-    """Total variation of log r(theta) about the centroid.
+    """Total variation of log r(theta) about the centroid, computed exactly.
 
-    A 4096-angle grid scan locates the monotone pieces; the local extrema
-    are then sharpened together by a lockstep golden-section search so the
-    value is accurate to ~1e-10 even for boundaries with corners.
+    A disk gives 0, an ellipse 4 log(a/b).  A polygon star-shaped about its
+    centroid gives the sum of |jumps of log r| around its vertices and the
+    feet of its edge normals (log r is convex along an edge); any other
+    polygon raises ValueError, and so does every other shape.
     """
-    omega, rad = x.radial_function()
-    thetas = 2.0 * np.pi * np.arange(4096) / 4096
-    vals = np.log(np.asarray(rad(thetas), dtype=float))
-    if np.ptp(vals) < 1e-14:
-        return 0.0
-    nxt = np.diff(np.append(vals, vals[0]))
-    prev = np.roll(nxt, 1)
-    is_max = ((prev > 0) & (nxt <= 0)) | ((prev >= 0) & (nxt < 0))
-    is_min = ((prev < 0) & (nxt >= 0)) | ((prev <= 0) & (nxt > 0))
-    ks = np.flatnonzero(is_max | is_min)  # a nonconstant cycle has both
-    sign = np.where(is_max[ks], 1.0, -1.0)  # minima are maxima of -log r
-    _, best = _polish_peaks(lambda t: sign * np.log(rad(t)), thetas, thetas[ks],
-                            sign * vals[ks], periodic=True)
-    e = sign * best
-    return float(np.abs(np.diff(np.append(e, e[0]))).sum())
+    return x.tv_log_radius()
 
 
 # ---------------------------------------------------------------------------

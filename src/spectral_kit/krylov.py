@@ -17,9 +17,9 @@ import numpy as np
 from .domains import (_CONTAINMENT_TOL, _K_UNIVERSAL, Disk, Ellipse, Interval, Shape,
                       exterior_map, signed_margin)
 from .faber import FaberModel, _support_inside, faber_coeffs, faber_polynomials
-from .matrixcore import RationalFunction, as_matrix, eval_rational, matfun_reference
-from .numrange import _angular_extremes, _golden_max, _herm_parts, _polish_peaks, _safe_scale, \
-    hermitian_eigmax, numerical_radius, outer_gauge_bracket, support_profile
+from .matrixcore import RationalFunction, _safe_scale, as_matrix, eval_rational, matfun_reference
+from .numrange import _angular_extremes, _herm_parts, _polish_peaks, hermitian_eigmax, \
+    numerical_radius, outer_gauge_bracket, support_profile
 from .spectraltest import sup_on_boundary
 
 _BREAKDOWN_TOL = 1e-12
@@ -139,29 +139,26 @@ def rational_krylov(a, b, poles: Sequence) -> KrylovDecomposition:
 # ---------------------------------------------------------------------------
 # auto-fitted enclosure of the numerical range
 
-def _aspect_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rotation angles whose aspect search can still give the least area.
+def _aspect_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least area over the aspect of each rotation angle, read off a pivot.
 
     Row j holds a_k = dx_k^2 and b_k = dy_k^2 of the points in the frame of
     angle j; its area at s = log r is F_j(s) = max_k (a_k e^s + b_k e^-s),
-    convex in s.  F_j at any s in [-40, 4] is an upper bound U_j on the
-    least area the search can find.  Any convex combination (A, B) of the
-    (a_k, b_k) gives 2 sqrt(A B) <= min_s F_j (minimax duality: the
-    minimum of the maximum is the maximum over convex combinations of each
-    one's minimum), the lower bound L_j.  Its best point lies on an edge
-    between two of the points, so each row keeps a pair and the best point
-    on its segment: each round takes the piece m active at that point's
-    stationary s = log(B/A) / 2, where it also reads U_j, and keeps the
-    best of the pair and its two segments to m (the best point of the
-    triangle lies on its boundary).  That is exact in a few rounds, like
-    the simplex method; five are taken, on the rows not yet ruled out.
-    The golden search reports, for row j, an area >= L_j, and for the
-    least row one within about 1e-10 (its tolerance in log r) of min U, so
-    a row with L_j > (1 + 1e-7) min U cannot come first.  Every row is
-    kept if a bound is not finite or no row passes.  Returns the kept rows
-    in ascending order.
+    convex in s.  F_j at any s is an upper bound U_j on min_s F_j.  Any
+    convex combination (A, B) of the (a_k, b_k) gives 2 sqrt(A B) <= min_s
+    F_j (minimax duality: the minimum of the maximum is the maximum over
+    convex combinations of each one's minimum), the lower bound L_j, and
+    for the best (A, B) the two meet at s* = log(B/A) / 2.  That point
+    lies on an edge between two of the points, so each row keeps a pair and
+    the best point on its segment: each round takes the piece m active at
+    that point's s* (clipped to [-40, 4]), where it reads U_j, and keeps
+    the best of the pair and its two segments to m (the best point of the
+    triangle lies on its boundary).  Like the simplex method that is exact
+    in a few rounds.  A row stays in the rounds, at most 64 of them, while
+    U_j and L_j differ by more than rounding, its point still moves, and it
+    can still come first (``_may_come_first``).  Returns (U, s): per row
+    the least area found and the s that gives it.
     """
-    every = np.arange(len(a))
 
     def segment(rows, k, l):
         # the largest sqrt(A) sqrt(B) on the segment from point k to point
@@ -180,27 +177,34 @@ def _aspect_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k = np.argmax(np.sqrt(a) * np.sqrt(b), axis=1)
-        best = segment(every, k, k)
+        live = np.arange(len(a))
+        best = segment(live, k, k)
         upper = np.full(len(a), np.inf)
-        # a row's L only grows and min U only shrinks, so a row that cannot
-        # come first drops out of the later rounds
-        live = every
-        for _ in range(5):
-            _, big_a, big_b, i, j = cur = tuple(x[live] for x in best)
+        log_r = np.zeros(len(a))
+        for _ in range(64):
+            value, big_a, big_b, i, j = cur = tuple(x[live] for x in best)
             s = np.clip(np.nan_to_num(0.5 * (np.log(big_b) - np.log(big_a))), -40.0, 4.0)
             area = a[live] * np.exp(s)[:, None] + b[live] * np.exp(-s)[:, None]
             m = np.argmax(area, axis=1)
-            upper[live] = np.minimum(upper[live], area[np.arange(len(live)), m])
+            top = area[np.arange(len(live)), m]
+            less = top < upper[live]
+            upper[live] = np.where(less, top, upper[live])
+            log_r[live] = np.where(less, s, log_r[live])
             for cand in (segment(live, i, m), segment(live, j, m)):
                 cur = _pick(cand[0] > cur[0], cand, cur)
             for whole, part in zip(best, cur):
                 whole[live] = part
-            live = live[2.0 * cur[0] <= (1.0 + 1e-7) * upper.min()]
-    lower = 2.0 * best[0]
-    kept = np.flatnonzero(lower <= (1.0 + 1e-7) * upper.min())
-    if not (np.isfinite(lower).all() and np.isfinite(upper).all() and kept.size):
-        return every
-    return kept
+            lower = 2.0 * cur[0]
+            apart = upper[live] - lower > 4.0 * np.finfo(float).eps * upper[live]
+            live = live[apart & (cur[0] > value) & _may_come_first(lower, upper)]
+            if not live.size:
+                break
+    return upper, log_r
+
+
+def _may_come_first(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    # a row with L > (1 + 1e-7) min U cannot come first: L grows, min U shrinks
+    return lower <= (1.0 + 1e-7) * upper.min()
 
 
 def _pick(mask, first, second):
@@ -214,10 +218,12 @@ def fit_ellipse(a) -> Shape:
     The 256 boundary points of ``support_profile(A, 256)`` (128 Hermitian
     reductions, each read at both ends of its spectrum for the angles t and
     t + pi) are enclosed by an ellipse E0, axis-aligned after a rotation
-    search over 180 angles and a golden-section aspect-ratio optimization.
-    That search runs in lockstep, and only on the angles whose area bounds
-    let them come first (``_aspect_rows``); the result is the one all 180
-    give, bit for bit.  Where the points' offsets in a rotated frame
+    search over 180 angles.  Each angle's least area over the aspect ratio
+    is exact, read off a pivot on its dual (``_aspect_rows``), which runs
+    only on the angles whose area bounds let them come first; E0 is the fit
+    of the first angle whose least area is within 1e-12 (relative) of the
+    least, so exact ties, such as an ellipse and its mirror image for real
+    A, do not go by rounding.  Where the points' offsets in a rotated frame
     exceed 2^200, the rotation and aspect step runs on them scaled by a
     power of two, and its axes are scaled back, so a huge ||A|| cannot
     overflow it.  Where that fit is thinner than 1e-10, the exact bounding
@@ -255,19 +261,11 @@ def fit_ellipse(a) -> Shape:
     # by a power of two, which is exact, so no fit below it changes
     spread = float(max(np.abs(dx).max(), np.abs(dy).max()))
     sc = math.ldexp(1.0, -math.frexp(spread)[1]) if spread > _ASPECT_MAX else 1.0
-    dx2, dy = (dx * sc) ** 2, dy * sc
-    rows = _aspect_rows(dx2, dy * dy)
-    dx2_rows, dy_rows = dx2[rows], dy[rows]
-
-    def neg_area(log_r):
-        r = np.exp(log_r)
-        return -(r * np.max(dx2_rows + (dy_rows / r[:, None]) ** 2, axis=1))
-
-    log_r, neg = _golden_max(neg_area, np.full(len(rows), -40.0),
-                             np.full(len(rows), 4.0), tol=1e-10)
-    j = int(np.argmax(neg))  # the first angle of least area
-    k = rows[j]
-    t, cx, cy, r = ts[k], cxs[k], cys[k], float(np.exp(log_r[j]))
+    area, log_r = _aspect_rows((dx * sc) ** 2, (dy * sc) ** 2)
+    # the first rotation of least area, so that ties (the mirror image of a
+    # real A's fit, every rotation of a disk) do not go by rounding
+    k = int(np.flatnonzero(area <= (1.0 + 1e-12) * area.min())[0])
+    t, cx, cy, r = ts[k], cxs[k], cys[k], float(np.exp(log_r[k]))
     q = pts * np.exp(-1j * t)
     ax = float(np.sqrt(np.max(((q.real - cx) * sc) ** 2 + ((q.imag - cy) * sc / r) ** 2))) / sc
     ay = r * ax

@@ -81,28 +81,38 @@ def spectral_radius(a) -> float:
 
 
 _TINY = float(np.finfo(float).tiny)
+# LAPACK's safe range for the largest entry of a matrix (zheevr's rmin and
+# rmax); outside it ``_safe_scale`` scales the matrix first
+_SAFE_MIN = math.sqrt(_TINY / np.finfo(float).eps)
+_SAFE_MAX = min(1.0 / _SAFE_MIN, 1.0 / math.sqrt(math.sqrt(_TINY)))
+
+
+def _safe_scale(m: np.ndarray, axis=None):
+    # 1.0 where the largest entry of m (over axis) lies in LAPACK's safe
+    # range; outside it the (exact) power of two that brings that entry into
+    # [0.5, 1), capped at 2^1023 for subnormal entries
+    big = np.abs(m).max(axis=axis)
+    outside = ((0.0 < big) & (big < _SAFE_MIN)) | (big > _SAFE_MAX)
+    return np.ldexp(1.0, np.where(outside, np.minimum(-np.frexp(big)[1], 1023), 0))
 
 
 def _norms_duals(y: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     # per column of y (axis -2): its Hoelder p-norm and its dual d, with
     # <d, y> = ||y||_p and ||d||_q = 1 (nan for a zero column).  A nonzero
-    # column whose sum of |y_i|^p is not finite and normal is summed scaled
-    # by a power of two that brings its largest entry into (1/2, 1], so no
-    # power overflows; no other column is touched.  Callers silence the
-    # overflow of the unscaled powers
+    # column whose sum of |y_i|^p is not finite and normal is summed divided
+    # by its largest modulus, so its sum lies in [1, n] at every p; no other
+    # column is touched.  Callers silence the overflow of the unscaled powers
     a = np.abs(y)
     s = (a ** p).sum(axis=-2)
     scaled = not (s.min() >= _TINY and s.max() < math.inf)
     if scaled:
         amax = a.max(axis=-2)
-        e = np.where(((s < _TINY) | (s == math.inf)) & (amax > 0.0),
-                     np.clip(np.ceil(np.log2(amax)), -1022, 1023), 0.0)
-        f = np.exp2(-e)[..., None, :]
-        y, a = y * f, a * f
+        f = np.where(((s < _TINY) | (s == math.inf)) & (amax > 0.0), amax, 1.0)
+        y, a = y / f[..., None, :], a / f[..., None, :]
         s = (a ** p).sum(axis=-2)
     norms = s ** (1.0 / p)
     d = np.where(a > 0, y * a ** (p - 2.0), 0.0) / (norms ** (p - 1.0))[..., None, :]
-    return (norms * np.exp2(e) if scaled else norms), d
+    return (norms * f if scaled else norms), d
 
 
 @functools.lru_cache(maxsize=32)
@@ -130,7 +140,12 @@ def _pnorm_ascent(ms: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     # still has a live column; a converged or annihilated column is frozen
     # by mask, never compacted away.  numpy's matmul and column sums round
     # by the shapes they see, which stay fixed, so a matrix gets the same
-    # value and witness bit for bit alone or in any stack.
+    # value and witness bit for bit alone or in any stack.  A matrix outside
+    # LAPACK's safe range runs scaled as ``_safe_scale`` says, so that its
+    # products neither overflow nor underflow; inside it nothing changes
+    scale = _safe_scale(ms, axis=(1, 2))
+    if (scale != 1.0).any():
+        ms = ms * scale[:, None, None]
     q = p / (p - 1.0)
     mh = np.ascontiguousarray(ms.conj().transpose(0, 2, 1))
     x = np.repeat(_ascent_starts(ms.shape[-1], p)[None], ms.shape[0], axis=0)
@@ -154,7 +169,7 @@ def _pnorm_ascent(ms: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
         x[rows] = np.where(alive[:, None, :], w, x[rows])
     j = np.argmax(gamma, axis=1)
     b = np.arange(ms.shape[0])
-    return gamma[b, j], x[b, :, j]
+    return gamma[b, j] / scale, x[b, :, j]
 
 
 def op_norm(a, p=2) -> float:
@@ -165,8 +180,9 @@ def op_norm(a, p=2) -> float:
     the ones vector, the unit vectors and 32 seeded random starts; the
     returned value is a certified lower bound only (induced p-norms are not
     convex to certify exactly), the same whether the matrix is alone or in
-    a stack, and homogeneous at every scale (iterates whose p-th powers
-    would overflow or underflow are summed scaled by a power of two).
+    a stack, and homogeneous at every scale (a matrix outside LAPACK's safe
+    range runs scaled by a power of two, and an iterate whose p-th powers
+    would overflow or underflow is summed divided by its largest entry).
     """
     m = as_matrix(a)
     if p == 1:

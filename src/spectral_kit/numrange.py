@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dstemr, zhetrd, zunmqr
 
-from .matrixcore import as_matrix
+from .matrixcore import _safe_scale, as_matrix
 
 __all__ = [
     "SupportProfile",
@@ -84,10 +84,6 @@ _PROFILE_MEMO_SIZE = 8
 # from this n on, one zhetrd reduction per angle, read at both ends of its
 # tridiagonal, beats one stacked eigh over the angles
 _TRIDIAG_MIN_N = 13
-# LAPACK's safe range for the largest entry of a Hermitian matrix (zheevr's
-# rmin and rmax); outside it ``_safe_scale`` scales A first
-_SAFE_MIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
-_SAFE_MAX = min(1.0 / _SAFE_MIN, 1.0 / math.sqrt(math.sqrt(np.finfo(float).tiny)))
 # outer_gauge_bracket bisects an angular interval while its outer vertex
 # exceeds the Rayleigh points by more than this, relative, and stops before
 # the angles would pass twice those of the 256-angle profile it starts from
@@ -145,17 +141,6 @@ def hermitian_eigmax(h: np.ndarray) -> np.ndarray:
     Closed forms for n <= 2 (vectorized), LAPACK otherwise.
     """
     return _hermitian_extremes(h)[0]
-
-
-def _safe_scale(m: np.ndarray) -> float:
-    # 1.0 where the largest entry of m lies in LAPACK's safe range (zheevr's
-    # rmin and rmax); outside it the power of two that brings that entry
-    # into [0.5, 1), capped at 2^1023 for subnormal entries.  Scaling by a
-    # power of two is exact
-    big = float(np.abs(m).max())
-    if 0.0 < big < _SAFE_MIN or big > _SAFE_MAX:
-        return math.ldexp(1.0, min(-math.frexp(big)[1], 1023))
-    return 1.0
 
 
 def support_value(a, theta: float) -> float:
@@ -369,62 +354,39 @@ def outer_gauge_bracket(a, gauge) -> tuple[float, float]:
         g = np.concatenate([g[keep], gm[len(tm):]])
 
 
-def _golden_max(fun, lo, hi, tol: float = 1e-12):
-    """Golden-section search for the maximum of fun on [lo, hi].
+def _golden_max(fun, lo: float, hi: float, tol: float = 1e-12):
+    """Golden-section search for the maximum of fun (float -> float) on [lo, hi].
 
-    With scalar brackets, fun maps a float to a float.  With array brackets
-    the searches run in lockstep: fun maps an array of points shaped like
-    the brackets to their values, and each bracket keeps its own stopping
-    test, so every entry follows exactly the arithmetic of a scalar search
-    (converged entries are still evaluated, inside their final brackets, but
-    their brackets no longer move).
-    Returns (x, fun(x)) at the bracket midpoints.
+    Returns (x, fun(x)) at the final bracket's midpoint.
     """
-    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
-        a, b = lo, hi
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = fun(c), fun(d)
-        while b - a > tol:
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = fun(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = fun(d)
-        x = (a + b) / 2.0
-        return x, fun(x)
-    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fun(c), fun(d)
-    live = b - a > tol
-    while live.any():
-        left = fc >= fd  # the maximum stays in [a, d], else in [c, b]
-        b = np.where(live & left, d, b)
-        a = np.where(live & ~left, c, a)
-        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-        fx = fun(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-        live = b - a > tol
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fun(d)
     x = (a + b) / 2.0
     return x, fun(x)
 
 
 def _polish_peaks(fun, grid: np.ndarray, centers, values, periodic: bool):
-    """Golden-section polish of sampled peaks.
+    """Golden-section polish of sampled peaks, one scalar search per centre.
 
-    It finishes boundary suprema, ``torus_sup`` and ``tv_log_radius``, and
-    the support-function peaks whose top eigenvalue is not simple.
+    It finishes boundary suprema, ``torus_sup``, ``_disk_sup``,
+    ``fab_rational``'s Blaschke maximum, and the support-function peaks
+    whose top eigenvalue is not simple.
 
     grid is the sample grid (2 pi k / m if periodic, else linspace(lo, hi, m));
     each centre, with its sampled value, is searched over +- one grid
     spacing, clipped to [lo, hi] unless periodic, and never reports below
-    that value.  One centre runs the scalar loop on fun(float); several run
-    in lockstep on fun(array), which costs more for a single bracket.
+    that value.  fun maps a float to a float.
     Returns (points, values), one entry per centre.
     """
     centers = np.asarray(centers, dtype=float)
@@ -435,10 +397,7 @@ def _polish_peaks(fun, grid: np.ndarray, centers, values, periodic: bool):
         step = (grid[-1] - grid[0]) / (len(grid) - 1)
         lo = np.maximum(grid[0], centers - step)
         hi = np.minimum(grid[-1], centers + step)
-    if len(centers) == 1:
-        x, fx = _golden_max(fun, lo[0], hi[0])
-    else:
-        x, fx = _golden_max(fun, lo, hi)
+    x, fx = np.array([_golden_max(fun, a, b) for a, b in zip(lo, hi)], dtype=float).T
     better = fx >= values
     return np.where(better, x, centers), np.where(better, fx, values)
 
@@ -671,9 +630,10 @@ class _CsKernel:
         as a root, since rounding moves a double root off it by about
         sqrt(eps); an extra cut only adds a sample.  A sub-interval whose
         midpoint is positive but within tol is searched over u for its
-        maximum before it passes.  All samples are one stacked
-        ``hermitian_eigmax``.  Returns (lambda_max, theta, r = u t) of the
-        worst sample.
+        maximum before it passes, by one scalar golden-section search per
+        such sub-interval, to its own tolerance.  The other samples are one
+        stacked ``hermitian_eigmax``.  Returns (lambda_max, theta, r = u t)
+        of the worst sample.
         """
         top = 1.0 / t
         real = (np.abs(roots.imag) <= _ROOT_IMAG * np.abs(roots)) & (roots.real >= t)
@@ -692,13 +652,12 @@ class _CsKernel:
             # maximum found within about 1e-6 of the bump's height; a
             # sub-interval a few ulps wide (a root just above t) cannot
             # shrink by golden steps, so it stops there
-            width = upper[close] - lower[close]
-            tol = np.maximum(1e-3 * width, 8.0 * np.finfo(float).eps * upper[close])
-            x, fx = _golden_max(lambda v: self.margins_at(ths[close], v),
-                                lower[close], upper[close], tol=tol)
-            better = fx > vals[close]
-            us[close] = np.where(better, x, us[close])
-            vals[close] = np.where(better, fx, vals[close])
+            for i in close:
+                tol = max(1e-3 * (upper[i] - lower[i]), 8.0 * np.finfo(float).eps * upper[i])
+                x, fx = _golden_max(lambda v: self.margins_at(ths[i], v), lower[i], upper[i],
+                                    tol=tol)
+                if fx > vals[i]:
+                    us[i], vals[i] = x, fx
         k = int(np.argmax(vals))
         return float(vals[k]), float(ths[k]), float(us[k] * t)
 

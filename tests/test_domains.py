@@ -221,17 +221,66 @@ def test_tv_translation_rotation_invariant():
     assert tv_log_radius(moved) == pytest.approx(4 * math.log(2.0), abs=1e-8)
 
 
+def _ray_radii(vertices, thetas):
+    # the boundary radius of a polygon along each ray from its centroid:
+    # the nearest and farthest edge crossing of each ray, which agree on a
+    # polygon star-shaped about the centroid
+    v = np.asarray(vertices, dtype=complex)
+    w = np.roll(v, -1)
+    cross = v.real * w.imag - w.real * v.imag
+    area = cross.sum() / 2.0
+    omega = complex(((v.real + w.real) * cross).sum() / (6.0 * area),
+                    ((v.imag + w.imag) * cross).sum() / (6.0 * area))
+    v, d = v - omega, w - v
+    u = np.exp(1j * np.asarray(thetas))[:, None]
+    den = np.imag(np.conj(u) * d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.imag(np.conj(v) * d) / den
+        s = np.imag(np.conj(v) * u) / den
+    hit = (den != 0.0) & (t > 0.0) & (s >= -1e-12) & (s <= 1.0 + 1e-12)
+    assert hit.any(axis=1).all()
+    r = np.where(hit, t, np.nan)
+    return np.nanmin(r, axis=1), np.nanmax(r, axis=1)
+
+
+def _grid_tv(radii):
+    vals = np.log(radii)
+    return np.abs(np.diff(np.append(vals, vals[0]))).sum()
+
+
 def test_tv_star_polygon_matches_dense_grid():
     # non-convex but star-shaped: oracle is a raw dense-grid TV (no refinement)
     angles = 2 * np.pi * np.arange(8) / 8
     radii = np.where(np.arange(8) % 2 == 0, 1.0, 0.45)
     star = Polygon(tuple(radii * np.exp(1j * angles)))
-    _, rad = star.radial_function()
-    thetas = 2 * np.pi * np.arange(200000) / 200000
-    vals = np.log(rad(thetas))
-    oracle = np.abs(np.diff(np.append(vals, vals[0]))).sum()
+    near, far = _ray_radii(star.vertices, 2 * np.pi * np.arange(200000) / 200000)
+    assert np.all(far - near <= 1e-9 * far)
+    oracle = _grid_tv(near)
     assert tv_log_radius(star) == pytest.approx(oracle, abs=1e-4)
     assert tv_log_radius(star) >= oracle - 1e-12  # refinement only adds variation
+
+
+def test_tv_closed_forms_to_rounding():
+    assert abs(tv_log_radius(_square()) - 4 * math.log(2.0)) <= 1e-12
+    closed = Polygon(_square().vertices + _square().vertices[:1])  # first vertex repeated
+    assert abs(tv_log_radius(closed) - 4 * math.log(2.0)) <= 1e-12
+    assert abs(tv_log_radius(_equilateral_triangle()) - 6 * math.log(2.0)) <= 1e-12
+    for a, b, rot in ((2.0, 0.5, 1.1), (1.0, 1.0, 0.0), (3.0, 2.9, -0.4)):
+        x = ellipse(2 - 1j, a, b, rotation=rot)
+        assert abs(tv_log_radius(x) - 4 * math.log(a / b)) <= 1e-12
+
+
+def test_tv_of_seeded_star_polygons_is_at_least_a_dense_ray_cast():
+    # a grid can only under-count the variation of log r
+    rng = np.random.default_rng(2024)
+    thetas = 2 * np.pi * np.arange(4096) / 4096
+    for _ in range(200):
+        m = int(rng.integers(5, 13))
+        angles = 2 * np.pi * (np.arange(m) + 0.8 * rng.random(m)) / m
+        star = Polygon(tuple((0.4 + 0.6 * rng.random(m)) * np.exp(1j * angles)))
+        near, far = _ray_radii(star.vertices, thetas)
+        assert np.all(far - near <= 1e-9 * far)
+        assert tv_log_radius(star) >= _grid_tv(near) - 1e-12
 
 
 def test_tv_rejects_non_star_polygon():

@@ -241,9 +241,9 @@ def test_fit_ellipse_nearly_hermitian_stays_thin(eps):
 
 def _fit_ellipse_reference(a, n_grid=256):
     # the scalar fit: fresh profiles from the library's extreme-eigenpair
-    # kernel (no memo), one golden-section search per rotation angle (the
-    # arithmetic fit_ellipse runs in lockstep), and the outer-polygon
-    # inflation one vertex at a time
+    # kernel (no memo), the dual pivot run one rotation angle at a time (the
+    # arithmetic fit_ellipse runs on all rows together), and the
+    # outer-polygon inflation one vertex at a time
     mat = np.asarray(a, dtype=complex)
 
     def sweep(thetas, ends=1):
@@ -253,39 +253,48 @@ def _fit_ellipse_reference(a, n_grid=256):
         vals, w = np.concatenate(vals[:ends]), np.concatenate(w[:ends])
         return vals, np.einsum("ki,ij,kj->k", np.conj(w), mat, w)
 
-    def golden_max(fun, lo, hi, tol):
-        g = (np.sqrt(5.0) - 1.0) / 2.0
-        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
-        fc, fd = fun(c), fun(d)
-        while hi - lo > tol:
-            if fc >= fd:
-                hi, d, fd = d, c, fc
-                c = hi - g * (hi - lo)
-                fc = fun(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + g * (hi - lo)
-                fd = fun(d)
-        x = (lo + hi) / 2.0
-        return x, fun(x)
+    def least_area(a, b):
+        # min over s in [-40, 4] of max_k (a_k e^s + b_k e^-s), with its s,
+        # from the best dual point (A, B): a pair of points and the best
+        # point on their segment, moved each round toward the piece active
+        # at s = log(B/A) / 2, until 2 sqrt(A B) meets the area there
+        def segment(k, l):
+            da, db = a[l] - a[k], b[l] - b[k]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.clip(np.nan_to_num(-(da * b[k] + db * a[k]) / (2.0 * da * db)), 0.0, 1.0)
+            inner, end = ((np.sqrt(a[k] + w * da) * np.sqrt(b[k] + w * db), a[k] + w * da,
+                           b[k] + w * db, k, l) for w in (t, 1.0))
+            return end if end[0] > inner[0] else inner
+
+        best = segment(*[int(np.argmax(np.sqrt(a) * np.sqrt(b)))] * 2)
+        upper, log_r = np.inf, 0.0
+        for _ in range(64):
+            value, big_a, big_b, i, j = best
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = np.clip(np.nan_to_num(0.5 * (np.log(big_b) - np.log(big_a))), -40.0, 4.0)
+            area = a * np.exp(s) + b * np.exp(-s)
+            m = int(np.argmax(area))
+            if area[m] < upper:
+                upper, log_r = area[m], s
+            for cand in (segment(i, m), segment(j, m)):
+                if cand[0] > best[0]:
+                    best = cand
+            if upper - 2.0 * best[0] <= 4.0 * np.finfo(float).eps * upper or best[0] <= value:
+                break
+        return upper, log_r
 
     grid = 2.0 * np.pi * np.arange(n_grid) / n_grid
     grid_values, pts = sweep(grid[:n_grid // 2], ends=2)
-    best = None
+    fits = []
     for t in np.linspace(0.0, np.pi, 180, endpoint=False):
         q = pts * np.exp(-1j * t)
         cx = (q.real.max() + q.real.min()) / 2.0
         cy = (q.imag.max() + q.imag.min()) / 2.0
         dx, dy = q.real - cx, q.imag - cy
-
-        def area(log_r):
-            r = np.exp(log_r)
-            return float(r * np.max(dx ** 2 + (dy / r) ** 2))
-
-        log_r, neg_area = golden_max(lambda u: -area(u), -40.0, 4.0, 1e-10)
-        if best is None or -neg_area < best[0]:
-            best = (-neg_area, t, cx, cy, float(np.exp(log_r)))
-    _, t, cx, cy, r = best
+        area, log_r = least_area(dx ** 2, dy ** 2)
+        fits.append((area, t, cx, cy, float(np.exp(log_r))))
+    least = min(fit[0] for fit in fits)
+    _, t, cx, cy, r = next(fit for fit in fits if fit[0] <= (1.0 + 1e-12) * least)
     q = pts * np.exp(-1j * t)
     ax = float(np.sqrt(np.max((q.real - cx) ** 2 + ((q.imag - cy) / r) ** 2)))
     ay = r * ax
@@ -391,34 +400,81 @@ def _aspect_audit_cases():
 
 
 def test_fit_ellipse_pruned_aspect_search_is_bit_identical(monkeypatch):
-    # the aspect search runs only on the rotations whose area bounds let
+    # the aspect pivot runs only on the rotations whose area bounds let
     # them come first; against every one of the 180, each fit is == the same
     from spectral_kit import krylov
     cases = list(_aspect_audit_cases())
     assert len(cases) >= 300
     pruned = [fit_ellipse(a) for a in cases]
-    monkeypatch.setattr(krylov, "_aspect_rows", lambda dx2, dy2: np.arange(len(dx2)))
+    monkeypatch.setattr(krylov, "_may_come_first",
+                        lambda lower, upper: np.ones(len(lower), dtype=bool))
     for a, got in zip(cases, pruned):
         want = fit_ellipse(a)
         assert type(got) is type(want)
         assert got == want
 
 
-def test_fit_ellipse_golden_search_runs_on_few_rotations(monkeypatch):
-    from spectral_kit import krylov
-    rows = []
-    golden = krylov._golden_max
+def test_fit_ellipse_runs_no_golden_search(monkeypatch):
+    # each rotation's least area comes from the pivot, not from a search
+    calls = []
+    golden = numrange._golden_max
 
     def spy(fun, lo, hi, tol=1e-12):
-        rows.append(np.size(lo))
+        calls.append((lo, hi))
         return golden(fun, lo, hi, tol)
 
-    monkeypatch.setattr(krylov, "_golden_max", spy)
+    monkeypatch.setattr(numrange, "_golden_max", spy)
     rng = np.random.default_rng(33)
     for n in (3, 8, 24):
-        rows.clear()
         fit_ellipse(_random(n, rng))
-        assert len(rows) == 1 and rows[0] < 180
+    assert calls == []
+
+
+def test_aspect_pivot_least_areas_are_the_brute_force_minima(monkeypatch):
+    # min over s in [-40, 4] of F(s) = max_k (a_k e^s + b_k e^-s) lies at a
+    # piece's stationary point, where two pieces cross, or at an end
+    from spectral_kit import krylov
+    monkeypatch.setattr(krylov, "_may_come_first",
+                        lambda lower, upper: np.ones(len(lower), dtype=bool))
+    rng = np.random.default_rng(41)
+    for k in (1, 2, 3, 4, 6):
+        a, b = rng.random((40, k)), rng.random((40, k))
+        a[0], b[1], a[2, 0] = 0.0, 0.0, 0.0  # the aspect runs to an end
+        b[3] = 1e-9 * b[3]
+        area, log_r = krylov._aspect_rows(a, b)
+        for j in range(len(a)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross = (b[j][None, :] - b[j][:, None]) / (a[j][:, None] - a[j][None, :])
+                ss = np.concatenate([0.5 * np.log(b[j] / a[j]), 0.5 * np.log(cross.ravel()),
+                                     [-40.0, 4.0]])
+            ss = np.clip(ss[np.isfinite(ss)], -40.0, 4.0)
+            brute = np.min(np.max(a[j] * np.exp(ss)[:, None] + b[j] * np.exp(-ss)[:, None],
+                                  axis=1))
+            assert area[j] == pytest.approx(brute, rel=1e-13, abs=0.0)
+            assert -40.0 <= log_r[j] <= 4.0
+            assert area[j] == np.max(a[j] * np.exp(log_r[j]) + b[j] * np.exp(-log_r[j]))
+
+
+def _cli_spd_fixture():
+    # the spd.mtx matrix of the tests/test_cli.py workdir fixture
+    rng = np.random.default_rng(0)
+    rng.standard_normal((5, 5))
+    rng.standard_normal(5)
+    return np.eye(5) * 3 + rng.standard_normal((5, 5)) * 0.3
+
+
+def test_fit_ellipse_rotation_survives_last_bit_changes():
+    # for real A an ellipse and its mirror image have equal area; the first
+    # rotation of least area wins, whatever the rounding of the points
+    rng = np.random.default_rng(51)
+    mats = [rng.standard_normal((n, n)) for n in (3, 4, 5, 6, 7, 8) for _ in range(3)]
+    for a in mats + [_cli_spd_fixture()]:
+        want, got = fit_ellipse(a), fit_ellipse(a * (1.0 + 2.0 ** -52))
+        assert type(got) is type(want)
+        if type(want) is Ellipse:
+            assert got.rotation == want.rotation
+        else:
+            assert np.angle(got.z2 - got.z1) == np.angle(want.z2 - want.z1)
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e200])

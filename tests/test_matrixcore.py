@@ -238,6 +238,22 @@ def test_op_norm_is_homogeneous_at_extreme_scales():
             assert val <= ceiling * (1.0 + 1e-12)
 
 
+def test_op_norm_keeps_its_bound_at_large_p_and_extreme_scales():
+    # the ones start alone gives ||A 1||_p / ||1||_p = 3 2^(-1/p) to
+    # rounding; scaling a column by a power of two underflowed its p-th
+    # powers there (2.0 at p = 3000), and subnormal or huge A lost it all
+    a = np.array([[1.0, 2.0], [0.5, -1j]])
+    for p in (1.5, 4.0, 300.0, 1000.0, 3000.0, 10000.0):
+        ref = op_norm(a, p)
+        if p >= 300.0:
+            assert ref >= 3.0 * 2.0 ** (-1.0 / p) * (1.0 - 1e-12)
+        for c in (1e-310, 1e-200, 1e80, 1e160, 1e200, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                val = op_norm(c * a, p) / c
+            assert val == pytest.approx(ref, rel=1e-9 if c == 1e-310 else 1e-12, abs=0.0)
+
+
 def test_spectral_radius_below_two_norm():
     rng = np.random.default_rng(7)
     for _ in range(50):

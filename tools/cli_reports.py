@@ -15,7 +15,8 @@ by file:
 
 ``kbound``, ``kestimate`` and ``certify`` run on every shape literal of
 tests/test_domains.py::test_shape_literal_roundtrip and on one malformed
-literal; a command that refuses a literal reports its exit status.
+literal, and ``kbound`` once more on a non-convex star polygon; a command
+that refuses a literal reports its exit status.
 """
 
 import contextlib
@@ -39,6 +40,9 @@ LITERALS = (
     "intersect [ disk -0.5+0i 1 ; disk 0.5+0i 1 ]",
     "disk 0",
 )
+# non-convex but star-shaped about its centroid: kbound's radial
+# total-variation entry is its only candidate
+STAR_POLYGON = "polygon 1+0i 0.3+0.3i 0+1i -0.3+0.3i -1+0i -0.3-0.3i 0-1i 0.3-0.3i"
 
 
 def write_fixtures():
@@ -97,6 +101,7 @@ def commands():
     yield ["wradius", *m, "--s", "0.5"]
     yield ["wradius", *m, "--s", "1.5"]
     yield ["kbound", "--shape", "annulus 1.00001"]
+    yield ["kbound", "--shape", STAR_POLYGON]
 
 
 def write_reports(outdir):
