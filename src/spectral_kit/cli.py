@@ -177,8 +177,9 @@ def _cmd_wradius(args, out) -> int:
         out.write(f"  bracket: {_fmt(res.bracket)}\n")
         out.write(f"  certified: [{_fmt(res.lo)}, {_fmt(res.hi)}]\n")
         out.write(f"  iterations: {res.iterations}\n")
-        out.write("  method: companion eigenproblem per angle, "
-                  "certified by the membership test\n")
+        out.write("  method: companion eigenproblem per angle; lo an exact "
+                  "witness-vector bound, hi a scaling that passed the membership "
+                  "test times 1 + 1e-8\n")
     return EXIT_PASS
 
 

@@ -569,7 +569,10 @@ def _interior_point(members) -> Optional[complex]:
 
 
 def _segment_distance(z: np.ndarray, z1: complex, z2: complex) -> np.ndarray:
+    # a zero-length segment (a repeated polygon vertex) is its vertex
     d = z2 - z1
+    if d == 0:
+        return np.abs(z - z1)
     t = np.clip(np.real((z - z1) * np.conj(d)) / abs(d) ** 2, 0.0, 1.0)
     return np.abs(z - (z1 + t * d))
 

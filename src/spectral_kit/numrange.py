@@ -34,10 +34,13 @@ per sub-interval decides every r at once.  The operator radius w_s is
 computed directly as the maximum over angles of the largest positive real
 eigenvalue of that companion, and the membership test reads the companion
 eigenvalues at the angles that maximum search solved.  The result is then
-bracketed: ``lo`` carries a violation witness of the membership test (or is
-the a-priori bound max(rho(A), ||A||/s)), and ``hi`` passed the membership
-test.  Bisection with that test runs only as a fallback when either check
-fails, and ``iterations`` counts its steps.
+bracketed without a search: ``lo`` is the larger of the a-priori bound
+max(rho(A), ||A||/s) and the exact witness bound phi_s(x) <= w_s of the top
+eigenvector x of H at the estimate, and ``hi`` is a scaling that passed the
+membership test times 1 + tau, tau its tolerance, which for s <= 2 puts
+A/hi in C_s at the solved angles.  The bracket is about tau w_s wide.
+Bisection with that test runs only as a fallback when the estimate fails
+it, and ``iterations`` counts its steps.
 """
 
 from __future__ import annotations
@@ -580,6 +583,7 @@ class _CsKernel:
             raise ValueError(f"the C_s start grid needs an even number of angles, not {_CS_GRID}")
         s = float(s)
         self.a = a
+        self.s = s
         self.ca = (2.0 - s) / s
         self.cb = (s - 1.0) / s
         self.n = a.shape[0]
@@ -661,24 +665,25 @@ class _CsKernel:
         k = int(np.argmax(vals))
         return float(vals[k]), float(ths[k]), float(us[k] * t)
 
-    def level_crossing(self, theta: float, mu: float, level: float):
-        """Scaling t = 1/u at which lambda_max(H(theta, u)) reaches level past u = 1/mu.
+    def witness_bound(self, theta: float, t: float) -> float:
+        """phi_s(x) <= w_s(A) for x the unit top eigenvector of H(theta, u = 1/t).
 
-        Three Newton steps from u = 1/mu, where lambda_max(H) is 0 for a
-        crossing mu, with the derivative x* (2 ca u B + cb M(theta)) x of a
-        simple top eigenvalue with unit eigenvector x.  None where
-        lambda_max does not rise.
+        With z = x* A x and b = ||A x||^2, the largest x* H x over theta is
+        q(u) = ca u^2 b + 2 |cb| |z| u - 1.  Where D = cb^2 |z|^2 + ca b >= 0,
+        q has the root u = 1/phi_s(x), phi_s(x) = |cb| |z| + sqrt(D), and is
+        positive just past it, so A/t' is not in C_s for any t' < phi_s(x).
+        D is computed as (b - (s - 1)^2 ||A x - z x||^2) / s^2, which avoids
+        the cancellation of its two terms at large s; it is >= 0 for s <= 2.
+        At a crossing t = mu*(theta), x*Hx = 0 there, so q(1/t) >= 0 and
+        phi_s(x) >= t.  0 where D < 0 (no bound from x).
         """
-        u = 1.0 / mu
-        mst = self._mstack(theta)
-        for _ in range(3):
-            w, v = np.linalg.eigh(self.test_matrices(theta, u))
-            x = v[:, -1]
-            slope = float(np.real(np.conj(x) @ (2.0 * self.ca * u * self.aha + self.cb * mst) @ x))
-            if slope <= 0.0:
-                return None
-            u += (level - w[-1]) / slope
-        return 1.0 / u
+        _, vecs = np.linalg.eigh(self.test_matrices(theta, 1.0 / t))
+        x = vecs[:, -1]
+        ax = self.a @ x
+        z = np.vdot(x, ax)
+        res = ax - z * x
+        d = (np.vdot(ax, ax).real - (self.s - 1.0) ** 2 * np.vdot(res, res).real) / self.s ** 2
+        return abs(self.cb) * abs(z) + math.sqrt(d) if d >= 0.0 else 0.0
 
     def crossing(self, thetas) -> np.ndarray:
         """mu*(theta) at the given angles from one stack of companion eigenproblems.
@@ -710,9 +715,9 @@ class _CsKernel:
         # keeps the roots of the angles and returns their mu*.  Near-double
         # roots (the edge of a real-root window) carry rounding-level
         # imaginary parts, so "real" is decided with a loose tolerance; a
-        # spurious root can only raise the estimate, which the witness check
-        # in ws_radius then rejects.  At s = 2 every root is real, and mu* is
-        # the Hermitian lambda_max(cb M), or 0
+        # spurious root can only raise the estimate above the witness bound
+        # of ws_radius, whose bisection then closes the gap.  At s = 2 every
+        # root is real, and mu* is the Hermitian lambda_max(cb M), or 0
         scale = np.abs(ev).max(axis=1, keepdims=True)
         real = (np.abs(ev.imag) <= 1e-6 * scale) & (ev.real > 0)
         mu = np.where(real, ev.real, 0.0).max(axis=1)
@@ -802,17 +807,19 @@ def cs_membership(a, s: float) -> CsMembership:
 class OperatorRadiusResult:
     """Bracketed value of w_s(A).
 
-    radius is the bracket midpoint.  lo is witness-certified: either the
-    a-priori bound max(rho(A), ||A||/s) (shrunk by 1e-9) or a scaling at
-    which some tested (theta, r) point's lambda_max exceeds the membership
-    tolerance, so lo < w_s(A).  hi passed the membership test, so scaling by
-    hi is safe downstream.  That test is sampled in theta, at the angles at
-    which the estimate has the companion eigenvalues (the 90 grid angles,
-    45 solved and the antipodal 45 read as their negated roots, -arg
-    lambda_k(A) and its zooms; angle 0 alone at s = 1), and is exact in r
-    at each of them.  iterations counts the bisection steps of the fallback
-    that runs only when the companion estimate fails either check; it is 0
-    when the estimate is certified directly.
+    radius is the bracket midpoint.  lo is a lower bound with no tolerance:
+    the larger of the a-priori bound max(rho(A), ||A||/s) (shrunk by 1e-9)
+    and phi_s(x) of one unit vector x (``_CsKernel.witness_bound``), or a
+    scaling the membership test rejected.  hi = t (1 + tau) for a scaling t
+    that passed the membership test at tolerance tau = 1e-8; for s <= 2 that
+    puts A/hi in C_s exactly at the angles the test read (the 90 grid
+    angles, 45 solved and the antipodal 45 read as their negated roots,
+    -arg lambda_k(A) and the zooms; angle 0 alone at s = 1), and it is exact
+    in r at each of them.  For s > 2, hi has the status of the tolerance.
+    The bracket is about tau w_s(A) wide, whatever the tolerance asked.
+    iterations counts the bisection steps of the fallback that runs only
+    when the estimate fails its own test or lies more than the tolerance
+    above lo; it is 0 when the estimate is bracketed directly.
     """
 
     s: float
@@ -828,78 +835,65 @@ def ws_radius(a, s: float, tol: float = 1e-6) -> OperatorRadiusResult:
 
     w_s(A) = max_theta mu*(theta), where u = 1/mu* is the first u at which
     lambda_max(ca u^2 A*A + cb u M(theta) - I) reaches 0 (see
-    :class:`_CsKernel`).  The estimate mu-hat comes from one companion
-    eigenproblem per angle, and is certified in two checks:
+    :class:`_CsKernel`).  The estimate mu-hat, at the angle theta-hat,
+    comes from one companion eigenproblem per angle, and is bracketed
+    directly:
 
-    * lo = mu-hat - 0.45 tol if the membership test fails there at the
-      estimate's angle (a violation witness), else the a-priori lower bound
-      max(rho(A), ||A||/s) (1 - 1e-9) <= w_s(A); a smaller floor would push
-      the scaled Hermitian test matrices into float-cancellation territory;
-    * hi = mu-hat + 0.45 tol (kept within [lo, 2 ||A|| max(1, 1/s)]) must
-      pass the membership test, extended by the estimate's angle.
+    * lo = max(max(rho(A), ||A||/s) (1 - 1e-9), phi_s(x)), with x the unit
+      top eigenvector of H(theta-hat, 1/mu-hat) (one n x n ``eigh``; mu-hat
+      raised to the floor if below it); both are lower bounds of w_s(A)
+      with no tolerance, and phi_s(x) >= mu-hat to the accuracy of mu-hat
+      where the estimate is a crossing;
+    * t = max(lo, mu-hat) must pass the membership test, and then
+      hi = t (1 + 1e-8), the membership tolerance counted.
 
-    Where lambda_max rises past the crossing too slowly for that witness
-    (at large s its slope in u is about 2 rho(A)/s), the bracket is centred
-    instead where lambda_max reaches the membership tolerance along the
-    estimate's angle (``_CsKernel.level_crossing``), and both checks run
-    there.  If hi fails, the bracket widens to the a-priori upper bound, and
-    while it is wider than ``tol`` it is bisected with the same membership
-    test; monotonicity in t (scaling by |lambda| <= 1 preserves C_s) is what
-    makes the bisection valid.  No step solves a companion eigenproblem:
-    the test reads the ones the estimate solved.  An upper bound the test
+    If t fails, it becomes lo and the bracket widens to the a-priori upper
+    bound 2 ||A|| max(1, 1/s).  While hi / (1 + 1e-8) lies more than
+    ``tol`` above lo, the bracket is bisected with the same membership
+    test, until a step no longer shrinks it in floating point;
+    monotonicity in t (scaling by |lambda| <= 1 preserves C_s) is what
+    makes the bisection valid.  ``tol`` only stops that loop: the bracket
+    is about 1e-8 w_s(A) wide either way.  No step solves a companion
+    eigenproblem: the test reads the ones the estimate solved.  Outside
+    LAPACK's safe range A is scaled by a power of two first (see
+    ``_safe_scale``), and the bracket scaled back.  An upper bound the test
     rejects raises :class:`BisectionError`.
     """
     m = as_matrix(a)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    scale = float(_safe_scale(m))
+    m, tol = m * scale, tol * scale
     norm2 = float(np.linalg.norm(m, 2))
     if norm2 == 0.0:
         raise ValueError("w_s is undefined for the zero matrix")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     kernel = _CsKernel(m, s)
     eigs = np.linalg.eigvals(m)
     floor = max(float(np.abs(eigs).max()), norm2 / s) * (1.0 - 1e-9)
     ceiling = 2.0 * norm2 * max(1.0, 1.0 / s)
     theta, mu = kernel.peak(-np.angle(eigs))
+    lo = max(floor, kernel.witness_bound(theta, max(mu, floor)))
 
-    # lambda_max along the estimate's angle, where a narrow real-root window
-    # (large s) can hide between grid angles; it is one of the angles the
-    # estimate solved, so its roots are kept, and the membership test reads
-    # it with all the others
-    at = kernel.root_thetas == theta
+    def passes(t):
+        return kernel.max_margin(t)[0] <= _MEMBERSHIP_TOL
 
-    def witness(t):
-        return kernel.exact_margin(t, kernel.root_thetas[at], kernel.roots[at])[0]
-
-    def margin(t):
-        return kernel.max_margin(t)[0]
-
-    centre = mu
-    lo = mu - 0.45 * tol
-    held = lo > floor and witness(lo) > _MEMBERSHIP_TOL
-    if lo > floor and not held:
-        # lambda_max climbs past u = 1/mu-hat too slowly to clear the
-        # membership tolerance within 0.45 tol (its slope in u is about
-        # 2 rho(A)/s at large s): centre the bracket where it reaches the
-        # tolerance along the estimate's angle instead
-        centre = kernel.level_crossing(theta, mu, _MEMBERSHIP_TOL) or mu
-        lo = centre - 0.45 * tol
-        held = lo > floor and witness(lo) > _MEMBERSHIP_TOL
-    if not held:
-        lo = floor
-    # lo >= floor, so hi must not follow an estimate that fell below it
-    hi = max(lo, min(ceiling, centre + 0.45 * tol))
-    if margin(hi) > _MEMBERSHIP_TOL:
-        hi = ceiling
-        if margin(hi) > _MEMBERSHIP_TOL:
+    t = max(lo, mu)
+    if not passes(t):
+        lo, t = t, ceiling
+        if not passes(t):
             raise BisectionError(
-                f"membership oracle rejects the upper bracket t={hi:.6g} for s={s}")
+                f"membership oracle rejects the upper bracket t={t / scale:.6g} for s={s}")
     iters = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if margin(mid) <= _MEMBERSHIP_TOL:
-            hi = mid
+    while t - lo > tol:
+        mid = 0.5 * (lo + t)
+        if not lo < mid < t:
+            break
+        if passes(mid):
+            t = mid
         else:
             lo = mid
         iters += 1
-    return OperatorRadiusResult(s=float(s), radius=0.5 * (lo + hi),
-                                bracket=hi - lo, lo=lo, hi=hi, iterations=iters)
+    hi = t * (1.0 + _MEMBERSHIP_TOL)
+    return OperatorRadiusResult(s=float(s), radius=0.5 * (lo + hi) / scale,
+                                bracket=(hi - lo) / scale, lo=lo / scale, hi=hi / scale,
+                                iterations=iters)

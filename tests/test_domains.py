@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spectral_kit.domains import (
     kbound,
     parse_shape,
     shape_literal,
+    signed_margin,
     tv_log_radius,
 )
 
@@ -68,6 +70,17 @@ def test_contains_polygon_and_interval():
     seg = Interval(-1.0 + 0j, 1.0 + 0j)
     assert contains(seg, 0.25)
     assert not contains(seg, 0.25 + 0.1j)
+
+
+def test_polygon_with_a_repeated_vertex_has_the_margin_of_its_square():
+    # the zero-length edge from the repeated vertex is a point, not 0/0
+    closed = parse_shape("polygon 1+1i -1+1i -1-1i 1-1i 1+1i")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (0.0, 0.5 + 0.25j, 1.0 + 0.5j, 2.0 + 2.0j, -1.5):
+            assert signed_margin(closed, z) == signed_margin(_square(), z)
+        assert signed_margin(closed, 0.0) == -1.0
+        assert contains(closed, 0.0)
 
 
 def test_contains_ellipse():

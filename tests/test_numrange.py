@@ -662,6 +662,69 @@ def test_ws_radius_large_s_hi_has_no_dense_violation():
     assert _dense_max_margin(a, 1024.0, res.hi) <= 1e-8
 
 
+def _phi(a, s, x):
+    # phi_s(x) = |cb| |z| + sqrt(D), D = (||Ax||^2 - (s-1)^2 ||Ax - zx||^2) / s^2,
+    # z = x* A x, for unit x: a lower bound of w_s(A) where D >= 0, else 0
+    x = x / np.linalg.norm(x)
+    ax = a @ x
+    z = np.vdot(x, ax)
+    d = (np.linalg.norm(ax) ** 2 - (s - 1.0) ** 2 * np.linalg.norm(ax - z * x) ** 2) / s ** 2
+    return abs(s - 1.0) / s * abs(z) + math.sqrt(d) if d >= 0.0 else 0.0
+
+
+def _dense_witness_vector(a, s, n_theta=4001, zoom=0):
+    # found without peak: the top eigenvector of H at the largest real
+    # companion root over a dense grid of angles, from one stacked eigvals;
+    # zoom > 0 rescans the best cell on that many angles
+    n = a.shape[0]
+    ca, cb = (2.0 - s) / s, (s - 1.0) / s
+    aha = a.conj().T @ a
+
+    def crossings(thetas):
+        ph = np.exp(1j * thetas)[:, None, None]
+        m = ph * a + np.conj(ph) * a.conj().T
+        comp = np.zeros((len(thetas), 2 * n, 2 * n), dtype=complex)
+        comp[:, :n, n:] = np.eye(n)
+        comp[:, n:, :n] = ca * aha
+        comp[:, n:, n:] = cb * m
+        ev = np.linalg.eigvals(comp)
+        real = (np.abs(ev.imag) <= 1e-6 * np.abs(ev).max(axis=1, keepdims=True)) & (ev.real > 0)
+        mu = np.where(real, ev.real, 0.0).max(axis=1)
+        k = int(np.argmax(mu))
+        return thetas[k], mu[k], m[k]
+
+    step = 2.0 * np.pi / n_theta
+    theta, mu, m = crossings(step * np.arange(n_theta))
+    if zoom:
+        theta, mu, m = crossings(theta + step * np.linspace(-1.0, 1.0, zoom))
+    h = ca / mu ** 2 * aha + cb / mu * m - np.eye(n)
+    return np.linalg.eigh(h)[1][:, -1]
+
+
+def _check_exact_witness(a, s, res):
+    # lo is the larger of the a-priori floor and phi_s(x), x the top
+    # eigenvector of H(theta-hat, 1/mu-hat) at the peak's own estimate; its
+    # Rayleigh quotient on the test matrix of A/(lo (1 - 1e-9)) at r = 1,
+    # at the angle that turns cb e^{i theta} z onto |cb z|, is positive, so
+    # that scaling is not in C_s.  False where lo is the floor
+    kernel = numrange._CsKernel(a, s)
+    theta, mu = kernel.peak(-np.angle(np.linalg.eigvals(a)))
+    floor = max(spectral_radius(a), op_norm(a, 2) / s) * (1.0 - 1e-9)
+    x = np.linalg.eigh(kernel.test_matrices(theta, 1.0 / max(mu, floor)))[1][:, -1]
+    phi = _phi(a, s, x)
+    assert res.lo == pytest.approx(max(floor, phi), rel=1e-14)
+    if phi <= floor:
+        return False
+    z = np.vdot(x, a @ x)
+    turn = -np.angle(z) + (0.0 if s >= 1.0 else np.pi)
+    t = res.lo * (1.0 - 1e-9)
+    h = ((2.0 - s) / s / t ** 2 * (a.conj().T @ a)
+         + (s - 1.0) / s / t * (np.exp(1j * turn) * a + np.exp(-1j * turn) * a.conj().T)
+         - np.eye(a.shape[0]))
+    assert np.vdot(x, h @ x).real > 0.0
+    return True
+
+
 def test_ws_radius_lo_carries_violation_witness():
     rng = np.random.default_rng(13)
     raised = 0
@@ -669,12 +732,50 @@ def test_ws_radius_lo_carries_violation_witness():
         for n in (2, 5, 8):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             res = ws_radius(a, s, tol=tol)
-            floor = max(spectral_radius(a), op_norm(a, 2) / s) * (1.0 - 1e-9)
-            if res.lo > floor:
-                raised += 1
-                assert _dense_max_margin(a, s, res.lo) > 1e-8
+            raised += _check_exact_witness(a, s, res)
             assert _dense_max_margin(a, s, res.hi) <= 1e-8
     assert raised > 0
+
+
+def _ginibre_1(scale=1.0):
+    rng = np.random.default_rng(1)
+    return scale * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+
+
+def test_ws_radius_hi_counts_the_membership_tolerance():
+    # the membership test passes where lambda_max(H) <= 1e-8, about 1e-8
+    # (relative) below w_s; hi = t (1 + 1e-8) keeps w_s in the bracket at
+    # any scale and any tol
+    a = _ginibre_1(100.0)
+    assert ws_radius(a, 2.0).hi >= numerical_radius(a)
+    res = ws_radius(_ginibre_1(), 0.5, tol=1e-10)
+    assert res.hi >= 11.5425047882
+    assert res.lo <= 11.5425047883
+
+
+def _hi_cases():
+    rng = np.random.default_rng(17)
+    out = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+           for n in (2, 3, 5, 8)]
+    return out + [rng.standard_normal((6, 6)), jordan_nilpotent(4)]
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5, 2.0, 3.0, 1024.0])
+def test_ws_radius_hi_is_above_an_independent_witness_bound(s):
+    # phi_s(y) <= w_s for every unit y; y from a dense companion grid does
+    # not depend on peak.  At s = 1024 also the 40 seed-11 matrices
+    mats = _hi_cases()
+    if s == 1024.0:
+        rng = np.random.default_rng(11)
+        mats += [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                 for n in rng.integers(2, 9, size=40)]
+    tol = 5e-4 if s == 1024.0 else 1e-6
+    for a in mats:
+        y = _dense_witness_vector(a, s)
+        for scale in (1.0, 1e3):
+            res = ws_radius(scale * a, s, tol=tol)
+            assert res.lo <= res.radius <= res.hi
+            assert res.hi >= _phi(scale * a, s, y)
 
 
 def _two_disks():
@@ -904,6 +1005,20 @@ def test_exact_membership_decides_as_the_lattice(s):
             assert (kernel.max_margin(t)[0] <= 1e-8) == _lattice_decision(kernel, t, theta)
 
 
+def _forced_fallback(monkeypatch):
+    # peak reports 0.9 mu-hat, an estimate that fails its own test, and its
+    # vector no witness bound (at s = 2 the top eigenvector of H does not
+    # depend on u, so it would bound w_s exactly)
+    peak = numrange._CsKernel.peak
+
+    def low_peak(self, extra_thetas):
+        theta, mu = peak(self, extra_thetas)
+        return theta, 0.9 * mu
+
+    monkeypatch.setattr(numrange._CsKernel, "peak", low_peak)
+    monkeypatch.setattr(numrange._CsKernel, "witness_bound", lambda *args: 0.0)
+
+
 @pytest.mark.parametrize("s", [0.5, 1.5, 2.0, 1024.0])
 def test_ws_radius_reuses_the_roots_of_its_peak_search(monkeypatch, s):
     # a membership decision evaluates at most 2n + 2 test matrices per angle
@@ -945,11 +1060,10 @@ def test_ws_radius_reuses_the_roots_of_its_peak_search(monkeypatch, s):
     rng = np.random.default_rng(19)
     for n in range(2, 9):
         check(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1e-6)
-    # the level crossing gives this close bracket its witness ...
+    # the witness bound brackets the estimate directly, even this close ...
     assert check(jordan_nilpotent(3), 1e-9).iterations == 0
-    # ... and without it the offset witness cannot clear the membership
-    # tolerance, so the bracket starts from the floor: bisection
-    monkeypatch.setattr(numrange._CsKernel, "level_crossing", lambda *args: None)
+    # ... and an estimate that fails its own test falls back to bisection
+    _forced_fallback(monkeypatch)
     assert check(jordan_nilpotent(3), 1e-9).iterations > 0
 
 
@@ -975,10 +1089,9 @@ def test_peak_zooms_solve_no_angle_twice(monkeypatch):
 
 
 def test_ws_radius_at_large_s_and_the_default_tol_needs_no_bisection():
-    # lambda_max climbs past u = 1/mu-hat with a slope of about 2 rho(A)/s,
-    # so 0.45 tol below mu-hat it is still within the membership tolerance;
-    # the bracket is centred where it reaches the tolerance instead, and both
-    # ends hold on the dense scan
+    # lambda_max climbs past u = 1/mu-hat with a slope of only about
+    # 2 rho(A)/s, so no scaling near mu-hat violates the membership tolerance;
+    # lo is the exact witness bound instead, and hi holds on the dense scan
     rng = np.random.default_rng(21)
     for n in range(2, 9):
         for k in range(3):
@@ -987,5 +1100,43 @@ def test_ws_radius_at_large_s_and_the_default_tol_needs_no_bisection():
             assert res.iterations == 0
             assert res.bracket <= 1e-6
             if k == 0:
-                assert _dense_max_margin(a, 1024.0, res.lo) > 1e-8
+                assert _check_exact_witness(a, 1024.0, res)
                 assert _dense_max_margin(a, 1024.0, res.hi) <= 1e-8
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5, 2.0, 3.0])
+def test_ws_radius_bisection_fallback_terminates(monkeypatch, s):
+    # the fallback bisects until the bracket is within tol or a step no
+    # longer shrinks it in floating point (1e10 G: float spacing above
+    # tol).  Its lo stays below the witness bound of a zoomed dense grid;
+    # for s <= 2 its hi stays above it, and for s > 2, where hi has the
+    # status of the tolerance, it passes the dense scan
+    g = _ginibre_1()
+    y = _dense_witness_vector(g, s, zoom=201)
+    refs = {c: _phi(c * g, s, y) for c in (1.0, 1e10)}
+    _forced_fallback(monkeypatch)
+    for c, ref in refs.items():
+        res = ws_radius(c * g, s)
+        assert res.iterations > 0
+        assert res.lo <= ref
+        if s <= 2.0:
+            assert ref <= res.hi
+        else:
+            assert _dense_max_margin(g, s, res.hi / c) <= 1e-8
+        assert res.bracket <= 1e-6 + 2e-8 * res.hi
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-9, 1e10, 1e150, 1e200])
+def test_ws_radius_at_extreme_scales(c):
+    # outside LAPACK's safe range ws_radius runs on A scaled by a power of
+    # two; inside it the bracket is relative, whatever the absolute tol
+    g = _ginibre_1()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (0.5, 1.5, 3.0, 1024.0):
+            ref = ws_radius(g, s)
+            res = ws_radius(c * g, s)
+            assert res.lo / c <= ref.hi and ref.lo <= res.hi / c
+            assert res.bracket <= 1e-6 * res.radius
+        res = ws_radius(c * np.eye(3), 1.5)
+        assert res.lo / c <= 1.0 + 1e-15 and res.hi / c >= 1.0

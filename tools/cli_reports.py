@@ -4,7 +4,9 @@
 
 The inputs are the matrices of the ``workdir`` fixture in tests/test_cli.py,
 written into OUTDIR, plus ``inner.mtx`` = 0.6i I + A/20, whose spectrum lies
-inside every literal below with an interior, so kestimate runs on them all.
+inside every literal below with an interior, so kestimate runs on them all,
+and ``a100.mtx`` = 100 A and ``a1e-9.mtx`` = 1e-9 A, on which ``wradius``
+runs last, so the numbers of the earlier reports stay.
 Each run becomes one file ``NN_<subcommand>.txt`` holding the command line,
 the exit status, the report and anything written to stderr; the files that
 ``fapprox --out`` and ``fab --out`` write stay next to them.  Paths in the
@@ -55,6 +57,8 @@ def write_fixtures():
     spd = np.eye(5) * 3 + rng.standard_normal((5, 5)) * 0.3
     write_matrix("spd.mtx", spd)
     write_matrix("inner.mtx", 0.6j * np.eye(5) + a / 20)
+    write_matrix("a100.mtx", 100.0 * a)
+    write_matrix("a1e-9.mtx", 1e-9 * a)
     with open("atoms.txt", "w") as fh:
         fh.write("# test measure\nc 0\n-4 1.0\n-2 0.5\n")
 
@@ -102,6 +106,9 @@ def commands():
     yield ["wradius", *m, "--s", "1.5"]
     yield ["kbound", "--shape", "annulus 1.00001"]
     yield ["kbound", "--shape", STAR_POLYGON]
+    for scaled in ("a100.mtx", "a1e-9.mtx"):
+        for s in ("0.5", "1024"):
+            yield ["wradius", "--matrix", scaled, "--s", s]
 
 
 def write_reports(outdir):
