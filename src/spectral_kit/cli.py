@@ -295,6 +295,8 @@ def _cmd_gmres(args, out) -> int:
     b = _read_vector(args.rhs, a.shape[0])
     res = gmres_fom(a, b, m=args.m, e=_resolve_shape(args.shape, a))
     out.write(f"# shape: {res.shape.literal()}\n")
+    if not res.contained:
+        out.write("# bound curves: none (W(A) not inside the shape)\n")
     if res.lens_factor is not None:
         out.write(f"# lens_factor: {_fmt(res.lens_factor)}\n")
     else:

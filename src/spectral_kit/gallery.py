@@ -124,11 +124,12 @@ def torus_sup(terms: dict) -> float:
     A 48^3 coarse grid locates the dominant basin (a complete fine grid at
     200^3 points is out of budget), then three cyclic sweeps refine one
     phase at a time on a 200-point circle, finishing with two rounds of
-    golden polish of each angle.  A step is taken only when it raises |p|,
-    so the result is never below the coarse grid's maximum.  The returned
-    value is |p| at a point of the torus, a lower bound of the true sup up
-    to rounding; for the gallery gap assertions an absolute accuracy near
-    1e-3 is already sufficient and the polish does far better.
+    9-point zooms on each angle, 4x finer per round to a 1e-12 bracket.  A
+    step is taken only when it raises |p|, so the result is never below the
+    coarse grid's maximum.  The returned value is |p| at a point of the
+    torus, a lower bound of the true sup up to rounding; for the gallery gap
+    assertions an absolute accuracy near 1e-3 is already sufficient and the
+    polish does far better.
     """
     th = 2.0 * np.pi * np.arange(48) / 48
     coarse = _mv_eval(terms, (th[:, None, None], th[None, :, None],
@@ -165,7 +166,7 @@ def _max_commutator(mats) -> float:
 
 
 def _disk_sup(coeffs, radius: float = 1.0) -> float:
-    # max-modulus on |z| = radius: dense circle grid + golden refinement
+    # max-modulus on |z| = radius: dense circle grid + 9-point zooms to 1e-12
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
 
     def mod(t):

@@ -151,7 +151,7 @@ def _aspect_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for the best (A, B) the two meet at s* = log(B/A) / 2.  That point
     lies on an edge between two of the points, so each row keeps a pair and
     the best point on its segment: each round takes the piece m active at
-    that point's s* (clipped to [-40, 4]), where it reads U_j, and keeps
+    that point's s* (clipped to [-40, 40]), where it reads U_j, and keeps
     the best of the pair and its two segments to m (the best point of the
     triangle lies on its boundary).  Like the simplex method that is exact
     in a few rounds.  A row stays in the rounds, at most 64 of them, while
@@ -183,7 +183,7 @@ def _aspect_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         log_r = np.zeros(len(a))
         for _ in range(64):
             value, big_a, big_b, i, j = cur = tuple(x[live] for x in best)
-            s = np.clip(np.nan_to_num(0.5 * (np.log(big_b) - np.log(big_a))), -40.0, 4.0)
+            s = np.clip(np.nan_to_num(0.5 * (np.log(big_b) - np.log(big_a))), -40.0, 40.0)
             area = a[live] * np.exp(s)[:, None] + b[live] * np.exp(-s)[:, None]
             m = np.argmax(area, axis=1)
             top = area[np.arange(len(live)), m]
@@ -218,7 +218,8 @@ def fit_ellipse(a) -> Shape:
     The 256 boundary points of ``support_profile(A, 256)`` (128 Hermitian
     reductions, each read at both ends of its spectrum for the angles t and
     t + pi) are enclosed by an ellipse E0, axis-aligned after a rotation
-    search over 180 angles.  Each angle's least area over the aspect ratio
+    search over 90 angles in [0, pi/2) (rotation t + pi/2 is the frame of t
+    with its axes swapped).  Each angle's least area over the aspect ratio
     is exact, read off a pivot on its dual (``_aspect_rows``), which runs
     only on the angles whose area bounds let them come first; E0 is the fit
     of the first angle whose least area is within 1e-12 (relative) of the
@@ -251,12 +252,12 @@ def fit_ellipse(a) -> Shape:
     mat = as_matrix(a)
     pts = support_profile(mat, 256).points
 
-    ts = np.linspace(0.0, np.pi, 180, endpoint=False)
+    ts = np.linspace(0.0, np.pi / 2.0, 90, endpoint=False)
     q = pts[None, :] * np.exp(-1j * ts)[:, None]
     cxs = (q.real.max(axis=1) + q.real.min(axis=1)) / 2.0
     cys = (q.imag.max(axis=1) + q.imag.min(axis=1)) / 2.0
     dx, dy = q.real - cxs[:, None], q.imag - cys[:, None]
-    # the aspect step squares the offsets, divides them by r down to e^-40
+    # the aspect step squares the offsets, scales them by r up to e^+-40
     # and multiplies their squares; past _ASPECT_MAX it runs on them scaled
     # by a power of two, which is exact, so no fit below it changes
     spread = float(max(np.abs(dx).max(), np.abs(dy).max()))
@@ -624,11 +625,12 @@ class GmresFomResult:
     alone, with ratio and error 0.
     Curves: gmres_faber[j] = min(1, 2/|F_j(0)|), gmres_asym[j] =
     (2 + 1/|phi(0)|)/|phi(0)|^j, fom_curve[j] = 4 |phi(0)|^{-j}/dist(0,E);
-    all None when 0 lies in the shape.  lens_factor = 2 sin(beta/(4-2beta/pi))
-    when A + A* is positive definite, else None.
+    all None unless W(A) lies in the shape (``contained``) and 0 outside it.
+    lens_factor = 2 sin(beta/(4-2beta/pi)) when A + A* is positive definite, else None.
     """
 
     shape: Shape
+    contained: bool
     gmres_iterates: list
     residual_ratios: np.ndarray
     fom_iterates: list
@@ -666,9 +668,9 @@ def gmres_fom(a, b, m: int = None, e: Shape = None) -> GmresFomResult:
 
     Textbook implementations from x_0 = 0 on one shared Arnoldi
     decomposition of (A, b); bound curves use a caller-chosen or
-    auto-fitted shape containing W(A) and require 0 outside it (curves are
-    None otherwise).  A singular A still gets its GMRES data; FOM errors
-    are then undefined, reported as NaN with a RuntimeWarning.
+    auto-fitted shape, need W(A) inside it (``fab_poly``'s check) and 0
+    outside it, and are None otherwise.  A singular A still gets its GMRES
+    data; FOM errors are then undefined, reported as NaN with a RuntimeWarning.
     """
     mat = as_matrix(a)
     n = mat.shape[0]
@@ -722,9 +724,10 @@ def gmres_fom(a, b, m: int = None, e: Shape = None) -> GmresFomResult:
     if e is None:
         e = fit_ellipse(mat)
     emap = exterior_map(e)
+    contained = _support_inside(mat, emap) <= _CONTAINMENT_TOL
     curves = (None, None, None)
     dist0 = signed_margin(e, 0.0)
-    if dist0 > 0:  # 0 outside the shape
+    if contained and dist0 > 0:  # 0 outside the shape
         phi0 = abs(complex(emap.phi(0.0 + 0j)))
         polys = faber_polynomials(emap, mm)
         f_at_0 = np.array([abs(p[0]) for p in polys])
@@ -739,7 +742,7 @@ def gmres_fom(a, b, m: int = None, e: Shape = None) -> GmresFomResult:
     except ValueError:  # A + A* is not positive definite
         lens = None
 
-    return GmresFomResult(shape=e, gmres_iterates=gmres_x,
+    return GmresFomResult(shape=e, contained=contained, gmres_iterates=gmres_x,
                           residual_ratios=np.asarray(resid),
                           fom_iterates=fom_x,
                           fom_errors=np.asarray(fom_err),

@@ -68,7 +68,6 @@ __all__ = [
     "ws_radius",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # 4x angular zooms after the 90-angle start: 2pi/90 / 4^8 ~ 1e-6 rad
 _PEAK_ZOOMS = 8
 _PEAK_CANDIDATES = 4
@@ -357,52 +356,47 @@ def outer_gauge_bracket(a, gauge) -> tuple[float, float]:
         g = np.concatenate([g[keep], gm[len(tm):]])
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float = 1e-12):
-    """Golden-section search for the maximum of fun (float -> float) on [lo, hi].
+def _zoom_max(fun, centres, values, half, rounds: int, lo=-np.inf, hi=np.inf):
+    """Nested 9-point zooms towards maxima of fun, all centres in lockstep.
 
-    Returns (x, fun(x)) at the final bracket's midpoint.
+    Each round evaluates centre + half linspace(-1, 1, 9), clipped to
+    [lo, hi], for every centre in one call of fun (a 1-D array of points to
+    their values); a centre moves only to a strictly better point, and half
+    shrinks 4x.  half, lo and hi are scalars or one entry per centre.
+    Returns (centres, values), never below the values given.
     """
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-    x = (a + b) / 2.0
-    return x, fun(x)
+    centres, values = np.array(centres, dtype=float), np.array(values, dtype=float)
+    offsets, rows = np.linspace(-1.0, 1.0, 9), np.arange(len(centres))
+    for _ in range(rounds):
+        pts = np.clip(centres[:, None] + np.reshape(half, (-1, 1)) * offsets,
+                      np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1)))
+        sub = fun(pts.ravel()).reshape(pts.shape)
+        j = np.argmax(sub, axis=1)
+        better = sub[rows, j] > values
+        centres = np.where(better, pts[rows, j], centres)
+        values = np.where(better, sub[rows, j], values)
+        half = half / 4.0
+    return centres, values
 
 
 def _polish_peaks(fun, grid: np.ndarray, centers, values, periodic: bool):
-    """Golden-section polish of sampled peaks, one scalar search per centre.
+    """Polish sampled peaks by stacked 9-point zooms (``_zoom_max``).
 
     It finishes boundary suprema, ``torus_sup``, ``_disk_sup``,
     ``fab_rational``'s Blaschke maximum, and the support-function peaks
     whose top eigenvalue is not simple.
 
     grid is the sample grid (2 pi k / m if periodic, else linspace(lo, hi, m));
-    each centre, with its sampled value, is searched over +- one grid
-    spacing, clipped to [lo, hi] unless periodic, and never reports below
-    that value.  fun maps a float to a float.
+    each centre, with its sampled value, is zoomed from +- one grid spacing,
+    clipped to [lo, hi] unless periodic, until its bracket is within 1e-12,
+    and never reports below that value.  fun maps an array to an array.
     Returns (points, values), one entry per centre.
     """
-    centers = np.asarray(centers, dtype=float)
-    if periodic:
-        step = 2.0 * np.pi / len(grid)
-        lo, hi = centers - step, centers + step
-    else:
-        step = (grid[-1] - grid[0]) / (len(grid) - 1)
-        lo = np.maximum(grid[0], centers - step)
-        hi = np.minimum(grid[-1], centers + step)
-    x, fx = np.array([_golden_max(fun, a, b) for a, b in zip(lo, hi)], dtype=float).T
-    better = fx >= values
-    return np.where(better, x, centers), np.where(better, fx, values)
+    step = grid[1] - grid[0]
+    lo, hi = (-np.inf, np.inf) if periodic else (grid[0], grid[-1])
+    # round r leaves a bracket of width step / (2 4^(r - 1))
+    rounds = 1 + math.ceil(math.log(step / 2e-12, 4))
+    return _zoom_max(fun, centers, values, step, rounds, lo, hi)
 
 
 def _peak_indices(vals: np.ndarray, floor: float = -np.inf) -> np.ndarray:
@@ -496,8 +490,8 @@ def _angular_extremes(a: np.ndarray, signs, p: np.ndarray) -> list:
     # image in [0, pi] if it lies in (pi, 2 pi).  The peaks of every sign
     # are polished together by Newton steps (``_newton_peaks``), on A scaled
     # as ``_safe_scale`` says, so that the squares in p'' cannot overflow; a
-    # peak whose top eigenvalue is not simple takes the golden-section
-    # polish instead, on the same A.  No result is below its sampled value.
+    # peak whose top eigenvalue is not simple takes the zoom polish
+    # (``_polish_peaks``) instead, on the same A; no result is below its sample.
     grid = 2.0 * np.pi * np.arange(len(p)) / len(p)
     h = 2.0 * np.pi / len(p)
     real = not a.imag.any()
@@ -521,11 +515,11 @@ def _angular_extremes(a: np.ndarray, signs, p: np.ndarray) -> list:
     for i, (sign, ks, sampled) in enumerate(peaks):
         mine = owner == i
         found = max(float(sampled.max()), float(polished[mine].max()))
-        golden = multiple[mine]
-        if golden.any():
+        zoom = multiple[mine]
+        if zoom.any():
             _, values = _polish_peaks(
                 lambda t: sign * hermitian_eigmax(_herm_parts(m, t)),
-                grid, grid[ks[golden]], sampled[golden] * scale, periodic=True)
+                grid, grid[ks[zoom]], sampled[zoom] * scale, periodic=True)
             found = max(found, float(values.max()) / scale)
         out.append(found)
     return out
@@ -634,8 +628,8 @@ class _CsKernel:
         as a root, since rounding moves a double root off it by about
         sqrt(eps); an extra cut only adds a sample.  A sub-interval whose
         midpoint is positive but within tol is searched over u for its
-        maximum before it passes, by one scalar golden-section search per
-        such sub-interval, to its own tolerance.  The other samples are one
+        maximum before it passes, by five 9-point zooms over it
+        (``_zoom_max``), to 1/1024 of its width.  The other samples are one
         stacked ``hermitian_eigmax``.  Returns (lambda_max, theta, r = u t)
         of the worst sample.
         """
@@ -651,17 +645,14 @@ class _CsKernel:
         us = np.concatenate([(lower + upper) / 2.0, np.full(len(thetas), top)])
         vals = self.margins_at(ths, us)
         close = np.flatnonzero((vals[:len(lower)] > 0.0) & (vals[:len(lower)] <= _MEMBERSHIP_TOL))
-        if close.size:
-            # to 1e-3 of the width: between two roots that leaves the
-            # maximum found within about 1e-6 of the bump's height; a
-            # sub-interval a few ulps wide (a root just above t) cannot
-            # shrink by golden steps, so it stops there
-            for i in close:
-                tol = max(1e-3 * (upper[i] - lower[i]), 8.0 * np.finfo(float).eps * upper[i])
-                x, fx = _golden_max(lambda v: self.margins_at(ths[i], v), lower[i], upper[i],
-                                    tol=tol)
-                if fx > vals[i]:
-                    us[i], vals[i] = x, fx
+        # 1/1024 of the width leaves the maximum within about 1e-6 of a
+        # bump's height; blocks of len(us) // 9 keep each stack within len(us)
+        block = max(1, len(us) // 9)
+        for start in range(0, close.size, block):
+            i = close[start:start + block]
+            us[i], vals[i] = _zoom_max(
+                lambda v: self.margins_at(ths[i, None], v.reshape(len(i), -1)).ravel(),
+                us[i], vals[i], (upper[i] - lower[i]) / 2.0, 5, lower[i], upper[i])
         k = int(np.argmax(vals))
         return float(vals[k]), float(ths[k]), float(us[k] * t)
 
@@ -738,9 +729,10 @@ class _CsKernel:
         of the best one is refined, at most ``_PEAK_CANDIDATES`` of them.
         The margin is 8x the s = 2 bound: there mu* is the support function
         p of the convex set W(A), and p'' >= -p keeps a peak within
-        p step^2 / 8 of its nearest sample.  Each candidate gets nested
-        9-point zooms, shrinking 4x per round; a zoom solves no angle that
-        is already solved.  At s = 1 (cb = 0) the companion's eigenvalues
+        p step^2 / 8 of its nearest sample.  Each candidate gets
+        ``_PEAK_ZOOMS`` rounds of the 9-point zoom (``_zoom_max``) from +-
+        one grid step, 4x finer per round; a zoom solves no angle that is
+        already solved.  At s = 1 (cb = 0) the companion's eigenvalues
         +-sqrt(ca) sigma_i(A) do not depend on theta, and neither does H: the
         estimate is ||A||_2 at angle 0, the one angle kept, with no sweep.
         """
@@ -762,24 +754,19 @@ class _CsKernel:
         mu = self._record(thetas, ev[by_angle])
         d_theta = 2.0 * np.pi / len(self.thetas)
         order = _peak_indices(mu, floor=float(mu.max()) * (1.0 - d_theta ** 2))
-        centres, values = thetas[order], mu[order]
-        offsets = np.linspace(-1.0, 1.0, 9)
         # a zoom point equal to an angle already solved (the round's centre,
         # and its outer points, which the round before also sampled) reads
         # its mu back; the new angles are solved in first-occurrence order
         solved = dict(zip(thetas.tolist(), mu.tolist()))
-        for _ in range(_PEAK_ZOOMS):
-            ths = centres[:, None] + d_theta * offsets[None, :]
-            flat = ths.ravel().tolist()
+
+        def crossings(ths):
+            flat = ths.tolist()
             fresh = list(dict.fromkeys(t for t in flat if t not in solved))
             if fresh:
                 solved.update(zip(fresh, self.crossing(np.array(fresh)).tolist()))
-            sub = np.array([solved[t] for t in flat]).reshape(ths.shape)
-            rows, j = np.arange(len(centres)), np.argmax(sub, axis=1)
-            better = sub[rows, j] > values
-            centres = np.where(better, ths[rows, j], centres)
-            values = np.maximum(values, sub[rows, j])
-            d_theta /= 4.0
+            return np.array([solved[t] for t in flat])
+
+        centres, values = _zoom_max(crossings, thetas[order], mu[order], d_theta, _PEAK_ZOOMS)
         k = int(np.argmax(values))
         return float(centres[k]), float(values[k])
 
@@ -792,15 +779,20 @@ def cs_membership(a, s: float) -> CsMembership:
     ``_CsKernel.max_margin``) stays <= 1e-8, the membership tolerance
     ``ws_radius`` certifies with.  ``_CsKernel.peak`` first solves the
     companion eigenproblem at its angles, and the test is exact in r at
-    each of them.
+    each of them.  It runs on c A at t = c, c from ``_safe_scale`` (1 inside
+    LAPACK's safe range); for a huge A (c < 1) it stops at u = r/c = 2^200,
+    where H is finite: a crossing past it needs a companion root of c A
+    below 2^-200, far below the rounding of its roots of order 1.
     """
     m = as_matrix(a)
-    kernel = _CsKernel(m, s)
-    kernel.peak(-np.angle(np.linalg.eigvals(m)))
-    margin, theta, r = kernel.max_margin(1.0)
-    _, vecs = np.linalg.eigh(kernel.test_matrices(theta, r))
+    scale = float(_safe_scale(m))
+    kernel = _CsKernel(m * scale, s)
+    kernel.peak(-np.angle(np.linalg.eigvals(kernel.a)))
+    t = max(scale, 2.0 ** -200)
+    margin, theta, r = kernel.max_margin(t)
+    _, vecs = np.linalg.eigh(kernel.test_matrices(theta, r / t))
     return CsMembership(member=margin <= _MEMBERSHIP_TOL, margin=margin, theta=theta,
-                        r=r, vector=vecs[:, -1], tol=_MEMBERSHIP_TOL)
+                        r=r / t * scale, vector=vecs[:, -1], tol=_MEMBERSHIP_TOL)
 
 
 @dataclass(frozen=True)

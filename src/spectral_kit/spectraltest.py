@@ -326,7 +326,7 @@ def _ratio_error(f, m: np.ndarray, a_norm: float, nrm: float, sup: float,
 
 
 def sup_on_boundary(f, x: Shape):
-    """sup |f| over the boundary of a shape: dense grid + golden refinement.
+    """sup |f| over the boundary of a shape: dense grid + zoom refinement.
 
     Returns (value, relative accuracy estimate).  Shapes without a smooth
     parameterization (intersections) fall back to dense sampling at 16384
@@ -501,7 +501,7 @@ def kratio_estimate(a, x: Shape, budget: int = 2000, seed: int = 0) -> KEstimate
     monotone, so the full grid would skip it too (a candidate that could
     overflow on the grid always takes the full grid).  Otherwise the full
     grid is sampled, and a candidate whose ratio against the grid maximum
-    fails skips the golden refinement of its sup: the refined sup is never
+    fails skips the zoom refinement of its sup: the refined sup is never
     below the grid maximum.  The result is the same as refining every
     candidate.
 

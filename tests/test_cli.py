@@ -209,6 +209,14 @@ def test_gmres_csv_curves_dominate_residuals(workdir):
         j, resid, bf, _ = (float(t) for t in row.split(","))
         assert resid <= bf + 1e-12
     assert len(rows) == 7  # header + iterations 0..5
+    assert not any("bound curves" in ln for ln in comments)
+    # a disk that misses W(A): the curves are withheld, and the report says so
+    code, text = _run(["gmres", "--matrix", str(workdir / "spd.mtx"),
+                       "--rhs", str(workdir / "b.txt"), "--shape", "disk 3+0i 0.1"])
+    assert code == EXIT_PASS
+    assert "# bound curves: none (W(A) not inside the shape)" in text.splitlines()
+    rows = [ln for ln in text.strip().splitlines() if not ln.startswith("#")]
+    assert all(row.split(", ")[2:] == ["nan", "nan"] for row in rows[1:])
 
 
 def test_pade_exact_on_two_atoms(workdir):

@@ -8,7 +8,7 @@ from spectral_kit.faber import (FaberModel, _laurent_residuals,
                                 best_approx_bracket, faber_coeffs,
                                 faber_polynomials, faber_sum_matrix)
 from spectral_kit.matrixcore import eval_poly, matfun_reference, op_norm
-from spectral_kit.numrange import _golden_max, numerical_radius
+from spectral_kit.numrange import _polish_peaks, numerical_radius
 
 # Chebyshev coefficients of exp on [-1,1]: c_m = (1/pi) int_0^pi e^{cos t} cos(mt) dt,
 # frozen from tools/faber_interval_oracle.py (10^6-point midpoint rule, checked
@@ -245,18 +245,14 @@ def test_faber_operator_two_bound_sampled():
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a *= 0.74 / numerical_radius(a)
         mats.append([eval_poly(np.asarray(p), a) for p in polys])
-    grid = np.exp(2j * np.pi * np.arange(512) / 512)
+    ts = 2 * np.pi * np.arange(512) / 512
     for _ in range(100):
         c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        vals = np.abs(np.polyval(c[::-1], grid))
+        vals = np.abs(np.polyval(c[::-1], np.exp(1j * ts)))
         k = int(np.argmax(vals))
-        lo = 2 * np.pi * (k - 1) / 512
-        hi = 2 * np.pi * (k + 1) / 512
-        _, sup = _golden_max(
-            lambda t: float(np.abs(np.polyval(c[::-1], np.exp(1j * t)))),
-            lo, hi, tol=1e-12)
-        sup = max(sup, float(vals.max()))
-        c = c / sup
+        _, sup = _polish_peaks(lambda t: np.abs(np.polyval(c[::-1], np.exp(1j * t))),
+                               ts, ts[[k]], vals[[k]], periodic=True)
+        c = c / sup[0]
         for fj_mats in mats:
             total = sum(cj * fm for cj, fm in zip(c, fj_mats))
             assert op_norm(total, 2) <= 2.0 + 1e-6

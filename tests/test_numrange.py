@@ -152,8 +152,8 @@ def test_numerical_radius_polishes_one_of_each_mirror_pair_for_real_a(monkeypatc
     assert mirror[0] == pytest.approx(w, rel=1e-15, abs=0)
 
 
-def _golden_extremes(a, signs):
-    # the golden-section polish of the peaks _angular_extremes selects, the
+def _zoom_extremes(a, signs):
+    # the 9-point zoom polish of the peaks _angular_extremes selects, the
     # reference for its Newton steps: [max_theta sign * p(theta) per sign]
     m = np.asarray(a, dtype=complex)
     p = numrange._grid_support(m)
@@ -189,13 +189,13 @@ def _newton_cases():
 
 def test_newton_polish_matches_the_golden_polish():
     # w(A) and dist(0, W(A)) within 1e-14 of w(A) (about 45 ulps) of the
-    # golden-section polish of the same peaks, never below the grid samples,
+    # zoom polish (_polish_peaks) of the same peaks, never below the grid samples,
     # and homogeneous under scaling by 1e+-150 and 1e+-200 (the n = 2 closed
     # form of the grid samples squares entries)
     for a in _newton_cases():
         m = np.asarray(a, dtype=complex)
         w, d = numerical_radius(m), dist_origin(m)
-        ref_w, ref_neg_d = _golden_extremes(m, [1.0, -1.0])
+        ref_w, ref_neg_d = _zoom_extremes(m, [1.0, -1.0])
         scale = max(ref_w, 1e-300)
         assert abs(w - (ref_w if m.any() else 0.0)) <= 1e-14 * scale
         assert abs(d - max(0.0, ref_neg_d)) <= 1e-14 * scale
@@ -217,8 +217,8 @@ def test_numerical_radius_of_jordan_blocks_to_rounding():
 
 
 def test_newton_polish_takes_few_stacked_eigh_calls(monkeypatch):
-    # one stacked eigh per lockstep round; the golden search it replaces
-    # makes about 50 lambda_max evaluations per peak
+    # one stacked eigh per lockstep round, where the zoom polish
+    # (_polish_peaks) makes about 18 stacked lambda_max calls
     rng = np.random.default_rng(23)
     calls = []
     eigh = np.linalg.eigh
@@ -266,7 +266,7 @@ def test_polish_peaks_keeps_an_end_peak_inside_the_range():
 
 
 def test_polish_peaks_never_reports_below_the_grid_value():
-    # a corner on the grid: the golden search ends beside it, below its value
+    # a corner on the grid: no zoom point beats it
     grid = 2.0 * np.pi * np.arange(32) / 32
     c = grid[5]
     x, value = numrange._polish_peaks(lambda t: -np.abs(t - c), grid, [c], [0.0],
@@ -290,6 +290,24 @@ def test_polish_peaks_in_lockstep_matches_each_scalar_search_bit_for_bit():
         x, value = numrange._polish_peaks(fun, grid, grid[[k]], vals[[k]], periodic=False)
         assert (x[0], value[0]) == (xs[j], values[j])
     assert np.allclose(xs, np.cos([4.0 * np.pi / 5.0, 2.0 * np.pi / 5.0]), atol=1e-6)
+
+
+def test_polish_peaks_makes_one_call_per_round_for_every_centre():
+    # the centres zoom in lockstep: as many calls of fun for 4 peaks as for
+    # 1, each with 9 points per centre
+    grid = np.linspace(-1.0, 1.0, 41)
+    counts = []
+    for ks in ([10], [10, 30], [5, 10, 30, 35]):
+        calls = []
+
+        def fun(t):
+            calls.append(t.shape)
+            return ((16.0 * t * t - 20.0) * t * t + 5.0) * t
+
+        numrange._polish_peaks(fun, grid, grid[ks], fun(grid[ks]), periodic=False)
+        assert calls[1:] == [(9 * len(ks),)] * (len(calls) - 1)
+        counts.append(len(calls) - 1)
+    assert counts[0] == counts[1] == counts[2] <= 20
 
 
 def test_numerical_radius_two_sided_norm_bound():
@@ -556,6 +574,18 @@ def test_cs_membership_norm_violation_witness():
     # the Cauchy-Schwarz violation is worst at the outer radius r = 1
     assert res.r == pytest.approx(1.0, abs=1e-12)
     assert res.margin == pytest.approx(3.0, abs=1e-6)  # lambda_max(A*A - I) = 3
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5, 3.0])
+def test_cs_membership_outside_lapacks_safe_range(s):
+    # 1e-200 I lies in C_s and 1e200 I does not; outside the safe range the
+    # test runs on a scaled copy, with no overflow on the way
+    for c in (1e-200, 1e200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = cs_membership(c * np.eye(3), s)
+        assert res.member == (c < 1)
+        assert 0.0 < res.r <= 1.0 and np.isfinite(res.margin)
 
 
 def test_ws_radius_s1_is_norm():
@@ -834,7 +864,7 @@ def _lattice_max_margin(kernel, t):
 def test_cs_membership_at_w_s_stops_on_an_ulp_wide_root_interval(monkeypatch, n, s):
     # at t = w_s a companion root sits a few ulps above t, so the last
     # sub-interval of u is a few ulps wide and its midpoint within the
-    # tolerance; the golden search over it must stop, not stall (a stall
+    # tolerance; the zoom search over it must stop, not stall (a stall
     # is cut off here after 1000 test-matrix evaluations)
     rng = np.random.default_rng(5)
     mats = {k: rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))

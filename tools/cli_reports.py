@@ -6,7 +6,8 @@ The inputs are the matrices of the ``workdir`` fixture in tests/test_cli.py,
 written into OUTDIR, plus ``inner.mtx`` = 0.6i I + A/20, whose spectrum lies
 inside every literal below with an interior, so kestimate runs on them all,
 and ``a100.mtx`` = 100 A and ``a1e-9.mtx`` = 1e-9 A, on which ``wradius``
-runs last, so the numbers of the earlier reports stay.
+runs after the others, so the numbers of the earlier reports stay; then
+``gmres`` on a disk that does not contain W(spd.mtx).
 Each run becomes one file ``NN_<subcommand>.txt`` holding the command line,
 the exit status, the report and anything written to stderr; the files that
 ``fapprox --out`` and ``fab --out`` write stay next to them.  Paths in the
@@ -109,6 +110,9 @@ def commands():
     for scaled in ("a100.mtx", "a1e-9.mtx"):
         for s in ("0.5", "1024"):
             yield ["wradius", "--matrix", scaled, "--s", s]
+    # a disk that misses W(spd.mtx): the bound curves are withheld
+    yield ["gmres", "--matrix", "spd.mtx", "--rhs", "b.txt", "--m", "5", "--shape",
+           "disk 3+0i 0.1"]
 
 
 def write_reports(outdir):
