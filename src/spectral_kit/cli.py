@@ -177,9 +177,15 @@ def _cmd_wradius(args, out) -> int:
         out.write(f"  bracket: {_fmt(res.bracket)}\n")
         out.write(f"  certified: [{_fmt(res.lo)}, {_fmt(res.hi)}]\n")
         out.write(f"  iterations: {res.iterations}\n")
-        out.write("  method: companion eigenproblem per angle; lo an exact "
-                  "witness-vector bound, hi a scaling that passed the membership "
-                  "test times 1 + 1e-8\n")
+        if s < 2.0:
+            out.write("  method: level-set iteration on the unit-circle pencil; lo an "
+                      "exact witness-vector bound, hi a scaling times 1 + 1e-8 whose "
+                      "pencil has no eigenvalue within 1e-6 of the unit circle, a "
+                      "member at every angle to that tolerance\n")
+        else:
+            out.write("  method: companion eigenproblem per angle; lo an exact "
+                      "witness-vector bound, hi a scaling that passed the membership "
+                      "test times 1 + 1e-8\n")
     return EXIT_PASS
 
 

@@ -132,9 +132,10 @@ def _ascent_starts(n: int, p: float) -> np.ndarray:
     return x
 
 
-def _pnorm_ascent(ms: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+def _pnorm_ascent(ms: np.ndarray, p: float, starts=None) -> tuple[np.ndarray, np.ndarray]:
     # Boyd/Higham power method for the induced Hoelder p-norm of each matrix
-    # of a (B, n, n) stack, from the starts of _ascent_starts.  Ascent is
+    # of a (B, n, n) stack, from the starts of _ascent_starts, or from the
+    # columns of starts (unit p-norm) where given.  Ascent is
     # monotone: a certified lower bound per matrix, with its witness x
     # (B, n).  Each round multiplies every start column of each matrix that
     # still has a live column; a converged or annihilated column is frozen
@@ -148,7 +149,9 @@ def _pnorm_ascent(ms: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
         ms = ms * scale[:, None, None]
     q = p / (p - 1.0)
     mh = np.ascontiguousarray(ms.conj().transpose(0, 2, 1))
-    x = np.repeat(_ascent_starts(ms.shape[-1], p)[None], ms.shape[0], axis=0)
+    if starts is None:
+        starts = _ascent_starts(ms.shape[-1], p)
+    x = np.repeat(starts[None], ms.shape[0], axis=0)
     gamma = np.zeros((ms.shape[0], x.shape[-1]))
     live = np.ones(gamma.shape, dtype=bool)
     for it in range(100):

@@ -30,26 +30,38 @@ zeta = r e^{i theta}; here ca = (2-s)/s, cb = (s-1)/s and M(theta) =
 e^{i theta} A + e^{-i theta} A*.  The test is exact in r for every s: along
 an angle, H is singular exactly where 1/r is a real eigenvalue of a 2n x 2n
 companion matrix, and its inertia is constant in between, so one lambda_max
-per sub-interval decides every r at once.  The operator radius w_s is
-computed directly as the maximum over angles of the largest positive real
-eigenvalue of that companion, and the membership test reads the companion
-eigenvalues at the angles that maximum search solved.  The result is then
-bracketed without a search: ``lo`` is the larger of the a-priori bound
-max(rho(A), ||A||/s) and the exact witness bound phi_s(x) <= w_s of the top
-eigenvector x of H at the estimate, and ``hi`` is a scaling that passed the
-membership test times 1 + tau, tau its tolerance, which for s <= 2 puts
-A/hi in C_s at the solved angles.  The bracket is about tau w_s wide.
-Bisection with that test runs only as a fallback when the estimate fails
-it, and ``iterations`` counts its steps.
+per sub-interval decides every r at once.  The operator radius w_s is the
+maximum over angles of mu*(theta), the largest positive real eigenvalue of
+that companion.  For s <= 2, ca >= 0 makes lambda_max(H) convex in r, and
+H = -I at r = 0, so A/t lies in C_s exactly when H(1/t, theta) <= 0 at
+every theta.  There H(1/t, theta) = C + e^{i theta} D + e^{-i theta} D*, with
+D = cb A/t and C = ca A*A/t^2 - I, is singular exactly where e^{i theta} is
+an eigenvalue of the 2n x 2n pencil z^2 D + z C + D* (``_circle_pencil``),
+so one eigenproblem decides a scaling at every angle (Byers 1988), and
+``ws_radius`` finds w_s by the level-set iteration of Mengi & Overton
+(2005).  For s > 2 the maximum is searched on an angle grid with zooms
+(at s = 1, where nothing depends on theta, it is ||A||_2), and the
+membership test reads the companion eigenvalues at the angles solved.  The
+result is bracketed without a search: ``lo`` is the larger of the
+a-priori bound max(rho(A), ||A||/s) and the exact witness bound
+phi_s(x) <= w_s of the top eigenvector x of H at the estimate, and ``hi``
+is a scaling that passed the test times 1 + tau, tau = 1e-8 the membership
+tolerance.  For s <= 2 that puts A/hi in C_s at every angle, with the
+status of a tolerance: no eigenvalue of its pencil lies within 1e-6 of the
+unit circle.  For s > 2 the test holds at the solved angles.  The bracket
+is about tau w_s wide.  Bisection with the same test runs only as a
+fallback when the estimate fails it, and ``iterations`` counts its steps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg.lapack import dstemr, zhetrd, zunmqr
 
 from .matrixcore import _safe_scale, as_matrix
@@ -80,6 +92,21 @@ _CS_GRID = 90
 # a companion eigenvalue within this of the real axis, relative to its
 # modulus, cuts the r-range of the membership test
 _ROOT_IMAG = 1e-3
+# hi of the level-set path of ws_radius (s <= 2) needs every eigenvalue of
+# its pencil at least this far off the unit circle
+_CIRCLE_GAP = 1e-6
+# the level-set iteration cuts the circle at every pencil eigenvalue within
+# this of it.  An extra cut only adds a sample, but a missed one can hide a
+# peak: where the level touches a local maximum of mu*, the double root there
+# leaves the circle by about sqrt(rounding / curvature), 3e-6 on a real 4 x 4
+# matrix, whose midpoint by symmetry lands on that local maximum
+_LEVEL_CUT = 1e-3
+# the pencil is put in standard form (solved against D) when the condition
+# number of D is below this, and goes to QZ otherwise
+_STANDARD_COND = 1e6
+# start angles and round limit of the level-set iteration
+_LEVEL_START = 8
+_LEVEL_ROUNDS = 32
 # the most recently sampled support profiles: (n_grid, shape, bytes) -> profile
 _PROFILE_MEMO: OrderedDict = OrderedDict()
 _PROFILE_MEMO_SIZE = 8
@@ -359,14 +386,16 @@ def outer_gauge_bracket(a, gauge) -> tuple[float, float]:
 def _zoom_max(fun, centres, values, half, rounds: int, lo=-np.inf, hi=np.inf):
     """Nested 9-point zooms towards maxima of fun, all centres in lockstep.
 
-    Each round evaluates centre + half linspace(-1, 1, 9), clipped to
-    [lo, hi], for every centre in one call of fun (a 1-D array of points to
-    their values); a centre moves only to a strictly better point, and half
-    shrinks 4x.  half, lo and hi are scalars or one entry per centre.
-    Returns (centres, values), never below the values given.
+    Each round evaluates the 8 points centre + half linspace(-1, 1, 9) other
+    than the centre itself, clipped to [lo, hi], for every centre in one
+    call of fun (a 1-D array of points to their values); a centre moves only
+    to a point strictly better than the value it holds, and half shrinks
+    4x.  The centre is not evaluated again: its value is the one given, or
+    the one it moved with.  half, lo and hi are scalars or one entry per
+    centre.  Returns (centres, values), never below the values given.
     """
     centres, values = np.array(centres, dtype=float), np.array(values, dtype=float)
-    offsets, rows = np.linspace(-1.0, 1.0, 9), np.arange(len(centres))
+    offsets, rows = np.delete(np.linspace(-1.0, 1.0, 9), 4), np.arange(len(centres))
     for _ in range(rounds):
         pts = np.clip(centres[:, None] + np.reshape(half, (-1, 1)) * offsets,
                       np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1)))
@@ -534,9 +563,50 @@ def numerical_radius(a) -> float:
 
 
 def dist_origin(a) -> float:
-    """Distance from 0 to W(A): max(0, max_theta(-p(theta)))."""
+    """Distance from 0 to W(A): max(0, max_theta(-p(theta))).
+
+    Where W(A) is a segment, the peak of -p is a kink at which the bottom
+    eigenvalue is double; the Newton polish leaves it to the zoom, whose
+    1e-12 bracket in theta times the kink's slope leaves the value low by
+    a few 1e-13 relative: 8.4e-14 (1.9e-13 relative) below the distance
+    0.444122366631377 for diag(e^{10ih}, (1 + 1e-6) e^{100.5ih}),
+    h = 2 pi/256, against a 50-digit reference.
+    """
     m = as_matrix(a)
     return max(0.0, _angular_extremes(m, [-1.0], _grid_support(m))[0])
+
+
+def _circle_pencil(d: np.ndarray, c: np.ndarray, standard: bool):
+    """Eigenvalues z of the pencil z^2 D + z C + D* and their distance to the unit circle.
+
+    At z = e^{i theta} the pencil is z F(theta), F(theta) = C + e^{i theta} D
+    + e^{-i theta} D*, so for Hermitian C, F(theta) is singular exactly at
+    the eigenvalues of modulus 1 (Byers 1988; Mengi & Overton 2005).  With
+    ``standard`` (D well conditioned) they are the eigenvalues of the
+    companion [[0, I], [-D^-1 D*, -D^-1 C]]; otherwise QZ solves
+    [[0, I], [-D*, -C]] v = z [[I, 0], [0, D]] v, and the infinite
+    eigenvalues of a singular D are dropped.  A singular pencil, whose
+    determinant vanishes for every z, gives nan.  Returns (z, ||z| - 1|).
+    """
+    n = d.shape[0]
+    left = np.zeros((2 * n, 2 * n), dtype=complex)
+    left[:n, n:] = np.eye(n)
+    if standard:
+        left[n:] = -np.linalg.solve(d, np.concatenate([d.conj().T, c], axis=1))
+        z = np.linalg.eigvals(left)
+    else:
+        left[n:, :n], left[n:, n:] = -d.conj().T, -c
+        right = np.eye(2 * n, dtype=complex)
+        right[n:, n:] = d
+        z = scipy.linalg.eigvals(left, right)
+        z = z[~np.isinf(z)]
+    return z, np.abs(np.abs(z) - 1.0)
+
+
+def _arc_midpoints(angles: np.ndarray) -> np.ndarray:
+    # midpoints of the arcs the given angles cut the circle into (none for none)
+    ang = np.sort(np.mod(angles, 2.0 * np.pi))
+    return (ang + np.append(ang[1:], ang[:1] + 2.0 * np.pi)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -564,7 +634,10 @@ class _CsKernel:
     solves only the half of its grid in [0, pi).  ``peak`` keeps the
     companion eigenvalues of every grid angle and of every angle it solves
     (``root_thetas``, ``roots``), so the membership test reads them instead
-    of solving them again.  A kernel serves one matrix and one s.
+    of solving them again.  For s <= 2, s != 1, ``level_peak`` finds that
+    scaling instead by level-set iteration on the unit-circle pencil of H
+    (``pencil``), and ``level_test`` decides a scaling at every angle.  A
+    kernel serves one matrix and one s.
     """
 
     def __init__(self, a: np.ndarray, s: float):
@@ -754,9 +827,9 @@ class _CsKernel:
         mu = self._record(thetas, ev[by_angle])
         d_theta = 2.0 * np.pi / len(self.thetas)
         order = _peak_indices(mu, floor=float(mu.max()) * (1.0 - d_theta ** 2))
-        # a zoom point equal to an angle already solved (the round's centre,
-        # and its outer points, which the round before also sampled) reads
-        # its mu back; the new angles are solved in first-occurrence order
+        # a zoom point equal to an angle already solved (the round's outer
+        # points, which the round before also sampled) reads its mu back;
+        # the new angles are solved in first-occurrence order
         solved = dict(zip(thetas.tolist(), mu.tolist()))
 
         def crossings(ths):
@@ -769,6 +842,76 @@ class _CsKernel:
         centres, values = _zoom_max(crossings, thetas[order], mu[order], d_theta, _PEAK_ZOOMS)
         k = int(np.argmax(values))
         return float(centres[k]), float(values[k])
+
+    @functools.cached_property
+    def _standard(self) -> bool:
+        # the condition number of D = cb A/t is that of A for every t
+        return bool(np.linalg.cond(self.a) < _STANDARD_COND)
+
+    def pencil(self, t: float):
+        """``_circle_pencil`` of H(theta, 1/t) = C + e^{i theta} D + e^{-i theta} D*.
+
+        D = cb A/t and C = ca A*A/t^2 - I; the standard form is chosen once
+        per kernel.
+        """
+        c = self.ca / t ** 2 * self.aha - np.eye(self.n)
+        return _circle_pencil(self.cb / t * self.a, c, self._standard)
+
+    def level_peak(self, extra_thetas, floor: float) -> tuple[float, float]:
+        """Estimate w_s(A) = max_theta mu*(theta) for s <= 2, s != 1, by level-set iteration.
+
+        For ca >= 0, lambda_max(H(theta, u)) is convex in u and -1 at u = 0,
+        so mu*(theta) > t exactly where lambda_max(H(theta, 1/t)) > 0, and
+        that set's ends are among the angles of the unit-modulus
+        eigenvalues of ``pencil(t)``.  The iteration (Mengi & Overton 2005)
+        starts at the larger of floor and the best mu* of ``_LEVEL_START``
+        grid angles and ``extra_thetas``; each round cuts the circle at the
+        pencil eigenvalues within ``_LEVEL_CUT`` of it, evaluates mu* at
+        the arc midpoints (``crossing``, one stack) and raises t to the
+        largest.  It stops when no eigenvalue is that close, when t stops
+        rising, after ``_LEVEL_ROUNDS`` rounds, or when the pencil is
+        singular (nan): then mu* is constant at the level, as for a Jordan
+        block, and the level is w_s.  Returns the best (theta, mu*) found.
+        """
+        thetas = np.concatenate([2.0 * np.pi * np.arange(_LEVEL_START) / _LEVEL_START,
+                                 np.mod(np.asarray(extra_thetas, dtype=float), 2.0 * np.pi)])
+        mu = self.crossing(thetas)
+        k = int(np.argmax(mu))
+        theta, best = float(thetas[k]), float(mu[k])
+        level = max(best, floor)
+        for _ in range(_LEVEL_ROUNDS):
+            z, dist = self.pencil(level)
+            if np.isnan(z).any() or not (dist <= _LEVEL_CUT).any():
+                break
+            mids = _arc_midpoints(np.angle(z[dist <= _LEVEL_CUT]))
+            mu = self.crossing(mids)
+            k = int(np.argmax(mu))
+            if not mu[k] > level:
+                break
+            theta, best = float(mids[k]), float(mu[k])
+            level = best
+        return theta, best
+
+    def level_test(self, t: float) -> tuple[bool, bool]:
+        """Does A/hi lie in C_s at every angle, hi = t (1 + tau), for s <= 2, s != 1?
+
+        Passes when no eigenvalue of ``pencil(hi)`` lies within
+        ``_CIRCLE_GAP`` of the unit circle, so that H(theta, 1/hi) is
+        nonsingular and keeps its inertia at every theta, and
+        lambda_max(H(0, 1/hi)) < 0; by convexity in u that puts A/hi in
+        C_s.  Rejects t when lambda_max(H(theta, 1/t)) > tau at theta = 0 or
+        at the midpoint of an arc that the eigenvalues within ``_LEVEL_CUT``
+        of the circle cut, which puts t below w_s.  Neither may hold, when
+        hi lies within rounding of w_s.  Returns (passes, rejects).
+        """
+        hi = t * (1.0 + _MEMBERSHIP_TOL)
+        z, dist = self.pencil(hi)
+        mids = _arc_midpoints(np.angle(z[dist <= _LEVEL_CUT]))
+        vals = self.margins_at(np.concatenate([[0.0, 0.0], mids]),
+                               np.concatenate([[1.0 / hi], np.full(len(mids) + 1, 1.0 / t)]))
+        # nan (a singular pencil) is never more than the gap off the circle
+        passes = bool((dist > _CIRCLE_GAP).all()) and vals[0] < 0.0
+        return bool(passes), bool(vals[1:].max() > _MEMBERSHIP_TOL)
 
 
 def cs_membership(a, s: float) -> CsMembership:
@@ -802,13 +945,18 @@ class OperatorRadiusResult:
     radius is the bracket midpoint.  lo is a lower bound with no tolerance:
     the larger of the a-priori bound max(rho(A), ||A||/s) (shrunk by 1e-9)
     and phi_s(x) of one unit vector x (``_CsKernel.witness_bound``), or a
-    scaling the membership test rejected.  hi = t (1 + tau) for a scaling t
-    that passed the membership test at tolerance tau = 1e-8; for s <= 2 that
-    puts A/hi in C_s exactly at the angles the test read (the 90 grid
-    angles, 45 solved and the antipodal 45 read as their negated roots,
-    -arg lambda_k(A) and the zooms; angle 0 alone at s = 1), and it is exact
-    in r at each of them.  For s > 2, hi has the status of the tolerance.
-    The bracket is about tau w_s(A) wide, whatever the tolerance asked.
+    scaling the test rejected.  hi = t (1 + tau), tau = 1e-8, for a scaling
+    t that passed the test.  For s <= 2, s != 1, that puts A/hi in C_s at
+    every angle, with the status of a tolerance: no eigenvalue of the pencil
+    of H(1/hi, theta) lies within 1e-6 of the unit circle, and
+    lambda_max(H) < 0 at theta = 0 (``_CsKernel.level_test``).  At s = 1,
+    where H does not depend on theta, t passed the membership test at
+    tolerance tau at angle 0, which puts A/hi in C_1 exactly.  For s > 2 t
+    passed the membership test at the angles the peak search solved (the 90
+    grid angles, 45 solved and the antipodal 45 read as their negated
+    roots, -arg lambda_k(A) and the zooms), exact in r at each of them, and
+    hi has the status of the tolerance.  The bracket is about tau w_s(A)
+    wide, whatever the tolerance asked.
     iterations counts the bisection steps of the fallback that runs only
     when the estimate fails its own test or lies more than the tolerance
     above lo; it is 0 when the estimate is bracketed directly.
@@ -827,29 +975,40 @@ def ws_radius(a, s: float, tol: float = 1e-6) -> OperatorRadiusResult:
 
     w_s(A) = max_theta mu*(theta), where u = 1/mu* is the first u at which
     lambda_max(ca u^2 A*A + cb u M(theta) - I) reaches 0 (see
-    :class:`_CsKernel`).  The estimate mu-hat, at the angle theta-hat,
-    comes from one companion eigenproblem per angle, and is bracketed
-    directly:
+    :class:`_CsKernel`).  The estimate mu-hat, at the angle theta-hat, is a
+    crossing mu*(theta-hat) from one companion eigenproblem per angle.  For
+    s <= 2, s != 1, it comes from the level-set iteration
+    (``_CsKernel.level_peak``: one 2n x 2n pencil per round, no angle grid)
+    and the test is ``_CsKernel.level_test``, which decides hi at every
+    angle; otherwise from the peak search (``_CsKernel.peak``) and the
+    membership test at the angles it solved (``_CsKernel.max_margin``).
+    The estimate is bracketed directly:
 
     * lo = max(max(rho(A), ||A||/s) (1 - 1e-9), phi_s(x)), with x the unit
       top eigenvector of H(theta-hat, 1/mu-hat) (one n x n ``eigh``; mu-hat
       raised to the floor if below it); both are lower bounds of w_s(A)
       with no tolerance, and phi_s(x) >= mu-hat to the accuracy of mu-hat
       where the estimate is a crossing;
-    * t = max(lo, mu-hat) must pass the membership test, and then
-      hi = t (1 + 1e-8), the membership tolerance counted.
+    * t = max(lo, mu-hat) must pass the test, and then hi = t (1 + 1e-8),
+      the membership tolerance counted.  For s <= 2 the pencil at hi has
+      no eigenvalue within 1e-6 of the unit circle, so hi holds at every
+      angle with the status of that tolerance; for s > 2 it holds at the
+      solved angles.
 
-    If t fails, it becomes lo and the bracket widens to the a-priori upper
+    If t fails, it becomes lo when the test found a violation of more than
+    1e-8 (the level-set test may find none when hi lies within rounding of
+    w_s, and then lo stays), and the bracket widens to the a-priori upper
     bound 2 ||A|| max(1, 1/s).  While hi / (1 + 1e-8) lies more than
-    ``tol`` above lo, the bracket is bisected with the same membership
-    test, until a step no longer shrinks it in floating point;
-    monotonicity in t (scaling by |lambda| <= 1 preserves C_s) is what
-    makes the bisection valid.  ``tol`` only stops that loop: the bracket
-    is about 1e-8 w_s(A) wide either way.  No step solves a companion
-    eigenproblem: the test reads the ones the estimate solved.  Outside
-    LAPACK's safe range A is scaled by a power of two first (see
-    ``_safe_scale``), and the bracket scaled back.  An upper bound the test
-    rejects raises :class:`BisectionError`.
+    ``tol`` above lo, the bracket is bisected with the same test, until a
+    step no longer shrinks it in floating point or a midpoint neither
+    passes nor shows a violation; monotonicity in t (scaling by
+    |lambda| <= 1 preserves C_s) is what makes the bisection valid.
+    ``tol`` only stops that loop: the bracket is about 1e-8 w_s(A) wide
+    either way.  No step solves a companion eigenproblem: the sampled test
+    reads the ones the estimate solved, and the level-set test solves one
+    pencil.  Outside LAPACK's safe range A is scaled by a power of two
+    first (see ``_safe_scale``), and the bracket scaled back.  An upper
+    bound the test rejects raises :class:`BisectionError`.
     """
     m = as_matrix(a)
     if tol <= 0:
@@ -863,16 +1022,25 @@ def ws_radius(a, s: float, tol: float = 1e-6) -> OperatorRadiusResult:
     eigs = np.linalg.eigvals(m)
     floor = max(float(np.abs(eigs).max()), norm2 / s) * (1.0 - 1e-9)
     ceiling = 2.0 * norm2 * max(1.0, 1.0 / s)
-    theta, mu = kernel.peak(-np.angle(eigs))
+    level_set = kernel.ca >= 0.0 and kernel.cb != 0.0
+    if level_set:
+        theta, mu = kernel.level_peak(-np.angle(eigs), floor)
+    else:
+        theta, mu = kernel.peak(-np.angle(eigs))
     lo = max(floor, kernel.witness_bound(theta, max(mu, floor)))
 
-    def passes(t):
-        return kernel.max_margin(t)[0] <= _MEMBERSHIP_TOL
+    def test(t):
+        # (A/(t (1 + tau)) passes, t is rejected as below w_s)
+        if level_set:
+            return kernel.level_test(t)
+        margin = kernel.max_margin(t)[0]
+        return margin <= _MEMBERSHIP_TOL, margin > _MEMBERSHIP_TOL
 
     t = max(lo, mu)
-    if not passes(t):
-        lo, t = t, ceiling
-        if not passes(t):
+    passes, rejects = test(t)
+    if not passes:
+        lo, t = (t if rejects else lo), ceiling
+        if not test(t)[0]:
             raise BisectionError(
                 f"membership oracle rejects the upper bracket t={t / scale:.6g} for s={s}")
     iters = 0
@@ -880,10 +1048,13 @@ def ws_radius(a, s: float, tol: float = 1e-6) -> OperatorRadiusResult:
         mid = 0.5 * (lo + t)
         if not lo < mid < t:
             break
-        if passes(mid):
+        passes, rejects = test(mid)
+        if passes:
             t = mid
-        else:
+        elif rejects:
             lo = mid
+        else:
+            break
         iters += 1
     hi = t * (1.0 + _MEMBERSHIP_TOL)
     return OperatorRadiusResult(s=float(s), radius=0.5 * (lo + hi) / scale,

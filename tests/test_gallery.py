@@ -409,6 +409,16 @@ def test_property_suites_deterministic():
         != [r.worst_excess for r in c.results]
 
 
+def test_drury_shift_reference_is_op_norm_bit_for_bit():
+    # the reference climbs from the ones vector and the 32 seeded draws
+    # only; op_norm's full start block, unit vectors included, gives the
+    # same value to the last bit
+    from spectral_kit import gallery
+    from spectral_kit.matrixcore import eval_poly
+    toeplitz = eval_poly(gallery._DRURY_COEFFS, np.eye(gallery._DRURY_SHIFT_DIM, k=-1))
+    assert gallery._drury_shift_reference() == op_norm(toeplitz, 4)
+
+
 def _drury_climb_reference(rng, trials):
     # suite (h) one step at a time, an op_norm call per candidate
     from spectral_kit import gallery

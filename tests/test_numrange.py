@@ -294,7 +294,7 @@ def test_polish_peaks_in_lockstep_matches_each_scalar_search_bit_for_bit():
 
 def test_polish_peaks_makes_one_call_per_round_for_every_centre():
     # the centres zoom in lockstep: as many calls of fun for 4 peaks as for
-    # 1, each with 9 points per centre
+    # 1, each with the 8 points per centre other than the centre itself
     grid = np.linspace(-1.0, 1.0, 41)
     counts = []
     for ks in ([10], [10, 30], [5, 10, 30, 35]):
@@ -305,7 +305,7 @@ def test_polish_peaks_makes_one_call_per_round_for_every_centre():
             return ((16.0 * t * t - 20.0) * t * t + 5.0) * t
 
         numrange._polish_peaks(fun, grid, grid[ks], fun(grid[ks]), periodic=False)
-        assert calls[1:] == [(9 * len(ks),)] * (len(calls) - 1)
+        assert calls[1:] == [(8 * len(ks),)] * (len(calls) - 1)
         counts.append(len(calls) - 1)
     assert counts[0] == counts[1] == counts[2] <= 20
 
@@ -1036,27 +1036,37 @@ def test_exact_membership_decides_as_the_lattice(s):
 
 
 def _forced_fallback(monkeypatch):
-    # peak reports 0.9 mu-hat, an estimate that fails its own test, and its
-    # vector no witness bound (at s = 2 the top eigenvector of H does not
-    # depend on u, so it would bound w_s exactly)
-    peak = numrange._CsKernel.peak
+    # the estimate (the level-set iteration at s <= 2, peak above) reports
+    # 0.9 mu-hat, which fails its own test, and its vector no witness bound
+    # (at s = 2 the top eigenvector of H does not depend on u, so it would
+    # bound w_s exactly)
+    peak, level_peak = numrange._CsKernel.peak, numrange._CsKernel.level_peak
 
     def low_peak(self, extra_thetas):
         theta, mu = peak(self, extra_thetas)
         return theta, 0.9 * mu
 
+    def low_level_peak(self, extra_thetas, floor):
+        theta, mu = level_peak(self, extra_thetas, floor)
+        return theta, 0.9 * mu
+
     monkeypatch.setattr(numrange._CsKernel, "peak", low_peak)
+    monkeypatch.setattr(numrange._CsKernel, "level_peak", low_level_peak)
     monkeypatch.setattr(numrange._CsKernel, "witness_bound", lambda *args: 0.0)
 
 
 @pytest.mark.parametrize("s", [0.5, 1.5, 2.0, 1024.0])
 def test_ws_radius_reuses_the_roots_of_its_peak_search(monkeypatch, s):
     # a membership decision evaluates at most 2n + 2 test matrices per angle
-    # the peak search solved (the 90 x 50 lattice with its zooms evaluated
-    # 4,500 + 4 * 81 * 4), and after the peak search no companion
-    # eigenproblem is solved again, in the bisection fallback neither.  The
-    # angles are counted on the kernel: s = 2 solves them with eigvalsh
-    eigmax, eigvals, peak = numrange.hermitian_eigmax, np.linalg.eigvals, numrange._CsKernel.peak
+    # the estimate solved (the 90 x 50 lattice with its zooms evaluated
+    # 4,500 + 4 * 81 * 4), and after the estimate no stack of companion
+    # eigenproblems is solved again, in the bisection fallback neither.  At
+    # s > 2 the estimate is the peak search; at s <= 2 it is the level-set
+    # iteration, no peak runs at all, and each decision solves one pencil
+    # (a single 2n x 2n eigenproblem) and evaluates at most 2n + 2 test
+    # matrices.  The angles are counted on the kernel: s = 2 solves them
+    # with eigvalsh
+    eigmax, eigvals = numrange.hermitian_eigmax, np.linalg.eigvals
     log = []
 
     def spy_eigmax(h):
@@ -1068,19 +1078,26 @@ def test_ws_radius_reuses_the_roots_of_its_peak_search(monkeypatch, s):
             log.append(("companion", len(m)))
         return eigvals(m)
 
-    def spy_peak(self, extra_thetas):
-        out = peak(self, extra_thetas)
-        log.append(("peak", len(self.root_thetas)))
-        return out
+    def spy_estimate(method):
+        def run(self, *args):
+            out = method(self, *args)
+            log.append((method.__name__, len(self.root_thetas)))
+            return out
+        return run
 
     monkeypatch.setattr(numrange, "hermitian_eigmax", spy_eigmax)
     monkeypatch.setattr(np.linalg, "eigvals", spy_eigvals)
-    monkeypatch.setattr(numrange._CsKernel, "peak", spy_peak)
+    for name in ("peak", "level_peak"):
+        monkeypatch.setattr(numrange._CsKernel, name,
+                            spy_estimate(getattr(numrange._CsKernel, name)))
+    estimate = "level_peak" if s <= 2.0 else "peak"
 
     def check(a, tol):
         log.clear()
         res = ws_radius(a, s, tol=tol)
-        done = next(i for i, (what, _) in enumerate(log) if what == "peak")
+        if s <= 2.0:
+            assert all(what != "peak" for what, _ in log)
+        done = next(i for i, (what, _) in enumerate(log) if what == estimate)
         solved = log[done][1]
         after = log[done + 1:]
         assert all(what == "eigmax" for what, _ in after)
@@ -1170,3 +1187,85 @@ def test_ws_radius_at_extreme_scales(c):
             assert res.bracket <= 1e-6 * res.radius
         res = ws_radius(c * np.eye(3), 1.5)
         assert res.lo / c <= 1.0 + 1e-15 and res.hi / c >= 1.0
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.5, 2.0])
+def test_ws_radius_at_s_up_to_2_runs_no_peak_search_and_no_sampled_test(monkeypatch, s):
+    # at s <= 2 the level-set iteration gives the estimate and the pencil
+    # test decides hi at every angle: peak and max_margin never run, in the
+    # bisection fallback neither
+    def forbidden(*args):
+        raise AssertionError("the sampled path ran at s <= 2")
+
+    monkeypatch.setattr(numrange._CsKernel, "peak", forbidden)
+    monkeypatch.setattr(numrange._CsKernel, "max_margin", forbidden)
+    rng = np.random.default_rng(24)
+    for n in range(2, 9):
+        ws_radius(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), s, tol=4e-6)
+    ws_radius(jordan_nilpotent(3), s, tol=1e-9)
+    _forced_fallback(monkeypatch)
+    assert ws_radius(_ginibre_1(), s).iterations > 0
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5, 2.0])
+def test_ws_radius_hi_keeps_the_pencil_off_the_unit_circle(s):
+    # on 21 Ginibre matrices, n = 2-8: no eigenvalue of the pencil at hi
+    # lies within the stated gap of the unit circle, and hi is above
+    # phi_s(y) of the dense-grid vector y, a lower bound of w_s found
+    # without the level-set iteration
+    rng = np.random.default_rng(25)
+    for n in range(2, 9):
+        for _ in range(3):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            res = ws_radius(a, s, tol=4e-6)
+            _, dist = numrange._CsKernel(a, s).pencil(res.hi)
+            assert dist.min() > numrange._CIRCLE_GAP
+            assert res.hi >= _phi(a, s, _dense_witness_vector(a, s))
+            assert res.lo <= res.radius <= res.hi
+
+
+def _degenerate_cases():
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return {
+        "jordan8": jordan_nilpotent(8),
+        "crouzeix": crouzeix_2x2(),
+        "roots5": np.diag(np.exp(2j * np.pi * np.arange(5) / 5)),
+        "diag013": np.diag([0.0, 1.0, 3.0]).astype(complex),
+        "one": np.array([[0.7 - 0.2j]]),
+        "kron": np.kron(np.eye(2), g),
+    }
+
+
+# (lo, hi) at s = 0.5, 1.5, 2 from the sampled path (peak and the
+# membership test at its solved angles) that ran at s <= 2 before the
+# level-set iteration
+_FROZEN_BRACKETS = {
+    "jordan8": [(2.899377796680754, 2.8993778256745446), (0.9664592655602506, 0.9664592752248465),
+                (0.9396926207859082, 0.939692630182835)],
+    "crouzeix": [(4.000000000000001, 4.000000040000003), (1.333333333333333, 1.3333333466666686),
+                 (0.9999999999999998, 1.0000000100000002)],
+    "roots5": [(3.0, 3.00000003), (1.0, 1.00000001), (1.0, 1.00000001)],
+    "diag013": [(9.0, 9.00000009), (3.0, 3.00000003), (3.0, 3.00000003)],
+    "one": [(2.184032966784155, 2.1840329886244847), (0.7280109889280517, 0.7280109962081616),
+            (0.7280109889280517, 0.7280109962081617)],
+    "kron": [(13.95650133795607, 13.956501477521082), (4.65216711265205, 4.652167159173721),
+             (4.4941080871786525, 4.494108132119733)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_BRACKETS))
+def test_ws_radius_on_singular_and_degenerate_pencils_keeps_the_frozen_brackets(name):
+    # Jordan blocks and [[0, 2], [0, 0]] make the pencil singular at the
+    # level w_s itself (mu* is constant in theta) and their D singular, so
+    # QZ runs; diag(0, 1, 3) has a singular D too; the normal matrices,
+    # the 1 x 1 matrix and kron(I_2, G), whose eigenvalues are double, take
+    # the standard form.  Each bracket is bracketed directly and matches
+    # the sampled path's to rounding
+    a = _degenerate_cases()[name]
+    for s, (lo, hi) in zip((0.5, 1.5, 2.0), _FROZEN_BRACKETS[name]):
+        res = ws_radius(a, s)
+        assert res.iterations == 0
+        assert res.lo == pytest.approx(lo, rel=1e-14)
+        assert res.hi == pytest.approx(hi, rel=1e-14)
+        assert lo <= res.radius <= hi
