@@ -22,7 +22,6 @@ import numpy as np
 from .domains import Annulus, Disk
 from .matrixcore import (
     RationalFunction,
-    _ascent_starts,
     _horner,
     _pnorm_ascent,
     as_matrix,
@@ -910,15 +909,11 @@ _DRURY_WINDOW = 8
 @functools.cache
 def _drury_shift_reference() -> float:
     # op_norm(T, 4) of the banded Toeplitz truncation T, memoized per
-    # process: its ascent from the ones vector and the 32 seeded draws of
-    # op_norm's start block, without the 256 unit vectors, none of which
-    # gives the maximum (the value is op_norm's, bit for bit, at an eighth
-    # of the cost)
-    n = _DRURY_SHIFT_DIM
-    starts = _ascent_starts(n, 4.0)
-    starts = starts[:, np.r_[0, n + 1:starts.shape[1]]]
-    toeplitz = eval_poly(_DRURY_COEFFS, np.eye(n, k=-1))
-    return float(_pnorm_ascent(toeplitz[None], 4.0, starts)[0][0])
+    # process: op_norm's ascent without the 256 unit vectors among its
+    # starts, none of which gives the maximum (the value is op_norm's, bit
+    # for bit, at an eighth of the cost)
+    toeplitz = eval_poly(_DRURY_COEFFS, np.eye(_DRURY_SHIFT_DIM, k=-1))
+    return float(_pnorm_ascent(toeplitz[None], 4.0, unit_vectors=False)[0][0])
 
 
 def _suite_drury(rng, trials: int) -> SuiteResult:

@@ -116,13 +116,14 @@ def _norms_duals(y: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=32)
-def _ascent_starts(n: int, p: float) -> np.ndarray:
+def _ascent_starts(n: int, p: float, unit_vectors: bool = True) -> np.ndarray:
     # the start block of _pnorm_ascent, columns of unit p-norm: the ones
-    # vector, the unit vectors and 32 complex Gaussian draws from seed 0;
-    # read-only, since every call shares it
+    # vector, the unit vectors (unless left out) and 32 complex Gaussian
+    # draws from seed 0; read-only, since every call shares it
     rng = np.random.default_rng(0)
     cols = [np.ones(n, dtype=complex)]
-    cols += [e for e in np.eye(n, dtype=complex)]
+    if unit_vectors:
+        cols += [e for e in np.eye(n, dtype=complex)]
     for _ in range(32):
         cols.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     x = np.stack(cols, axis=1)
@@ -132,26 +133,25 @@ def _ascent_starts(n: int, p: float) -> np.ndarray:
     return x
 
 
-def _pnorm_ascent(ms: np.ndarray, p: float, starts=None) -> tuple[np.ndarray, np.ndarray]:
+def _pnorm_ascent(ms: np.ndarray, p: float,
+                  unit_vectors: bool = True) -> tuple[np.ndarray, np.ndarray]:
     # Boyd/Higham power method for the induced Hoelder p-norm of each matrix
-    # of a (B, n, n) stack, from the starts of _ascent_starts, or from the
-    # columns of starts (unit p-norm) where given.  Ascent is
-    # monotone: a certified lower bound per matrix, with its witness x
-    # (B, n).  Each round multiplies every start column of each matrix that
-    # still has a live column; a converged or annihilated column is frozen
-    # by mask, never compacted away.  numpy's matmul and column sums round
-    # by the shapes they see, which stay fixed, so a matrix gets the same
-    # value and witness bit for bit alone or in any stack.  A matrix outside
-    # LAPACK's safe range runs scaled as ``_safe_scale`` says, so that its
-    # products neither overflow nor underflow; inside it nothing changes
+    # of a (B, n, n) stack, from the starts of _ascent_starts (without the
+    # unit vectors if so asked).  Ascent is monotone: a certified lower
+    # bound per matrix, with its witness x (B, n).  Each round multiplies
+    # every start column of each matrix that still has a live column; a
+    # converged or annihilated column is frozen by mask, never compacted
+    # away.  numpy's matmul and column sums round by the shapes they see,
+    # which stay fixed, so a matrix gets the same value and witness bit for
+    # bit alone or in any stack.  A matrix outside LAPACK's safe range runs
+    # scaled as ``_safe_scale`` says, so that its products neither overflow
+    # nor underflow; inside it nothing changes
     scale = _safe_scale(ms, axis=(1, 2))
     if (scale != 1.0).any():
         ms = ms * scale[:, None, None]
     q = p / (p - 1.0)
     mh = np.ascontiguousarray(ms.conj().transpose(0, 2, 1))
-    if starts is None:
-        starts = _ascent_starts(ms.shape[-1], p)
-    x = np.repeat(starts[None], ms.shape[0], axis=0)
+    x = np.repeat(_ascent_starts(ms.shape[-1], p, unit_vectors)[None], ms.shape[0], axis=0)
     gamma = np.zeros((ms.shape[0], x.shape[-1]))
     live = np.ones(gamma.shape, dtype=bool)
     for it in range(100):

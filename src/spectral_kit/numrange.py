@@ -55,7 +55,6 @@ fallback when the estimate fails it, and ``iterations`` counts its steps.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -101,9 +100,6 @@ _CIRCLE_GAP = 1e-6
 # leaves the circle by about sqrt(rounding / curvature), 3e-6 on a real 4 x 4
 # matrix, whose midpoint by symmetry lands on that local maximum
 _LEVEL_CUT = 1e-3
-# the pencil is put in standard form (solved against D) when the condition
-# number of D is below this, and goes to QZ otherwise
-_STANDARD_COND = 1e6
 # start angles and round limit of the level-set iteration
 _LEVEL_START = 8
 _LEVEL_ROUNDS = 32
@@ -576,31 +572,38 @@ def dist_origin(a) -> float:
     return max(0.0, _angular_extremes(m, [-1.0], _grid_support(m))[0])
 
 
-def _circle_pencil(d: np.ndarray, c: np.ndarray, standard: bool):
+def _circle_pencil(d: np.ndarray, c: np.ndarray):
     """Eigenvalues z of the pencil z^2 D + z C + D* and their distance to the unit circle.
 
     At z = e^{i theta} the pencil is z F(theta), F(theta) = C + e^{i theta} D
     + e^{-i theta} D*, so for Hermitian C, F(theta) is singular exactly at
-    the eigenvalues of modulus 1 (Byers 1988; Mengi & Overton 2005).  With
-    ``standard`` (D well conditioned) they are the eigenvalues of the
-    companion [[0, I], [-D^-1 D*, -D^-1 C]]; otherwise QZ solves
-    [[0, I], [-D*, -C]] v = z [[I, 0], [0, D]] v, and the infinite
-    eigenvalues of a singular D are dropped.  A singular pencil, whose
-    determinant vanishes for every z, gives nan.  Returns (z, ||z| - 1|).
+    the eigenvalues of modulus 1 (Byers 1988; Mengi & Overton 2005).  QZ
+    solves [[0, I], [-D*, -C]] v = z [[I, 0], [0, D]] v, backward stable
+    whatever the conditioning of D, and the infinite eigenvalues of a
+    singular D are dropped.  A singular pencil, whose determinant vanishes
+    for every z, gives nan.  Returns (z, ||z| - 1|).
     """
     n = d.shape[0]
     left = np.zeros((2 * n, 2 * n), dtype=complex)
     left[:n, n:] = np.eye(n)
-    if standard:
-        left[n:] = -np.linalg.solve(d, np.concatenate([d.conj().T, c], axis=1))
-        z = np.linalg.eigvals(left)
-    else:
-        left[n:, :n], left[n:, n:] = -d.conj().T, -c
-        right = np.eye(2 * n, dtype=complex)
-        right[n:, n:] = d
-        z = scipy.linalg.eigvals(left, right)
-        z = z[~np.isinf(z)]
+    left[n:, :n], left[n:, n:] = -d.conj().T, -c
+    right = np.eye(2 * n, dtype=complex)
+    right[n:, n:] = d
+    z = scipy.linalg.eigvals(left, right)
+    z = z[~np.isinf(z)]
     return z, np.abs(np.abs(z) - 1.0)
+
+
+def _mu_star(ev: np.ndarray) -> np.ndarray:
+    # mu* per row of companion eigenvalues: the largest positive real one,
+    # or 0.  Near-double roots (the edge of a real-root window) carry
+    # rounding-level imaginary parts, so "real" is decided with a loose
+    # tolerance; a spurious root can only raise the estimate above the
+    # witness bound of ws_radius, whose bisection then closes the gap.  At
+    # s = 2 every root is real, and mu* is the Hermitian lambda_max(cb M), or 0
+    scale = np.abs(ev).max(axis=1, keepdims=True)
+    real = (np.abs(ev.imag) <= 1e-6 * scale) & (ev.real > 0)
+    return np.where(real, ev.real, 0.0).max(axis=1)
 
 
 def _arc_midpoints(angles: np.ndarray) -> np.ndarray:
@@ -754,11 +757,9 @@ class _CsKernel:
 
         lambda_max(H) first reaches 0 at u = 1/mu*, where mu* is the largest
         positive real eigenvalue of the companion [[0, I], [ca B, cb M]] of
-        mu^2 I - cb mu M - ca B, or 0 where there is none.  The eigenvalues
-        are kept in ``root_thetas`` and ``roots``.
+        mu^2 I - cb mu M - ca B, or 0 where there is none.
         """
-        thetas = np.asarray(thetas, dtype=float)
-        return self._record(thetas, self._companion_roots(thetas))
+        return _mu_star(self._companion_roots(np.asarray(thetas, dtype=float)))
 
     def _companion_roots(self, thetas) -> np.ndarray:
         # the companion eigenvalues, one row per angle.  At s = 2 (ca = 0)
@@ -776,18 +777,11 @@ class _CsKernel:
         return np.linalg.eigvals(comp)
 
     def _record(self, thetas, ev) -> np.ndarray:
-        # keeps the roots of the angles and returns their mu*.  Near-double
-        # roots (the edge of a real-root window) carry rounding-level
-        # imaginary parts, so "real" is decided with a loose tolerance; a
-        # spurious root can only raise the estimate above the witness bound
-        # of ws_radius, whose bisection then closes the gap.  At s = 2 every
-        # root is real, and mu* is the Hermitian lambda_max(cb M), or 0
-        scale = np.abs(ev).max(axis=1, keepdims=True)
-        real = (np.abs(ev.imag) <= 1e-6 * scale) & (ev.real > 0)
-        mu = np.where(real, ev.real, 0.0).max(axis=1)
+        # keeps the roots of the angles for the membership test and returns
+        # their mu*
         self.root_thetas = np.concatenate([self.root_thetas, thetas])
         self.roots = np.concatenate([self.roots, ev])
-        return mu
+        return _mu_star(ev)
 
     def peak(self, extra_thetas) -> tuple[float, float]:
         """Estimate max_theta mu*(theta) = w_s(A) and its angle.
@@ -836,26 +830,22 @@ class _CsKernel:
             flat = ths.tolist()
             fresh = list(dict.fromkeys(t for t in flat if t not in solved))
             if fresh:
-                solved.update(zip(fresh, self.crossing(np.array(fresh)).tolist()))
+                fresh_thetas = np.array(fresh)
+                mu = self._record(fresh_thetas, self._companion_roots(fresh_thetas))
+                solved.update(zip(fresh, mu.tolist()))
             return np.array([solved[t] for t in flat])
 
         centres, values = _zoom_max(crossings, thetas[order], mu[order], d_theta, _PEAK_ZOOMS)
         k = int(np.argmax(values))
         return float(centres[k]), float(values[k])
 
-    @functools.cached_property
-    def _standard(self) -> bool:
-        # the condition number of D = cb A/t is that of A for every t
-        return bool(np.linalg.cond(self.a) < _STANDARD_COND)
-
     def pencil(self, t: float):
         """``_circle_pencil`` of H(theta, 1/t) = C + e^{i theta} D + e^{-i theta} D*.
 
-        D = cb A/t and C = ca A*A/t^2 - I; the standard form is chosen once
-        per kernel.
+        D = cb A/t and C = ca A*A/t^2 - I.
         """
         c = self.ca / t ** 2 * self.aha - np.eye(self.n)
-        return _circle_pencil(self.cb / t * self.a, c, self._standard)
+        return _circle_pencil(self.cb / t * self.a, c)
 
     def level_peak(self, extra_thetas, floor: float) -> tuple[float, float]:
         """Estimate w_s(A) = max_theta mu*(theta) for s <= 2, s != 1, by level-set iteration.
@@ -892,7 +882,7 @@ class _CsKernel:
             level = best
         return theta, best
 
-    def level_test(self, t: float) -> tuple[bool, bool]:
+    def level_test(self, t: float) -> tuple[bool, bool, float]:
         """Does A/hi lie in C_s at every angle, hi = t (1 + tau), for s <= 2, s != 1?
 
         Passes when no eigenvalue of ``pencil(hi)`` lies within
@@ -902,16 +892,18 @@ class _CsKernel:
         C_s.  Rejects t when lambda_max(H(theta, 1/t)) > tau at theta = 0 or
         at the midpoint of an arc that the eigenvalues within ``_LEVEL_CUT``
         of the circle cut, which puts t below w_s.  Neither may hold, when
-        hi lies within rounding of w_s.  Returns (passes, rejects).
+        hi lies within rounding of w_s.  Returns (passes, rejects, the angle
+        of the largest of those lambda_max(H(theta, 1/t))).
         """
         hi = t * (1.0 + _MEMBERSHIP_TOL)
         z, dist = self.pencil(hi)
-        mids = _arc_midpoints(np.angle(z[dist <= _LEVEL_CUT]))
-        vals = self.margins_at(np.concatenate([[0.0, 0.0], mids]),
-                               np.concatenate([[1.0 / hi], np.full(len(mids) + 1, 1.0 / t)]))
+        thetas = np.concatenate([[0.0], _arc_midpoints(np.angle(z[dist <= _LEVEL_CUT]))])
+        vals = self.margins_at(np.concatenate([[0.0], thetas]),
+                               np.concatenate([[1.0 / hi], np.full(len(thetas), 1.0 / t)]))
         # nan (a singular pencil) is never more than the gap off the circle
         passes = bool((dist > _CIRCLE_GAP).all()) and vals[0] < 0.0
-        return bool(passes), bool(vals[1:].max() > _MEMBERSHIP_TOL)
+        k = int(np.argmax(vals[1:]))
+        return passes, bool(vals[1 + k] > _MEMBERSHIP_TOL), float(thetas[k])
 
 
 def cs_membership(a, s: float) -> CsMembership:
@@ -1000,9 +992,12 @@ def ws_radius(a, s: float, tol: float = 1e-6) -> OperatorRadiusResult:
     w_s, and then lo stays), and the bracket widens to the a-priori upper
     bound 2 ||A|| max(1, 1/s).  While hi / (1 + 1e-8) lies more than
     ``tol`` above lo, the bracket is bisected with the same test, until a
-    step no longer shrinks it in floating point or a midpoint neither
-    passes nor shows a violation; monotonicity in t (scaling by
-    |lambda| <= 1 preserves C_s) is what makes the bisection valid.
+    step no longer shrinks it in floating point; monotonicity in t
+    (scaling by |lambda| <= 1 preserves C_s) is what makes the bisection
+    valid.  A midpoint that neither passes nor shows a violation lies within
+    rounding of w_s: lo rises to the smaller of it and phi_s(x), x the unit
+    top eigenvector of H at the test's worst angle and that midpoint; if
+    that does not raise lo, the bisection stops.
     ``tol`` only stops that loop: the bracket is about 1e-8 w_s(A) wide
     either way.  No step solves a companion eigenproblem: the sampled test
     reads the ones the estimate solved, and the level-set test solves one
@@ -1030,14 +1025,14 @@ def ws_radius(a, s: float, tol: float = 1e-6) -> OperatorRadiusResult:
     lo = max(floor, kernel.witness_bound(theta, max(mu, floor)))
 
     def test(t):
-        # (A/(t (1 + tau)) passes, t is rejected as below w_s)
+        # (A/(t (1 + tau)) passes, t is rejected as below w_s, the worst angle)
         if level_set:
             return kernel.level_test(t)
-        margin = kernel.max_margin(t)[0]
-        return margin <= _MEMBERSHIP_TOL, margin > _MEMBERSHIP_TOL
+        margin, theta, _ = kernel.max_margin(t)
+        return margin <= _MEMBERSHIP_TOL, margin > _MEMBERSHIP_TOL, theta
 
     t = max(lo, mu)
-    passes, rejects = test(t)
+    passes, rejects, _ = test(t)
     if not passes:
         lo, t = (t if rejects else lo), ceiling
         if not test(t)[0]:
@@ -1048,13 +1043,17 @@ def ws_radius(a, s: float, tol: float = 1e-6) -> OperatorRadiusResult:
         mid = 0.5 * (lo + t)
         if not lo < mid < t:
             break
-        passes, rejects = test(mid)
+        passes, rejects, theta = test(mid)
         if passes:
             t = mid
-        elif rejects:
-            lo = mid
         else:
-            break
+            # a midpoint that neither passes nor is rejected lies within
+            # rounding of w_s: the witness bound at its worst angle is a lower
+            # bound of w_s next to it
+            below = mid if rejects else min(mid, kernel.witness_bound(theta, mid))
+            if not below > lo:
+                break
+            lo = below
         iters += 1
     hi = t * (1.0 + _MEMBERSHIP_TOL)
     return OperatorRadiusResult(s=float(s), radius=0.5 * (lo + hi) / scale,

@@ -1062,10 +1062,10 @@ def test_ws_radius_reuses_the_roots_of_its_peak_search(monkeypatch, s):
     # 4,500 + 4 * 81 * 4), and after the estimate no stack of companion
     # eigenproblems is solved again, in the bisection fallback neither.  At
     # s > 2 the estimate is the peak search; at s <= 2 it is the level-set
-    # iteration, no peak runs at all, and each decision solves one pencil
-    # (a single 2n x 2n eigenproblem) and evaluates at most 2n + 2 test
-    # matrices.  The angles are counted on the kernel: s = 2 solves them
-    # with eigvalsh
+    # iteration, no peak runs at all, it keeps no roots, and each decision
+    # solves one pencil (a single 2n x 2n eigenproblem) and evaluates at
+    # most 2n + 2 test matrices.  The angles are counted on the kernel:
+    # s = 2 solves them with eigvalsh
     eigmax, eigvals = numrange.hermitian_eigmax, np.linalg.eigvals
     log = []
 
@@ -1099,9 +1099,11 @@ def test_ws_radius_reuses_the_roots_of_its_peak_search(monkeypatch, s):
             assert all(what != "peak" for what, _ in log)
         done = next(i for i, (what, _) in enumerate(log) if what == estimate)
         solved = log[done][1]
+        if s <= 2.0:
+            assert solved == 0
         after = log[done + 1:]
         assert all(what == "eigmax" for what, _ in after)
-        assert max(k for _, k in after) <= solved * (2 * a.shape[0] + 2)
+        assert max(k for _, k in after) <= max(solved, 1) * (2 * a.shape[0] + 2)
         return res
 
     rng = np.random.default_rng(19)
@@ -1171,6 +1173,41 @@ def test_ws_radius_bisection_fallback_terminates(monkeypatch, s):
         else:
             assert _dense_max_margin(g, s, res.hi / c) <= 1e-8
         assert res.bracket <= 1e-6 + 2e-8 * res.hi
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5, 2.0])
+def test_ws_radius_bisection_raises_lo_past_an_undecided_midpoint(monkeypatch, s):
+    # a midpoint the level-set test neither passes nor rejects raises lo to
+    # the witness bound at the test's worst angle, and the bisection goes
+    # on: with every rejection reported as undecided, the bracket still
+    # closes to tol and brackets the dense-grid witness bound
+    g = _ginibre_1()
+    ref = _phi(g, s, _dense_witness_vector(g, s, zoom=201))
+    level_peak, level_test = numrange._CsKernel.level_peak, numrange._CsKernel.level_test
+    witness_bound = numrange._CsKernel.witness_bound
+    witnesses = []
+
+    def low_level_peak(self, extra_thetas, floor):
+        theta, mu = level_peak(self, extra_thetas, floor)
+        return theta, 0.9 * mu
+
+    def undecided(self, t):
+        passes, _, theta = level_test(self, t)
+        return passes, False, theta
+
+    def first_no_bound(self, theta, t):
+        # the estimate's vector gives no bound, the bisection's do
+        witnesses.append(t)
+        return witness_bound(self, theta, t) if len(witnesses) > 1 else 0.0
+
+    monkeypatch.setattr(numrange._CsKernel, "level_peak", low_level_peak)
+    monkeypatch.setattr(numrange._CsKernel, "level_test", undecided)
+    monkeypatch.setattr(numrange._CsKernel, "witness_bound", first_no_bound)
+    res = ws_radius(g, s)
+    assert len(witnesses) > 2
+    assert res.iterations > 0
+    assert res.lo <= ref <= res.hi
+    assert res.bracket <= 1e-6 + 2e-8 * res.hi
 
 
 @pytest.mark.parametrize("c", [1e-200, 1e-9, 1e10, 1e150, 1e200])
@@ -1257,11 +1294,11 @@ _FROZEN_BRACKETS = {
 @pytest.mark.parametrize("name", sorted(_FROZEN_BRACKETS))
 def test_ws_radius_on_singular_and_degenerate_pencils_keeps_the_frozen_brackets(name):
     # Jordan blocks and [[0, 2], [0, 0]] make the pencil singular at the
-    # level w_s itself (mu* is constant in theta) and their D singular, so
-    # QZ runs; diag(0, 1, 3) has a singular D too; the normal matrices,
-    # the 1 x 1 matrix and kron(I_2, G), whose eigenvalues are double, take
-    # the standard form.  Each bracket is bracketed directly and matches
-    # the sampled path's to rounding
+    # level w_s itself (mu* is constant in theta) and their D singular;
+    # diag(0, 1, 3) has a singular D too; the normal matrices, the 1 x 1
+    # matrix and kron(I_2, G), whose eigenvalues are double, have a regular
+    # D.  Each bracket is bracketed directly and matches the sampled path's
+    # to rounding
     a = _degenerate_cases()[name]
     for s, (lo, hi) in zip((0.5, 1.5, 2.0), _FROZEN_BRACKETS[name]):
         res = ws_radius(a, s)
