@@ -39,18 +39,22 @@ D = cb A/t and C = ca A*A/t^2 - I, is singular exactly where e^{i theta} is
 an eigenvalue of the 2n x 2n pencil z^2 D + z C + D* (``_circle_pencil``),
 so one eigenproblem decides a scaling at every angle (Byers 1988), and
 ``ws_radius`` finds w_s by the level-set iteration of Mengi & Overton
-(2005).  For s > 2 the maximum is searched on an angle grid with zooms
-(at s = 1, where nothing depends on theta, it is ||A||_2), and the
-membership test reads the companion eigenvalues at the angles solved.  The
-result is bracketed without a search: ``lo`` is the larger of the
-a-priori bound max(rho(A), ||A||/s) and the exact witness bound
+(2005).  For s > 2 the maximum is searched from an angle grid whose peaks
+climb by safeguarded Newton steps (``_newton_ascent``, which polishes the
+w(A) peaks too), with mu*' and mu*'' from the eigenpairs of H at the
+crossing (at s = 1, where nothing depends on theta, it is ||A||_2), and the
+membership test reads the companion eigenvalues at the angles solved: the
+grid, -arg lambda_k(A) and the Newton iterates.  The result is bracketed
+without a search: ``lo`` is the larger of the a-priori bound
+max(rho(A), ||A||/s) and the exact witness bound
 phi_s(x) <= w_s of the top eigenvector x of H at the estimate, and ``hi``
 is a scaling that passed the test times 1 + tau, tau = 1e-8 the membership
 tolerance.  For s <= 2 that puts A/hi in C_s at every angle, with the
 status of a tolerance: no eigenvalue of its pencil lies within 1e-6 of the
-unit circle.  For s > 2 the test holds at the solved angles.  The bracket
-is about tau w_s wide.  Bisection with the same test runs only as a
-fallback when the estimate fails it, and ``iterations`` counts its steps.
+unit circle.  For s > 2 the test holds at the solved angles: the grid, the
+extras and the Newton iterates.  The bracket is about tau w_s wide.
+Bisection with the same test runs only as a fallback when the estimate
+fails it, and ``iterations`` counts its steps.
 """
 
 from __future__ import annotations
@@ -79,8 +83,7 @@ __all__ = [
     "ws_radius",
 ]
 
-# 4x angular zooms after the 90-angle start: 2pi/90 / 4^8 ~ 1e-6 rad
-_PEAK_ZOOMS = 8
+# at most this many sampled peaks of a profile are refined
 _PEAK_CANDIDATES = 4
 # lambda_max(H) at or below this passes the C_s membership test
 _MEMBERSHIP_TOL = 1e-8
@@ -443,8 +446,56 @@ def _grid_support(a: np.ndarray) -> np.ndarray:
     return np.concatenate([top, -bottom]) / scale
 
 
+def _newton_ascent(evaluate, centres, h: float):
+    """Safeguarded Newton ascent to peaks of f(theta), all centres in lockstep.
+
+    Each centre's peak lies in its bracket [c - h, c + h].  One call of
+    evaluate(rows, t) per round gives, at the angles t of the live centres
+    rows, (f, f', f'', scale): the derivatives are nan where f has none
+    there, and scale is the size of f.  Each evaluation shrinks the bracket
+    to the side f' points to; a point with no derivative or a value below
+    the best so far shrinks it towards the best point instead, which
+    agrees with f' wherever f is unimodal in the bracket.  The Newton point
+    t - f'/f'' is taken where f'' < 0, it lies inside the bracket and it
+    is at most half the step before last (``rtsafe``'s rule, which keeps
+    the shrinking at least linear); otherwise the bracket is bisected.  A
+    centre is done when its bracket is within 1e-12, when the point has no
+    side to shrink to (f' = 0, or a best point with no derivative), or when
+    f'' < 0 and the Newton step's predicted gain f'^2 / (2 |f''|) is below
+    ``_NEWTON_GAIN`` of scale, where the step cannot move the value (it
+    may be below an ulp of t) and rounding in f' would only jitter it.
+    Returns (the angle, the value) of the largest f evaluated per centre.
+    """
+    theta = np.array(centres, dtype=float)
+    lo, hi = theta - h, theta + h
+    step, step_old = np.full(len(theta), 2.0 * h), np.full(len(theta), 2.0 * h)
+    best, best_theta = np.full(len(theta), -np.inf), theta.copy()
+    live = np.ones(len(theta), dtype=bool)
+    while live.any():
+        idx = np.flatnonzero(live)
+        t = theta[idx]
+        f, d1, d2, scale = evaluate(idx, t)
+        smooth = np.isfinite(d1) & np.isfinite(d2) & (f >= best[idx])
+        up = f > best[idx]
+        best[idx], best_theta[idx] = np.where(up, f, best[idx]), np.where(up, t, best_theta[idx])
+        side = np.where(smooth, d1, best_theta[idx] - t)
+        lo[idx] = np.where(side > 0.0, t, lo[idx])
+        hi[idx] = np.where(side < 0.0, t, hi[idx])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = -d1 / d2
+            settled = (side == 0.0) | (d2 < 0.0) & (
+                np.abs(d1 * newton) <= 2.0 * _NEWTON_GAIN * scale)
+        ok = (d2 < 0.0) & (t + newton > lo[idx]) & (t + newton < hi[idx]) \
+            & (2.0 * np.abs(newton) <= step_old[idx])
+        new = np.where(ok, t + newton, (lo[idx] + hi[idx]) / 2.0)
+        step_old[idx], step[idx] = step[idx], np.abs(new - t)
+        theta[idx] = new
+        live[idx] = ~settled & (hi[idx] - lo[idx] > 1e-12)
+    return best_theta, best
+
+
 def _newton_peaks(herm: np.ndarray, skew: np.ndarray, signs, centres, h: float):
-    """Safeguarded Newton ascent to peaks of sign * p(theta), in lockstep.
+    """Safeguarded Newton ascent (``_newton_ascent``) to peaks of sign * p(theta).
 
     herm and skew are H and K, signs and centres hold one entry per peak,
     and each peak lies in its bracket [c - h, c + h].  One stacked ``eigh``
@@ -452,55 +503,32 @@ def _newton_peaks(herm: np.ndarray, skew: np.ndarray, signs, centres, h: float):
     of F(t) = cos t H + sin t K.  F' = B = cos t K - sin t H and F'' = -F,
     so the top eigenpair (p, x) gives
 
-        p' = x* B x,   p'' = -p + 2 sum_{j != top} |v_j* B x|^2 / (p - lambda_j).
+        p' = x* B x,   p'' = -p + 2 sum_{j != top} |v_j* B x|^2 / (p - lambda_j),
 
-    Each evaluation shrinks the bracket to the side sign * p' points to.
-    The Newton point t - p'/p'' is taken where sign * p'' < 0, it lies
-    inside the bracket and it is at most half the step before last
-    (``rtsafe``'s rule, which keeps the shrinking at least linear);
-    otherwise the bracket is bisected.  A peak is done when its bracket is
-    within 1e-12, when p' = 0, or when sign * p'' < 0 and the Newton
-    step's predicted gain p'^2 / (2 |p''|) is below ``_NEWTON_GAIN`` of the
-    spectral scale, where the step cannot move the value (it may be below
-    an ulp of t) and rounding in p' would only jitter it.  The formula
-    needs a simple top eigenvalue: a peak whose top gap is within 1e-8 of
-    the spectral scale leaves the ascent and is flagged.
+    with the spectral scale as the size of p.  The formula needs a simple
+    top eigenvalue: a peak whose top gap is within 1e-8 of the spectral
+    scale stands where it is (p' = 0), leaves the ascent and is flagged.
     Returns (the largest sign * p evaluated per peak, the flags).
     """
     signs = np.asarray(signs, dtype=float)
-    theta = np.asarray(centres, dtype=float)
-    lo, hi = theta - h, theta + h
-    step, step_old = np.full(len(theta), 2.0 * h), np.full(len(theta), 2.0 * h)
-    best = np.full(len(theta), -np.inf)
-    multiple = np.zeros(len(theta), dtype=bool)
-    live = np.ones(len(theta), dtype=bool)
-    while live.any():
-        idx = np.flatnonzero(live)
-        t, sign = theta[idx], signs[idx]
+    multiple = np.zeros(len(signs), dtype=bool)
+
+    def evaluate(rows, t):
+        sign = signs[rows]
         cos, sin = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
         lam, vecs = np.linalg.eigh(cos * herm + sin * skew)
         p = lam[:, -1]
-        best[idx] = np.maximum(best[idx], sign * p)
         coef = np.einsum("kji,kjl,kl->ki", vecs.conj(), cos * skew - sin * herm, vecs[:, :, -1])
         spectral = np.maximum(np.abs(lam[:, 0]), np.abs(p))
         second = lam[:, -2] if lam.shape[1] > 1 else -np.inf
         simple = p - second > 1e-8 * spectral
+        multiple[rows] = ~simple
         gaps = np.where(simple[:, None], p[:, None] - lam[:, :-1], 1.0)
-        d1 = sign * coef[:, -1].real
+        d1 = np.where(simple, sign * coef[:, -1].real, 0.0)
         d2 = sign * (2.0 * np.sum(np.abs(coef[:, :-1]) ** 2 / gaps, axis=1) - p)
-        lo[idx] = np.where(d1 > 0.0, t, lo[idx])
-        hi[idx] = np.where(d1 < 0.0, t, hi[idx])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = -d1 / d2
-        ok = (d2 < 0.0) & (t + newton > lo[idx]) & (t + newton < hi[idx]) \
-            & (2.0 * np.abs(newton) <= step_old[idx])
-        new = np.where(ok, t + newton, (lo[idx] + hi[idx]) / 2.0)
-        step_old[idx], step[idx] = step[idx], np.abs(new - t)
-        theta[idx] = new
-        # p' = 0 exactly leaves no side to shrink to, so the point stands
-        settled = (d1 == 0.0) | (d2 < 0.0) & (np.abs(d1 * newton) <= 2.0 * _NEWTON_GAIN * spectral)
-        multiple[idx] = ~simple
-        live[idx] = simple & ~settled & (hi[idx] - lo[idx] > 1e-12)
+        return sign * p, d1, d2, spectral
+
+    _, best = _newton_ascent(evaluate, centres, h)
     return best, multiple
 
 
@@ -632,10 +660,12 @@ class _CsKernel:
     H = ca u^2 B + cb u M(theta) - I with u = r/t.  ``test_matrices`` builds
     H at (theta, u) points and ``margins_at`` its lambda_max; ``peak``
     finds the scaling t at which the test first fails from the companion
-    eigenproblem per angle.  M(theta + pi) = -M(theta), so the companion
-    eigenvalues at theta + pi are those at theta negated, and ``peak``
-    solves only the half of its grid in [0, pi).  ``peak`` keeps the
-    companion eigenvalues of every grid angle and of every angle it solves
+    eigenproblem per angle, and refines its peaks by Newton steps on
+    mu*(theta) with the derivatives of ``slopes``.  M(theta + pi) =
+    -M(theta), so the companion eigenvalues at theta + pi are those at
+    theta negated, and ``peak`` solves only the half of its grid in
+    [0, pi).  ``peak`` keeps the companion eigenvalues of every grid angle
+    and of every angle it solves, the extras and the Newton iterates
     (``root_thetas``, ``roots``), so the membership test reads them instead
     of solving them again.  For s <= 2, s != 1, ``level_peak`` finds that
     scaling instead by level-set iteration on the unit-circle pencil of H
@@ -783,6 +813,66 @@ class _CsKernel:
         self.roots = np.concatenate([self.roots, ev])
         return _mu_star(ev)
 
+    def slopes(self, thetas, mu) -> tuple[np.ndarray, np.ndarray]:
+        """mu*'(theta) and mu*''(theta) at crossings mu = mu*(theta), from one stacked ``eigh``.
+
+        At u = 1/mu, lambda(theta, u) = lambda_max(H) = 0 along the curve
+        u(theta) = 1/mu*(theta), and x, its eigenvector, and all eigenpairs
+        (lambda_j, v_j) of H give the implicit derivatives.  With
+        M' = i (e^{i theta} A - e^{-i theta} A*) and M'' = -M, the parts
+        H_theta = cb u M' and H_u = 2 ca u A*A + cb M give
+
+            u' = -x* H_theta x / x* H_u x,
+            u'' = -(x* G2 x + 2 sum_{j != top} |v_j* G x|^2 / (lambda_top - lambda_j)) / x* H_u x,
+
+        G = H_theta + u' H_u the derivative of H along the curve and
+        G2 = -cb u M + 2 u' cb M' + 2 u'^2 ca A*A the rest of its second
+        derivative; then mu' = -u'/u^2 and mu'' = -u''/u^2 + 2 u'^2/u^3.
+        Eigenvalues within 1e-8 of the spectral scale of the top are its
+        own cluster, which couples to x only by rounding where mu* is smooth
+        (kron(I, G)), and are left out of the sum.  A slope within its
+        rounding error, eps ||H_theta|| (1 + 2 ||H|| / gap) / x* H_u x in u',
+        gap the distance from the top cluster to the next eigenvalue, is 0:
+        where mu* is flat (a Jordan block) its sign is noise.  nan where
+        there is no crossing (mu = 0) or x* H_u x <= 0 (the edge of a
+        real-root window, where mu* is not differentiable).
+        """
+        thetas, mu = np.asarray(thetas, dtype=float), np.asarray(mu, dtype=float)
+        d1, d2 = np.full(len(mu), np.nan), np.full(len(mu), np.nan)
+        live = mu > 0.0
+        if not live.any():
+            return d1, d2
+        th, mu = thetas[live], mu[live]
+        u = (1.0 / mu)[:, None, None]
+        lam, vecs = np.linalg.eigh(self.test_matrices(th, 1.0 / mu))
+        x = vecs[:, :, -1]
+        ph = np.exp(1j * th)[:, None, None]
+        m, dm = self._mstack(th), 1j * (ph * self.a - np.conj(ph) * self.a.conj().T)
+        h_t, h_u = self.cb * u * dm, 2.0 * self.ca * u * self.aha + self.cb * m
+
+        def form(g):
+            return np.einsum("ki,kij,kj->k", x.conj(), g, x).real
+
+        lam_u = form(h_u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            du = np.where(lam_u > 0.0, -form(h_t) / lam_u, np.nan)[:, None, None]
+            g = h_t + du * h_u
+            g2 = self.cb * (2.0 * du * dm - u * m) + 2.0 * self.ca * du ** 2 * self.aha
+            coef = np.einsum("kji,kjl,kl->ki", vecs[:, :, :-1].conj(), g, x)
+            gaps = lam[:, -1:] - lam[:, :-1]
+            cluster = gaps <= 1e-8 * np.abs(lam).max(axis=1, keepdims=True)
+            coupling = np.where(cluster, 0.0, np.abs(coef) ** 2 / np.where(cluster, 1.0, gaps))
+            ddu = -(form(g2) + 2.0 * coupling.sum(axis=1)) / lam_u
+            du = du[:, 0, 0]
+            # rounding moves x by eps ||H|| / gap, and x* H_theta x by eps
+            # ||H_theta|| (1 + 2 ||H|| / gap); a slope within that has no sign
+            gap = np.where(cluster, np.inf, gaps).min(axis=1, initial=np.inf)
+            noise = np.finfo(float).eps * np.linalg.norm(h_t, axis=(1, 2)) * (
+                1.0 + 2.0 * np.linalg.norm(lam, axis=1) / gap) / lam_u
+            d1[live] = np.where(np.abs(du) <= noise, 0.0, -du) * mu ** 2
+            d2[live] = -ddu * mu ** 2 + 2.0 * du ** 2 * mu ** 3
+        return d1, d2
+
     def peak(self, extra_thetas) -> tuple[float, float]:
         """Estimate max_theta mu*(theta) = w_s(A) and its angle.
 
@@ -796,12 +886,16 @@ class _CsKernel:
         of the best one is refined, at most ``_PEAK_CANDIDATES`` of them.
         The margin is 8x the s = 2 bound: there mu* is the support function
         p of the convex set W(A), and p'' >= -p keeps a peak within
-        p step^2 / 8 of its nearest sample.  Each candidate gets
-        ``_PEAK_ZOOMS`` rounds of the 9-point zoom (``_zoom_max``) from +-
-        one grid step, 4x finer per round; a zoom solves no angle that is
-        already solved.  At s = 1 (cb = 0) the companion's eigenvalues
-        +-sqrt(ca) sigma_i(A) do not depend on theta, and neither does H: the
-        estimate is ||A||_2 at angle 0, the one angle kept, with no sweep.
+        p step^2 / 8 of its nearest sample.  The candidates climb in
+        lockstep by safeguarded Newton steps (``_newton_ascent``) from
+        +- one grid step, with the derivatives of ``slopes``: the first
+        round reads mu* at the candidates from the start stack, and each
+        later round solves one companion stack at the live iterates (an
+        iterate at an angle already solved reads its mu* back).  No
+        estimate is below its sample.  At s = 1 (cb = 0) the companion's
+        eigenvalues +-sqrt(ca) sigma_i(A) do not depend on theta, and
+        neither does H: the estimate is ||A||_2 at angle 0, the one angle
+        kept, with no sweep.
         """
         if self.cb == 0.0:
             sigma = np.sqrt(self.ca) * np.linalg.svd(self.a, compute_uv=False)
@@ -821,21 +915,23 @@ class _CsKernel:
         mu = self._record(thetas, ev[by_angle])
         d_theta = 2.0 * np.pi / len(self.thetas)
         order = _peak_indices(mu, floor=float(mu.max()) * (1.0 - d_theta ** 2))
-        # a zoom point equal to an angle already solved (the round's outer
-        # points, which the round before also sampled) reads its mu back;
-        # the new angles are solved in first-occurrence order
-        solved = dict(zip(thetas.tolist(), mu.tolist()))
+        # an extra angle of real A can repeat a grid angle (0 or pi), solved
+        # twice to rounding: the angle reads the larger mu*
+        by_mu = np.argsort(mu, kind="stable")
+        solved = dict(zip(thetas[by_mu].tolist(), mu[by_mu].tolist()))
 
-        def crossings(ths):
+        def evaluate(_, ths):
+            # the new angles are solved in first-occurrence order
             flat = ths.tolist()
             fresh = list(dict.fromkeys(t for t in flat if t not in solved))
             if fresh:
                 fresh_thetas = np.array(fresh)
                 mu = self._record(fresh_thetas, self._companion_roots(fresh_thetas))
                 solved.update(zip(fresh, mu.tolist()))
-            return np.array([solved[t] for t in flat])
+            mu = np.array([solved[t] for t in flat])
+            return (mu, *self.slopes(ths, mu), mu)
 
-        centres, values = _zoom_max(crossings, thetas[order], mu[order], d_theta, _PEAK_ZOOMS)
+        centres, values = _newton_ascent(evaluate, thetas[order], d_theta)
         k = int(np.argmax(values))
         return float(centres[k]), float(values[k])
 
@@ -946,9 +1042,9 @@ class OperatorRadiusResult:
     tolerance tau at angle 0, which puts A/hi in C_1 exactly.  For s > 2 t
     passed the membership test at the angles the peak search solved (the 90
     grid angles, 45 solved and the antipodal 45 read as their negated
-    roots, -arg lambda_k(A) and the zooms), exact in r at each of them, and
-    hi has the status of the tolerance.  The bracket is about tau w_s(A)
-    wide, whatever the tolerance asked.
+    roots, -arg lambda_k(A) and the Newton iterates), exact in r at each of
+    them, and hi has the status of the tolerance.  The bracket is about
+    tau w_s(A) wide, whatever the tolerance asked.
     iterations counts the bisection steps of the fallback that runs only
     when the estimate fails its own test or lies more than the tolerance
     above lo; it is 0 when the estimate is bracketed directly.
@@ -972,8 +1068,9 @@ def ws_radius(a, s: float, tol: float = 1e-6) -> OperatorRadiusResult:
     s <= 2, s != 1, it comes from the level-set iteration
     (``_CsKernel.level_peak``: one 2n x 2n pencil per round, no angle grid)
     and the test is ``_CsKernel.level_test``, which decides hi at every
-    angle; otherwise from the peak search (``_CsKernel.peak``) and the
-    membership test at the angles it solved (``_CsKernel.max_margin``).
+    angle; otherwise from the peak search (``_CsKernel.peak``: the grid
+    peaks climb by Newton steps on mu*(theta)) and the membership test at
+    the angles it solved (``_CsKernel.max_margin``).
     The estimate is bracketed directly:
 
     * lo = max(max(rho(A), ||A||/s) (1 - 1e-9), phi_s(x)), with x the unit
@@ -985,7 +1082,7 @@ def ws_radius(a, s: float, tol: float = 1e-6) -> OperatorRadiusResult:
       the membership tolerance counted.  For s <= 2 the pencil at hi has
       no eigenvalue within 1e-6 of the unit circle, so hi holds at every
       angle with the status of that tolerance; for s > 2 it holds at the
-      solved angles.
+      solved angles: the grid, -arg lambda_k(A) and the Newton iterates.
 
     If t fails, it becomes lo when the test found a violation of more than
     1e-8 (the level-set test may find none when hi lies within rounding of

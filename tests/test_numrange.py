@@ -1116,8 +1116,8 @@ def test_ws_radius_reuses_the_roots_of_its_peak_search(monkeypatch, s):
     assert check(jordan_nilpotent(3), 1e-9).iterations > 0
 
 
-def test_peak_zooms_solve_no_angle_twice(monkeypatch):
-    # every zoom round's centre was solved by the round before, so the angles
+def test_peak_newton_iterates_solve_no_angle_twice(monkeypatch):
+    # an iterate at an angle already solved reads its mu* back, so the angles
     # ws_radius keeps for the membership test are all distinct
     kernels = []
     init = numrange._CsKernel.__init__
@@ -1135,6 +1135,47 @@ def test_peak_zooms_solve_no_angle_twice(monkeypatch):
         (kernel,) = kernels
         assert len(kernel.root_thetas) > 90
         assert len(np.unique(kernel.root_thetas)) == len(kernel.root_thetas)
+
+
+def test_peak_polishes_by_newton_steps_in_few_small_companion_stacks(monkeypatch):
+    # peak runs no zoom; after its first stack each companion stack holds at
+    # most _PEAK_CANDIDATES angles (the live Newton iterates), and over the
+    # seeded matrices the median number of such stacks is at most 2
+    def forbidden(*args):
+        raise AssertionError("peak ran the zoom")
+
+    companion, stacks = numrange._CsKernel._companion_roots, []
+
+    def spy(self, thetas):
+        stacks.append(len(thetas))
+        return companion(self, thetas)
+
+    monkeypatch.setattr(numrange, "_zoom_max", forbidden)
+    monkeypatch.setattr(numrange._CsKernel, "_companion_roots", spy)
+    rng = np.random.default_rng(26)
+    counts = []
+    for s in (2.5, 3.0, 8.0, 1024.0):
+        for n in range(2, 9):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            stacks.clear()
+            numrange._CsKernel(a, s).peak(-np.angle(np.linalg.eigvals(a)))
+            assert max(stacks[1:], default=0) <= numrange._PEAK_CANDIDATES
+            counts.append(len(stacks) - 1)
+    assert np.median(counts) <= 2
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5, 2.5, 3.0, 8.0, 1024.0])
+def test_peak_is_not_below_a_dense_scan_around_it(s):
+    # the Newton polish reaches the top of its peak: mu-hat is not below
+    # mu* on 2,001 angles across +-1e-3 of theta-hat
+    rng = np.random.default_rng(27)
+    for n in range(2, 9):
+        for a in (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                  rng.standard_normal((n, n))):
+            kernel = numrange._CsKernel(a, s)
+            theta, mu = kernel.peak(-np.angle(np.linalg.eigvals(a)))
+            scan = kernel.crossing(theta + np.linspace(-1e-3, 1e-3, 2001))
+            assert mu >= (1.0 - 1e-13) * scan.max()
 
 
 def test_ws_radius_at_large_s_and_the_default_tol_needs_no_bisection():
@@ -1306,3 +1347,58 @@ def test_ws_radius_on_singular_and_degenerate_pencils_keeps_the_frozen_brackets(
         assert res.lo == pytest.approx(lo, rel=1e-14)
         assert res.hi == pytest.approx(hi, rel=1e-14)
         assert lo <= res.radius <= hi
+
+
+def _degenerate_cases_above_2():
+    cases = _degenerate_cases()
+    cases.update(jordan3=jordan_nilpotent(3), jordan5=jordan_nilpotent(5),
+                 real=np.random.default_rng(4).standard_normal((4, 4)))
+    return cases
+
+
+# (lo, hi) of ws_radius at s = 3, 8, 1024 from the 9-point zoom polish of
+# the peak search that ran before its Newton steps
+_FROZEN_BRACKETS_ABOVE_2 = {
+    "crouzeix": [(0.6666666666666664, 0.666666673333335),
+                 (0.25000000000000006, 0.2500000025000221),
+                 (0.001953124998046875, 0.00195312534680475)],
+    "diag013": [(3.0, 3.00000003),
+                (3.0, 3.00000003),
+                (3.0, 3.0000000300002285)],
+    "jordan3": [(0.5773502691896257, 0.5773502749631302),
+                (0.35355339059327373, 0.35355339412881737),
+                (0.031249999999773254, 0.03125000047676134)],
+    "jordan5": [(0.7892015145747697, 0.7892015224667883),
+                (0.6200550537916357, 0.6200550599921951),
+                (0.17807877820905982, 0.17807878008014819)],
+    "jordan8": [(0.8986341472714579, 0.8986341562578055),
+                (0.7908885367088152, 0.7908885446177076),
+                (0.37954561645679485, 0.3795456202985957)],
+    "kron": [(4.336690045378935, 4.3366900887458355),
+             (4.140368843027479, 4.140368884431168),
+             (4.0236054185685965, 4.02360545880465)],
+    "one": [(0.7280109889280517, 0.7280109962081616),
+            (0.7280109889280518, 0.7280109962081617),
+            (0.7280109889280518, 0.7280109962081617)],
+    "real": [(2.195275430638075, 2.1952754525908293),
+             (1.9619160199771237, 1.9619160395962838),
+             (1.8141784082039127, 1.8141784263456968)],
+    "roots5": [(1.0, 1.00000001),
+               (1.0, 1.00000001),
+               (1.0, 1.000000010000226)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_BRACKETS_ABOVE_2))
+def test_ws_radius_above_2_on_degenerate_matrices_keeps_the_frozen_brackets(name):
+    # where the Newton formula has no simple eigenvalue or no slope: mu*' = 0
+    # at every angle (Jordan blocks, [[0, 2], [0, 0]]), a top eigenvalue of
+    # H that is not simple (kron(I_2, G), the normal matrices), the real-root
+    # window edges of a real A.  Each bracket meets its frozen one and
+    # moves by at most 1e-9 (relative)
+    a = _degenerate_cases_above_2()[name]
+    for s, (lo, hi) in zip((3.0, 8.0, 1024.0), _FROZEN_BRACKETS_ABOVE_2[name]):
+        res = ws_radius(a, s)
+        assert res.lo <= hi and lo <= res.hi
+        assert res.lo == pytest.approx(lo, rel=1e-9)
+        assert res.hi == pytest.approx(hi, rel=1e-9)
